@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CrossCheckError
 
 __all__ = [
     "BurnsideElement",
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_BUDGET = 2 * 3**14
+DEFAULT_LETTER_BUDGET = 10**6
 
 
 def _element_budget():
@@ -63,10 +64,14 @@ def _element_budget():
 
 @lru_cache(maxsize=None)
 def _tables(r):
-    """Index maps for pairs and triples plus the alternating sign data.
+    """Coordinate layout of B(r,3) and the step table of the generators.
 
-    bzone[(i,j)][k] = (triple index, sign) for k outside {i,j}: the cost
-    of moving x_k across b_ij.
+    A normal form is one flat digit vector v: the r generator exponents,
+    then one b digit per pair i < j, then one c digit per triple
+    i < j < k.  steps[k] is the rule for right-multiplying by x_k: each
+    term (target, coeff, sources) adds coeff * prod(v[s] for s in sources)
+    to v[target], mod 3, with every source read before the step.  No
+    target is a source, so the terms may be applied in place in any order.
     """
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     pidx = {pq: t for t, pq in enumerate(pairs)}
@@ -77,25 +82,25 @@ def _tables(r):
         for k in range(j + 1, r)
     ]
     tidx = {t: s for s, t in enumerate(triples)}
-    bzone = {}
-    for (i, j) in pairs:
-        row = {}
-        for k in range(r):
+    B, C = r, r + len(pairs)  # offsets of the b and c digits
+    steps = []
+    for k in range(r):
+        terms = []
+        # x_k crosses the commutator zone: b_ij x_k = x_k b_ij c^sign
+        for t, (i, j) in enumerate(pairs):
             if k in (i, j):
                 continue
-            seq = (i, j, k)
-            srt = tuple(sorted(seq))
-            # sign of the permutation taking seq to sorted order
-            perm = [srt.index(x) for x in seq]
-            inv = sum(
-                1
-                for u in range(3)
-                for v in range(u + 1, 3)
-                if perm[u] > perm[v]
-            )
-            row[k] = (tidx[srt], -1 if inv % 2 else 1)
-        bzone[(i, j)] = row
-    return pairs, pidx, triples, tidx, bzone
+            # the sign of sorting (i, j, k) is odd only for i < k < j
+            sign = -1 if i < k < j else 1
+            terms.append((C + tidx[tuple(sorted((i, j, k)))], sign, (B + t,)))
+        # x_k crosses the generator blocks x_j^a_j, j > k, to its left
+        for j in range(k + 1, r):
+            terms.append((B + pidx[(k, j)], -1, (j,)))
+            for l in range(j + 1, r):
+                terms.append((C + tidx[(k, j, l)], -1, (j, l)))
+        terms.append((k, 1, ()))
+        steps.append(tuple(terms))
+    return pairs, pidx, triples, tidx, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -111,46 +116,34 @@ class BurnsideElement:
         return not (any(self.a) or any(self.b) or any(self.c))
 
 
-def identity(rank):
+def _element(rank, v):
+    """The element with flat digit vector v (see `_tables`)."""
+    nb = comb(rank, 2)
     return BurnsideElement(
-        rank,
-        (0,) * rank,
-        (0,) * comb(rank, 2),
-        (0,) * comb(rank, 3),
+        rank, tuple(v[:rank]), tuple(v[rank : rank + nb]), tuple(v[rank + nb :])
     )
+
+
+def identity(rank):
+    return _element(rank, [0] * _dim(rank))
 
 
 def generator(rank, i):
     if not 1 <= i <= rank:
         raise ValueError(f"generator index {i} out of range")
-    a = [0] * rank
-    a[i - 1] = 1
-    e = identity(rank)
-    return BurnsideElement(rank, tuple(a), e.b, e.c)
+    v = [0] * _dim(rank)
+    v[i - 1] = 1
+    return _element(rank, v)
 
 
-def _rmul_unit(rank, a, b, c, k):
-    """Right-multiply the mutable normal form (a, b, c) by x_k."""
-    pairs, pidx, triples, tidx, bzone = _tables(rank)
-    # x_k crosses the commutator zone
-    for t, pq in enumerate(pairs):
-        beta = b[t]
-        if beta:
-            hit = bzone[pq].get(k)
-            if hit is not None:
-                s, sign = hit
-                c[s] = (c[s] + sign * beta) % 3
-    # x_k crosses the generator blocks to its left
-    for j in range(rank - 1, k, -1):
-        beta = -a[j]
-        if beta:
-            t = pidx[(k, j)]
-            b[t] = (b[t] + beta) % 3
-            for l in range(j + 1, rank):
-                if a[l]:
-                    s = tidx[(k, j, l)]
-                    c[s] = (c[s] + beta * a[l]) % 3
-    a[k] = (a[k] + 1) % 3
+def _rmul_unit(rank, v, k):
+    """Right-multiply the flat normal form v by x_k, in place."""
+    _, _, _, _, steps = _tables(rank)
+    for target, coeff, sources in steps[k]:
+        for s in sources:
+            coeff *= v[s]
+        if coeff:
+            v[target] = (v[target] + coeff) % 3
 
 
 def multiply(g, h):
@@ -158,27 +151,23 @@ def multiply(g, h):
     if g.rank != h.rank:
         raise ValueError("rank mismatch")
     rank = g.rank
-    a, b, c = list(g.a), list(g.b), list(g.c)
+    v = [*g.a, *g.b, *g.c]
     for k in range(rank):
         for _ in range(h.a[k]):
-            _rmul_unit(rank, a, b, c, k)
-    for t in range(len(b)):
-        b[t] = (b[t] + h.b[t]) % 3
-    for s in range(len(c)):
-        c[s] = (c[s] + h.c[s]) % 3
-    return BurnsideElement(rank, tuple(a), tuple(b), tuple(c))
+            _rmul_unit(rank, v, k)
+    for d, x in enumerate(h.b + h.c, rank):
+        v[d] = (v[d] + x) % 3
+    return _element(rank, v)
 
 
 def inverse(g):
     """g^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
     rank = g.rank
-    a = [0] * rank
-    b = [(-x) % 3 for x in g.b]
-    c = [(-x) % 3 for x in g.c]
+    v = [0] * rank + [(-x) % 3 for x in g.b + g.c]
     for k in range(rank - 1, -1, -1):
         for _ in range((-g.a[k]) % 3):
-            _rmul_unit(rank, a, b, c, k)
-    return BurnsideElement(rank, tuple(a), tuple(b), tuple(c))
+            _rmul_unit(rank, v, k)
+    return _element(rank, v)
 
 
 def conjugate(g, by):
@@ -191,17 +180,15 @@ def commutator(g, h):
 
 def evaluate_word(rank, word):
     """Image of a signed-letter word (letters in +-1..+-rank)."""
-    a = [0] * rank
-    b = [0] * comb(rank, 2)
-    c = [0] * comb(rank, 3)
+    v = [0] * _dim(rank)
     for letter in word:
         if letter == 0 or abs(letter) > rank:
             raise ValueError(f"letter {letter} out of range for rank {rank}")
         k = abs(letter) - 1
         times = 1 if letter > 0 else 2  # x^-1 = x^2
         for _ in range(times):
-            _rmul_unit(rank, a, b, c, k)
-    return BurnsideElement(rank, tuple(a), tuple(b), tuple(c))
+            _rmul_unit(rank, v, k)
+    return _element(rank, v)
 
 
 def group_order(r):
@@ -212,13 +199,45 @@ def _dim(r):
     return r + comb(r, 2) + comb(r, 3)
 
 
-def _encode_matrix(M, radix):
-    return M @ radix
+def _digits(keys, dim):
+    """Digit columns (dim x n, int8) of radix-3 keys sum(v[d] * 3^d)."""
+    digits = np.empty((dim, keys.size), dtype=np.int8)
+    q = keys
+    for d in range(dim):
+        q, digits[d] = np.divmod(q, 3)
+    return digits
+
+
+def _step_keys(r, keys, digits, k):
+    """Keys of the elements (keys, digits) times x_k: `_rmul_unit` over
+    arrays, read from the same step table."""
+    _, _, _, _, steps = _tables(r)
+    incs = {}
+    for target, coeff, sources in steps[k]:
+        for s in sources:
+            coeff = coeff * digits[s]
+        incs[target] = incs.get(target, 0) + coeff
+    out = keys.copy()
+    for target, inc in incs.items():
+        old = digits[target]
+        out += ((old + inc) % 3 - old) * np.int32(3**target)
+    return out
 
 
 def enumerate_group(r, budget=None):
-    """Breadth-first closure of the generators under multiplication,
-    vectorized; asserts the count equals 3^(r + C(r,2) + C(r,3))."""
+    """Breadth-first closure of the identity under right multiplication
+    by the generators, as a certificate of the collection table.
+
+    Elements are radix-3 keys of their digit vectors (int32, since
+    3^14 < 2^31).  Each level decodes the frontier keys into digit
+    columns, applies every generator's step table (`_step_keys`) as
+    array operations, marks the resulting keys in a bool bitmap of size
+    3^dim and keeps the keys not visited before as the next frontier.
+    The step table is consistent only if the closure reaches exactly
+    3^(r + C(r,2) + C(r,3)) elements; any other count raises
+    CrossCheckError.  Raises BudgetExceededError when the order exceeds
+    `budget` (default: `TANGLELAB_MEM_GUARD`, else 2 * 3^14).
+    """
     if r > 4:
         raise BudgetExceededError("enumeration supported for r <= 4")
     budget = budget or _element_budget()
@@ -227,48 +246,22 @@ def enumerate_group(r, budget=None):
         raise BudgetExceededError(
             f"group of order {order} exceeds the element budget {budget}"
         )
-    pairs, pidx, triples, tidx, bzone = _tables(r)
     dim = _dim(r)
-    radix = (3 ** np.arange(dim)).astype(np.int64)
-    visited = np.zeros(3**dim, dtype=bool)
-    start = np.zeros((1, dim), dtype=np.int64)
+    visited = np.zeros(order, dtype=bool)
     visited[0] = True
-    frontier = start
+    frontier = np.zeros(1, dtype=np.int32)
     total = 1
-    nb = len(pairs)
     while frontier.size:
-        nexts = []
+        digits = _digits(frontier, dim)
+        level = np.zeros(order, dtype=bool)
         for k in range(r):
-            A = frontier[:, :r]
-            B = frontier[:, r : r + nb]
-            C = frontier[:, r + nb :]
-            Cn = C.copy()
-            for t, pq in enumerate(pairs):
-                hit = bzone[pq].get(k)
-                if hit is not None:
-                    s, sign = hit
-                    Cn[:, s] += sign * B[:, t]
-            Bn = B.copy()
-            for j in range(k + 1, r):
-                t = pidx[(k, j)]
-                Bn[:, t] -= A[:, j]
-                for l in range(j + 1, r):
-                    s = tidx[(k, j, l)]
-                    Cn[:, s] -= A[:, j] * A[:, l]
-            An = A.copy()
-            An[:, k] += 1
-            nxt = np.concatenate([An, Bn, Cn], axis=1) % 3
-            nexts.append(nxt)
-        cand = np.concatenate(nexts, axis=0)
-        keys = cand @ radix
-        keys, first = np.unique(keys, return_index=True)
-        cand = cand[first]
-        fresh = ~visited[keys]
-        visited[keys[fresh]] = True
-        frontier = cand[fresh]
-        total += int(fresh.sum())
+            level[_step_keys(r, frontier, digits, k)] = True
+        level &= ~visited
+        visited |= level
+        frontier = np.flatnonzero(level).astype(np.int32)
+        total += frontier.size
     if total != order:
-        raise AssertionError(
+        raise CrossCheckError(
             f"closure found {total} elements, expected {order}: the "
             "collection table is inconsistent"
         )
@@ -303,7 +296,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
                 lhs = multiply(multiply(gi, gj), gk)
                 rhs = multiply(gi, multiply(gj, gk))
                 if lhs != rhs:
-                    raise AssertionError("generator overlap failed")
+                    raise CrossCheckError("generator overlap failed")
                 checks += 1
     if exhaustive:
         from itertools import product
@@ -319,24 +312,24 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
                 gh = multiply(g, h)
                 for k in space:
                     if multiply(gh, k) != multiply(g, multiply(h, k)):
-                        raise AssertionError("associativity failed")
+                        raise CrossCheckError("associativity failed")
                     checks += 1
     else:
         n = triples if triples is not None else 2000
         for _ in range(n):
             g, h, k = rand(), rand(), rand()
             if multiply(multiply(g, h), k) != multiply(g, multiply(h, k)):
-                raise AssertionError("associativity failed")
+                raise CrossCheckError("associativity failed")
             checks += 1
     n = triples if triples is not None else 2000
     for _ in range(n):
         g, h = rand(), rand()
         if multiply(multiply(g, g), g) != one:
-            raise AssertionError("exponent 3 failed")
+            raise CrossCheckError("exponent 3 failed")
         if not commutator(commutator(g, h), h).is_identity():
-            raise AssertionError("2-Engel failed")
+            raise CrossCheckError("2-Engel failed")
         if multiply(g, inverse(g)) != one:
-            raise AssertionError("inverse failed")
+            raise CrossCheckError("inverse failed")
         checks += 3
     # weight-3 part is central
     for s in range(comb(r, 3)):
@@ -345,23 +338,13 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
         z = BurnsideElement(r, (0,) * r, (0,) * comb(r, 2), tuple(c))
         for g in gens:
             if multiply(z, g) != multiply(g, z):
-                raise AssertionError("weight-3 generator is not central")
+                raise CrossCheckError("weight-3 generator is not central")
             checks += 1
     return checks
 
 
 # ---------------------------------------------------------------------------
 # Core presentations of braid closures.
-
-
-def _freely_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def _fmul(*words):
@@ -390,12 +373,22 @@ class CorePresentation:
 
 def strand_words(word):
     """Free words carried by the strand positions after the braid acts:
-    sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i)."""
+    sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i).
+
+    The words can grow exponentially with the braid length, so a letter
+    is refused with BudgetExceededError before the words could hold more
+    than DEFAULT_LETTER_BUDGET letters in total."""
     n = word.strands
     state = [(j,) for j in range(1, n + 1)]
     for x in word.letters:
         i = abs(x) - 1
         u, v = state[i], state[i + 1]
+        # the new word u v^-1 u (or v u^-1 v) adds at most 2|u| letters
+        if (sum(map(len, state)) + 2 * len(u if x > 0 else v)
+                > DEFAULT_LETTER_BUDGET):
+            raise BudgetExceededError(
+                f"strand words exceed the letter budget {DEFAULT_LETTER_BUDGET}"
+            )
         if x > 0:
             state[i], state[i + 1] = _fmul(u, _finv(v), u), u
         else:
@@ -423,7 +416,7 @@ def kill_generator(pres, j):
                 continue
             shift = -1 if abs(x) > j else 0
             w.append((abs(x) + shift) * (1 if x > 0 else -1))
-        out.append(_freely_reduce(w))
+        out.append(_fmul(w))
     return CorePresentation(pres.generators - 1, tuple(out))
 
 
@@ -456,11 +449,38 @@ class ObstructionReport:
     killed: int
     relator_images: tuple
     tri_closure: int
-    quotient: int | None
 
     @property
     def obstructed(self):
         return self.verdict == "OBSTRUCTED"
+
+    @cached_property
+    def quotient(self):
+        """|B(n-1,3) / N| for the normal closure N of the relator images,
+        computed on first use; None when n - 1 > 3."""
+        r = self.relator_images[0].rank
+        return quotient_order_elements(self.relator_images, r) if r <= 3 else None
+
+
+@lru_cache(maxsize=1)
+def _closure_relators(word):
+    """The core relators of the braid closure evaluated in B(n,3), and
+    tri of the closure: the part of `obstruction` shared by every kill."""
+    from .fox_coloring import tri as _tri
+    from .tangle_core import braid_closure
+
+    n = word.strands
+    gens = [generator(n, j) for j in range(1, n + 1)]
+    state = list(gens)
+    for x in word.letters:
+        i = abs(x) - 1
+        u, v = state[i], state[i + 1]
+        if x > 0:
+            state[i], state[i + 1] = multiply(multiply(u, inverse(v)), u), u
+        else:
+            state[i], state[i + 1] = v, multiply(multiply(v, inverse(u)), v)
+    relators = tuple(multiply(state[j], inverse(gens[j])) for j in range(n))
+    return relators, _tri(braid_closure(word))
 
 
 def obstruction(word, kill=None):
@@ -471,10 +491,8 @@ def obstruction(word, kill=None):
     exponent-3 quotient group is then a proper quotient of B(n-1,3), so
     the link cannot be 3-move equivalent to the trivial link with one
     component per strand cycle.  INCONCLUSIVE never claims reducibility.
+    Calls for the same braid and different kills share one evaluation.
     """
-    from .fox_coloring import tri as _tri
-    from .tangle_core import braid_closure
-
     n = word.strands
     if n - 1 > 4:
         raise BudgetExceededError("obstruction supported for at most 5 strands")
@@ -482,30 +500,12 @@ def obstruction(word, kill=None):
         kill = n
     if not 1 <= kill <= n:
         raise ValueError(f"no strand generator {kill}")
-    gens = [generator(n, j) for j in range(1, n + 1)]
-    state = list(gens)
-    for x in word.letters:
-        i = abs(x) - 1
-        u, v = state[i], state[i + 1]
-        if x > 0:
-            state[i], state[i + 1] = multiply(multiply(u, inverse(v)), u), u
-        else:
-            state[i], state[i + 1] = v, multiply(multiply(v, inverse(u)), v)
-    relators = [multiply(state[j], inverse(gens[j])) for j in range(n)]
+    relators, tri_closure = _closure_relators(word)
     images = tuple(project_away(rel, kill) for rel in relators)
     verdict = (
         "OBSTRUCTED" if any(not e.is_identity() for e in images) else "INCONCLUSIVE"
     )
-    quotient = None
-    if n - 1 <= 3:
-        quotient = quotient_order_elements(images, n - 1)
-    return ObstructionReport(
-        verdict=verdict,
-        killed=kill,
-        relator_images=images,
-        tri_closure=_tri(braid_closure(word)),
-        quotient=quotient,
-    )
+    return ObstructionReport(verdict, kill, images, tri_closure)
 
 
 def quotient_order(relators, r, budget=None):
@@ -549,5 +549,5 @@ def quotient_order_elements(images, r, budget=None):
                 frontier.append(gh)
     size = len(elems)
     if order % size:
-        raise AssertionError("normal closure size does not divide the group order")
+        raise CrossCheckError("normal closure size does not divide the group order")
     return order // size

@@ -1,7 +1,13 @@
+import io
 import random
+import tracemalloc
+from math import comb
 
+import numpy as np
 import pytest
 
+import tanglelab.burnside3 as bg
+from tanglelab import cli
 from tanglelab.burnside3 import (
     BurnsideElement,
     CorePresentation,
@@ -22,15 +28,13 @@ from tanglelab.burnside3 import (
     quotient_order,
     strand_words,
 )
-from tanglelab.errors import BudgetExceededError
+from tanglelab.errors import BudgetExceededError, CrossCheckError
 from tanglelab.tangle_core import BraidWord
 
 CHEN = BraidWord(5, (-1, 2, 3, -4, 3) * 4)
 
 
 def rand_elem(r, rng):
-    from math import comb
-
     return BurnsideElement(
         r,
         tuple(rng.randrange(3) for _ in range(r)),
@@ -104,6 +108,59 @@ def test_enumeration_budget_guard():
         enumerate_group(4, budget=100)
 
 
+def _key(g):
+    return sum(x * 3**d for d, x in enumerate(g.a + g.b + g.c))
+
+
+def _assert_array_step_matches_multiply(r, elements):
+    keys = np.array([_key(g) for g in elements], dtype=np.int32)
+    digits = bg._digits(keys, bg._dim(r))
+    for k in range(r):
+        gen = generator(r, k + 1)
+        want = [_key(multiply(g, gen)) for g in elements]
+        assert bg._step_keys(r, keys, digits, k).tolist() == want, k
+
+
+def test_array_step_matches_multiply_exhaustive_r3():
+    keys = range(group_order(3))
+    elements = [bg._element(3, [(x // 3**d) % 3 for d in range(7)]) for x in keys]
+    assert sorted(map(_key, elements)) == list(keys)
+    _assert_array_step_matches_multiply(3, elements)
+
+
+def test_array_step_matches_multiply_random_r4():
+    rng = random.Random(19)
+    _assert_array_step_matches_multiply(4, [rand_elem(4, rng) for _ in range(10**4)])
+
+
+def test_broken_step_table_fails_the_closure_count(monkeypatch):
+    tables = bg._tables
+    pairs, pidx, triples, tidx, steps = tables(3)
+    # drop the term by which x_1 moves b_12: b_12 then never changes
+    b12 = 3 + pidx[(0, 1)]
+    step0 = tuple(t for t in steps[0] if t[0] != b12)
+    assert len(step0) == len(steps[0]) - 1
+    broken = (pairs, pidx, triples, tidx, (step0,) + steps[1:])
+    monkeypatch.setattr(bg, "_tables", lambda r: broken if r == 3 else tables(r))
+    with pytest.raises(CrossCheckError, match="closure found 729 elements"):
+        enumerate_group(3)
+    with pytest.raises(CrossCheckError):
+        consistency_check(3, triples=50)
+    out = io.StringIO()
+    assert cli.run(["burnside", "enumerate", "-r", "3"], stdout=out) == 4
+    assert out.getvalue().startswith("error = closure found 729")
+
+
+def test_enumerate_group_4_peak_memory():
+    tracemalloc.start()
+    try:
+        assert enumerate_group(4) == 3**14
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 2**20
+
+
 def test_P_word_nontrivial_with_trivial_abelianization():
     u = (1, -2, 3, -4)
     w = (-1, 2, -3, 4)
@@ -143,6 +200,22 @@ def test_strand_action_alternating_product_invariant():
         for j in range(1, n + 1):
             expected = _fmul(expected, (j,) if j % 2 == 1 else (-j,))
         assert alt == expected
+
+
+def test_strand_words_letter_budget(monkeypatch):
+    # (s1 s2^-1)^20 would grow its strand words past 10^8 letters
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            strand_words(BraidWord(3, (1, -2) * 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(strand_words(BraidWord(3, (1, -2) * 3))) == 3
+    monkeypatch.setattr(bg, "DEFAULT_LETTER_BUDGET", 10)
+    with pytest.raises(BudgetExceededError):
+        strand_words(BraidWord(3, (1, -2) * 3))
 
 
 def test_core_presentation_examples():
