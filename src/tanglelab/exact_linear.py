@@ -132,9 +132,6 @@ class SubspaceModP:
         for coeffs in product(range(self.p), repeat=self.dim):
             yield tuple(int(x) for x in (np.array(coeffs) @ B) % self.p)
 
-    def sort_key(self):
-        return (self.dim, self.rows)
-
 
 def rref_mod_p(mat, p):
     """Row space of mat over F_p as a canonical SubspaceModP."""
@@ -198,13 +195,6 @@ class SNFResult:
     factors: tuple
     U: tuple
     V: tuple
-
-    def diagonal_matrix(self, shape):
-        n, m = shape
-        D = [[0] * m for _ in range(n)]
-        for i, d in enumerate(self.factors):
-            D[i][i] = d
-        return D
 
 
 def _snf_inplace(A):

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
 from . import exact_linear as xl
-from .errors import BudgetExceededError, NotPrimeError
+from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
 from .exact_linear import SubspaceModP
 from .fox_coloring import reduce_to_f_basis, reduced_boundary_image
 from .tangle_core import (
@@ -56,10 +57,6 @@ class SymplecticSpace:
     def gram_matrix(self):
         return np.array(self.gram, dtype=np.int64)
 
-    def pairing(self, u, v):
-        G = self.gram_matrix()
-        return int(np.asarray(u) @ G @ np.asarray(v)) % self.p
-
 
 def build_form(p, n):
     if not xl.is_prime(p):
@@ -71,31 +68,9 @@ def build_form(p, n):
     for i in range(d - 1):
         G[i, i + 1] = 1
         G[i + 1, i] = p - 1
-    det = _det_mod_p(G, p)
-    if det == 0:
-        raise AssertionError("form is degenerate")
+    if xl.kernel_mod_p(G, p).dim:
+        raise CrossCheckError("form is degenerate")
     return SymplecticSpace(p, n, tuple(tuple(int(x) for x in row) for row in G))
-
-
-def _det_mod_p(M, p):
-    M = M.copy() % p
-    d = M.shape[0]
-    det = 1
-    for c in range(d):
-        nz = np.nonzero(M[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            M[[c, i]] = M[[i, c]]
-            det = -det
-        det = det * int(M[c, c]) % p
-        inv = pow(int(M[c, c]), p - 2, p)
-        M[c] = M[c] * inv % p
-        col = M[:, c].copy()
-        col[c] = 0
-        M = (M - np.outer(col, M[c])) % p
-    return det % p
 
 
 def is_lagrangian(subspace, space):
@@ -127,23 +102,20 @@ def lagrangian_count(p, n):
     return out
 
 
-def _projective_points(p, d):
-    """Canonical representatives of lines in F_p^d (first nonzero = 1)."""
-    if d == 0:
-        return
-    for lead in range(d):
-        for tail in np.ndindex(*([p] * (d - lead - 1))):
-            v = np.zeros(d, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1 :] = tail
-            yield v
-
-
 def enumerate_lagrangians(p, n, budget=ENUMERATION_BUDGET):
-    """All Lagrangian subspaces, canonical and sorted.
+    """All Lagrangian subspaces, canonical and sorted by rows.
 
-    Recursive isotropic flag extension: pick a line, pass to the
-    symplectic quotient line^perp / line, recurse, lift, deduplicate.
+    A walk over the Schubert cells of the Lagrangian Grassmannian in
+    reduced row echelon form.  For each pivot set P of size n-1 the rows
+    are filled top-down: row j has a 1 at P[j], zeros at the other
+    pivots and left of P[j], and free entries elsewhere.  The condition
+    phi(r_i, r_j) = 0 for the earlier rows r_i is linear in the free
+    entries of r_j, so one array test keeps or drops each filling.  RREF
+    is unique, so every Lagrangian comes out exactly once.
+
+    Certificate: every output is Lagrangian, is its own canonical form
+    under SubspaceModP.from_vectors, the outputs are pairwise distinct,
+    and there are exactly prod (p^i + 1) of them.
     """
     space = build_form(p, n)
     count = lagrangian_count(p, n)
@@ -151,66 +123,41 @@ def enumerate_lagrangians(p, n, budget=ENUMERATION_BUDGET):
         raise BudgetExceededError(
             f"{count} Lagrangians exceed the budget of {budget}"
         )
+    d = space.dimension
     G = space.gram_matrix()
-    found = _enum_rec(G, p)
     out = []
-    seen = set()
-    for rows in found:
-        s = SubspaceModP.from_vectors(rows, p, space.dimension)
-        if s.rows not in seen:
-            seen.add(s.rows)
+    for pivots in combinations(range(d), n - 1):
+        for M in _schubert_cell(pivots, G, p):
+            s = SubspaceModP.from_vectors(M, p, d)
+            if s.rows != tuple(map(tuple, M.tolist())) or not is_lagrangian(s, space):
+                raise CrossCheckError(f"{M.tolist()} is not a Lagrangian in RREF")
             out.append(s)
     out.sort(key=lambda s: s.rows)
-    if len(out) != count:
-        raise AssertionError(
-            f"enumeration found {len(out)} Lagrangians, expected {count}"
+    distinct = len({s.rows for s in out})
+    if distinct != len(out) or distinct != count:
+        raise CrossCheckError(
+            f"enumeration found {len(out)} Lagrangians ({distinct} distinct), "
+            f"expected {count}"
         )
     return out
 
 
-def _enum_rec(G, p):
-    """Row lists spanning every Lagrangian of the symplectic Gram G."""
+def _schubert_cell(pivots, G, p):
+    """Row matrices, stacked (k, len(pivots), d), of the isotropic
+    subspaces whose RREF has exactly these pivot columns."""
     d = G.shape[0]
-    if d == 0:
-        return [[]]
-    out = []
-    for v in _projective_points(p, d):
-        # perp of v, with v itself removed to get the quotient
-        u = (v @ G) % p
-        perp = xl.kernel_mod_p(u.reshape(1, -1), p)
-        B = perp.basis_matrix()
-        # drop one basis row carrying v to split off the quotient
-        coeffs = _express(v, B, p)
-        drop = next(i for i, c in enumerate(coeffs) if c)
-        W = np.delete(B, drop, axis=0)
-        # eliminate the v-component from the kept rows
-        vn = v.copy()
-        lead = next(i for i in range(d) if vn[i])
-        inv = pow(int(vn[lead]), p - 2, p)
-        vn = vn * inv % p
-        W = (W - np.outer(W[:, lead], vn)) % p
-        Ghat = (W @ G @ W.T) % p
-        for rows in _enum_rec(Ghat, p):
-            lifted = [v]
-            for r in rows:
-                lifted.append((np.asarray(r) @ W) % p)
-            out.append(lifted)
-    return out
-
-
-def _express(v, B, p):
-    """Coefficients writing v in the rref basis B (rows)."""
-    v = v.copy() % p
-    coeffs = []
-    pivots = [next(i for i in range(B.shape[1]) if B[r, i]) for r in range(B.shape[0])]
-    for r, c in enumerate(pivots):
-        k = v[c] * pow(int(B[r, c]), p - 2, p) % p
-        coeffs.append(int(k))
-        if k:
-            v = (v - k * B[r]) % p
-    if v.any():
-        raise AssertionError("vector not in span")
-    return coeffs
+    cell = np.zeros((1, 0, d), dtype=np.int64)
+    for c in pivots:
+        free = [k for k in range(c + 1, d) if k not in pivots]
+        f = len(free)
+        rows = np.zeros((p**f, d), dtype=np.int64)
+        rows[:, c] = 1
+        rows[:, free] = np.indices((p,) * f).reshape(f, p**f).T
+        # phi(r_i, row) for every earlier row r_i of every partial matrix
+        ok = ~((cell @ G % p) @ rows.T % p).any(axis=1)
+        keep, pick = np.nonzero(ok)
+        cell = np.concatenate([cell[keep], rows[pick, None]], axis=1)
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +216,8 @@ def _horizontal_family(p):
 
 
 def _rational_candidates(p, max_len, values):
-    from itertools import product as iproduct
-
     for L in range(1, max_len + 1):
-        for entries in iproduct(values, repeat=L):
+        for entries in product(values, repeat=L):
             yield Rational(*entries)
 
 
@@ -290,10 +235,7 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
     rng = random.Random(seed)
 
     def try_expr(expr):
-        try:
-            img = reduced_boundary_image(compile_expr(expr), p)
-        except Exception:
-            return
+        img = reduced_boundary_image(compile_expr(expr), p)
         if img.rows in remaining:
             del remaining[img.rows]
             witnesses[img] = expr
@@ -312,8 +254,8 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
         # crossingless leaves and their small twisted products
         leaves = noncrossing_matchings(n)
         sigmas = [Sigma(n, i, s) for i in range(1, n) for s in (1, -1)]
-        systematic = list(leaves) + sigmas
-        pool = leaves + sigmas
+        pool = list(leaves) + sigmas
+        systematic = list(pool)
         two = []
         for a in pool:
             for b in pool:

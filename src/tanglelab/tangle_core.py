@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import ConwaySyntaxError, NotRationalError
@@ -789,8 +790,10 @@ def diagram_to_text(diagram):
 # Generators used by the property suites and the realization search.
 
 
+@lru_cache(maxsize=None)
 def noncrossing_matchings(n):
-    """All non-crossing perfect matchings of 2n cyclically ordered points."""
+    """All non-crossing perfect matchings of 2n cyclically ordered points,
+    as a tuple of Planar values built once per n."""
 
     def rec(points):
         if not points:
@@ -804,7 +807,7 @@ def noncrossing_matchings(n):
                 for mo in rec(outside):
                     yield ((first, points[idx]),) + mi + mo
 
-    return [Planar(m) for m in rec(tuple(range(1, 2 * n + 1)))]
+    return tuple(Planar(m) for m in rec(tuple(range(1, 2 * n + 1))))
 
 
 def random_algebraic_expr(n, rng, max_depth=4):

@@ -1,9 +1,13 @@
+import io
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from tanglelab.errors import BudgetExceededError
+from tanglelab import cli
+from tanglelab import symplectic_lagrangian as sl
+from tanglelab.errors import BudgetExceededError, CrossCheckError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import reduced_boundary_image
 from tanglelab.symplectic_lagrangian import (
@@ -76,6 +80,48 @@ def test_enumerate_small():
         assert is_lagrangian(L, s)
         # canonical form is idempotent
         assert SubspaceModP.from_vectors(L.basis_matrix(), 3, 4) == L
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_enumerate_matches_brute_force(p, n):
+    d, m = 2 * n - 2, n - 1
+    space = build_form(p, n)
+    vectors = list(product(range(p), repeat=d))
+    subspaces = {
+        SubspaceModP.from_vectors(vs, p, d) for vs in product(vectors, repeat=m)
+    }
+    want = {s.rows for s in subspaces if is_lagrangian(s, space)}
+    got = enumerate_lagrangians(p, n)
+    assert {s.rows for s in got} == want
+    assert [s.rows for s in got] == sorted(want)
+
+
+def test_enumerate_counts_beyond_small_cases():
+    for p, n, want in ((2, 4, 135), (2, 5, 2295), (7, 3, 400)):
+        assert len(enumerate_lagrangians(p, n)) == want == lagrangian_count(p, n)
+
+
+def test_enumeration_count_mismatch_is_a_cross_check(monkeypatch):
+    count = sl.lagrangian_count
+    monkeypatch.setattr(sl, "lagrangian_count", lambda p, n: count(p, n) + 1)
+    with pytest.raises(CrossCheckError, match="expected 41"):
+        enumerate_lagrangians(3, 3)
+    out = io.StringIO()
+    assert cli.run(["lagrangians", "--p", "3", "--n", "3"], stdout=out) == 4
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda cell: np.concatenate([cell, cell]), "80 Lagrangians"),
+        (lambda cell: cell[:, ::-1], "not a Lagrangian in RREF"),
+    ],
+)
+def test_enumeration_certificate_catches_a_broken_walk(monkeypatch, corrupt, message):
+    walk = sl._schubert_cell
+    monkeypatch.setattr(sl, "_schubert_cell", lambda *a: corrupt(walk(*a)))
+    with pytest.raises(CrossCheckError, match=message):
+        enumerate_lagrangians(3, 3)
 
 
 def test_enumerate_budget_guard():
@@ -153,3 +199,15 @@ def test_realize_33():
     witnesses, missing = realize_lagrangians(3, 3, generator_budget=20000, seed=0)
     assert not missing
     assert len(witnesses) == 40
+
+
+def test_realize_propagates_cross_checks(monkeypatch):
+    def broken(diagram, p):
+        raise CrossCheckError("boundary image disagrees")
+
+    monkeypatch.setattr(sl, "reduced_boundary_image", broken)
+    with pytest.raises(CrossCheckError):
+        realize_lagrangians(3, 2)
+    out = io.StringIO()
+    argv = ["lagrangians", "--p", "3", "--n", "2", "--realize"]
+    assert cli.run(argv, stdout=out) == 4
