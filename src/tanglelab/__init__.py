@@ -79,9 +79,7 @@ from .move_calculus import (
 )
 from .burnside3 import (
     BurnsideElement,
-    CorePresentation,
     consistency_check,
-    core_presentation,
     enumerate_group,
     evaluate_word,
     group_order,

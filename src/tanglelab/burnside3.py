@@ -1,6 +1,6 @@
-"""Exact arithmetic in the free exponent-3 Burnside groups B(r,3),
-core presentations of braid closures, and the obstruction test for
-reducibility of links to trivial links by 3-moves.
+"""Exact arithmetic in the free exponent-3 Burnside groups B(r,3), the
+core relators of braid closures evaluated in them, and the obstruction
+test for reducibility of links to trivial links by 3-moves.
 
 B(r,3) is finite, nilpotent of class at most 3, and 2-Engel.  Elements
 are collected normal forms (a, b, c): generator exponents, exponents of
@@ -41,10 +41,6 @@ __all__ = [
     "group_order",
     "enumerate_group",
     "consistency_check",
-    "CorePresentation",
-    "core_presentation",
-    "kill_generator",
-    "strand_words",
     "obstruction",
     "ObstructionReport",
     "quotient_order",
@@ -52,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_BUDGET = 2 * 3**14
-DEFAULT_LETTER_BUDGET = 10**6
 
 
 def _element_budget():
@@ -344,80 +339,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
 
 
 # ---------------------------------------------------------------------------
-# Core presentations of braid closures.
-
-
-def _fmul(*words):
-    out = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
-
-
-def _finv(word):
-    return tuple(-x for x in reversed(word))
-
-
-@dataclass(frozen=True)
-class CorePresentation:
-    """One generator per braid strand, one relator per strand closing
-    the braid action; relators are freely reduced words."""
-
-    generators: int
-    relators: tuple
-
-
-def strand_words(word):
-    """Free words carried by the strand positions after the braid acts:
-    sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i).
-
-    The words can grow exponentially with the braid length, so a letter
-    is refused with BudgetExceededError before the words could hold more
-    than DEFAULT_LETTER_BUDGET letters in total."""
-    n = word.strands
-    state = [(j,) for j in range(1, n + 1)]
-    for x in word.letters:
-        i = abs(x) - 1
-        u, v = state[i], state[i + 1]
-        # the new word u v^-1 u (or v u^-1 v) adds at most 2|u| letters
-        if (sum(map(len, state)) + 2 * len(u if x > 0 else v)
-                > DEFAULT_LETTER_BUDGET):
-            raise BudgetExceededError(
-                f"strand words exceed the letter budget {DEFAULT_LETTER_BUDGET}"
-            )
-        if x > 0:
-            state[i], state[i + 1] = _fmul(u, _finv(v), u), u
-        else:
-            state[i], state[i + 1] = v, _fmul(v, _finv(u), v)
-    return state
-
-
-def core_presentation(word):
-    state = strand_words(word)
-    relators = tuple(
-        _fmul(state[j], (-(j + 1),)) for j in range(word.strands)
-    )
-    return CorePresentation(word.strands, relators)
-
-
-def kill_generator(pres, j):
-    """Set generator j to the identity and relabel the rest."""
-    if not 1 <= j <= pres.generators:
-        raise ValueError(f"no generator {j}")
-    out = []
-    for rel in pres.relators:
-        w = []
-        for x in rel:
-            if abs(x) == j:
-                continue
-            shift = -1 if abs(x) > j else 0
-            w.append((abs(x) + shift) * (1 if x > 0 else -1))
-        out.append(_fmul(w))
-    return CorePresentation(pres.generators - 1, tuple(out))
+# Obstructions for braid closures.
 
 
 def project_away(element, j):
@@ -462,16 +384,12 @@ class ObstructionReport:
         return quotient_order_elements(self.relator_images, r) if r <= 3 else None
 
 
-@lru_cache(maxsize=1)
-def _closure_relators(word):
-    """The core relators of the braid closure evaluated in B(n,3), and
-    tri of the closure: the part of `obstruction` shared by every kill."""
-    from .fox_coloring import tri as _tri
-    from .tangle_core import braid_closure
-
-    n = word.strands
-    gens = [generator(n, j) for j in range(1, n + 1)]
-    state = list(gens)
+def _strand_images(word):
+    """Images in B(n,3) of the strand generators after the braid acts:
+    sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i) (the core
+    action).  Elements stay collected, so their size does not grow with
+    the braid length."""
+    state = [generator(word.strands, j) for j in range(1, word.strands + 1)]
     for x in word.letters:
         i = abs(x) - 1
         u, v = state[i], state[i + 1]
@@ -479,7 +397,21 @@ def _closure_relators(word):
             state[i], state[i + 1] = multiply(multiply(u, inverse(v)), u), u
         else:
             state[i], state[i + 1] = v, multiply(multiply(v, inverse(u)), v)
-    relators = tuple(multiply(state[j], inverse(gens[j])) for j in range(n))
+    return state
+
+
+@lru_cache(maxsize=1)
+def _closure_relators(word):
+    """The core relators (image of g_j) g_j^-1 of the braid closure in
+    B(n,3), and tri of the closure: the part of `obstruction` shared by
+    every kill."""
+    from .fox_coloring import tri as _tri
+    from .tangle_core import braid_closure
+
+    relators = tuple(
+        multiply(img, inverse(generator(word.strands, j)))
+        for j, img in enumerate(_strand_images(word), 1)
+    )
     return relators, _tri(braid_closure(word))
 
 

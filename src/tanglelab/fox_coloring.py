@@ -53,14 +53,18 @@ class ColoringSpace:
     invariant_factors: tuple | None = None
 
 
-def _relation_matrix(diagram):
-    """Integer matrix of crossing relations, one row per crossing."""
+def _relation_matrix(diagram, t=-1, tinv=-1):
+    """Integer matrix of the crossing relations c = (1-t) a + t b (a
+    over, b entering under, c exiting under), one row per crossing, with
+    tinv in place of t at negative crossings.  At t = tinv = -1 this is
+    the Fox relation 2a = b + c at every crossing."""
     arcs = sorted(diagram.arcs)
     index = {a: i for i, a in enumerate(arcs)}
     M = np.zeros((len(diagram.crossings), len(arcs)), dtype=np.int64)
     for r, c in enumerate(diagram.crossings):
-        M[r, index[c.over]] += 2
-        M[r, index[c.under_in]] -= 1
+        tt = t if c.sign is None or c.sign > 0 else tinv
+        M[r, index[c.over]] += 1 - tt
+        M[r, index[c.under_in]] += tt
         M[r, index[c.under_out]] -= 1
     return arcs, M
 
@@ -71,7 +75,7 @@ def coloring_space(diagram, k):
         raise ValueError("modulus must be at least 2")
     arcs, M = _relation_matrix(diagram)
     if xl.is_prime(k):
-        ker = xl.kernel_mod_p(M, k) if arcs else SubspaceModP(k, 0, (), ())
+        ker = xl.kernel_mod_p(M, k)
         count = k ** (ker.dim + diagram.closed_components)
         return ColoringSpace(k, tuple(arcs), diagram.closed_components, count, kernel=ker)
     rows, cols = M.shape
@@ -126,8 +130,7 @@ def _ensure_calibrated():
 def _kernel_basis_on_boundary(diagram, p):
     arcs, M = _relation_matrix(diagram)
     index = {a: i for i, a in enumerate(arcs)}
-    ker = xl.kernel_mod_p(M, p) if arcs else SubspaceModP(p, 0, (), ())
-    B = ker.basis_matrix()
+    B = xl.kernel_mod_p(M, p).basis_matrix()
     cols = [index[a] for a in diagram.boundary]
     return B[:, cols] % p if len(cols) else B[:, :0]
 
@@ -161,27 +164,37 @@ def boundary_image(diagram, p):
     return img
 
 
+def _f_coordinates(v, n):
+    """Integer f-basis (f_k = e_k + e_{k+1}) coordinates of the boundary
+    vector v with the f_{2n-1} coordinate normalized to zero by the
+    monochromatic relation and dropped, and the residual of v outside
+    the span of the f-basis (its alternating sum, up to sign)."""
+    c = []
+    prev = 0
+    for j in range(2 * n - 1):
+        prev = int(v[j]) - prev
+        c.append(prev)
+    last = c[-1]
+    if last:
+        # f1 + f3 + ... + f_{2n-1} is monochromatic, hence zero in the
+        # quotient: cancel the last coordinate with it
+        for j in range(0, 2 * n - 1, 2):
+            c[j] -= last
+    return c[:-1], int(v[2 * n - 1]) - prev
+
+
 def reduce_to_f_basis(vectors, p, n):
     """Rewrite boundary vectors in the f-basis (f_k = e_k + e_{k+1}),
     normalize the f_{2n-1} coordinate to zero using the monochromatic
     relation, and drop it.  Returns vectors in F_p^(2n-2)."""
     out = []
     for v in np.atleast_2d(np.asarray(vectors, dtype=np.int64)):
-        c = np.zeros(2 * n - 1, dtype=np.int64)
-        prev = 0
-        for j in range(2 * n - 1):
-            c[j] = (int(v[j]) - prev) % p
-            prev = c[j]
-        if (int(v[2 * n - 1]) - prev) % p:
+        c, residual = _f_coordinates(v, n)
+        if residual % p:
             raise AlternatingConditionError(
                 "vector is outside the span of the f-basis"
             )
-        last = c[2 * n - 2]
-        if last:
-            # f1 + f3 + ... + f_{2n-1} is monochromatic, hence zero in
-            # the quotient: cancel the last coordinate with it
-            c[0::2] = (c[0::2] - last) % p
-        out.append(c[: 2 * n - 2])
+        out.append(np.array(c, dtype=np.int64) % p)
     return out
 
 
@@ -214,26 +227,16 @@ def virtual_index(diagram):
         raise ValueError("virtual index needs an n-tangle with n >= 2")
     arcs, M = _relation_matrix(diagram)
     index = {a: i for i, a in enumerate(arcs)}
-    kernel = xl.int_kernel(M.tolist()) if arcs else []
     cols = [index[a] for a in diagram.boundary]
     reduced = []
-    for v in kernel:
-        bv = [v[c] for c in cols]
-        c = []
-        prev = 0
-        for j in range(2 * n - 1):
-            c.append(bv[j] - prev)
-            prev = c[-1]
-        if bv[2 * n - 1] != prev:
+    for v in xl.int_kernel(M.tolist()):
+        c, residual = _f_coordinates([v[i] for i in cols], n)
+        if residual:
             raise AlternatingConditionError(
                 "integer coloring violates the alternating condition"
             )
-        last = c[2 * n - 2]
-        if last:
-            for j in range(0, 2 * n - 1, 2):
-                c[j] -= last
-        reduced.append(c[: 2 * n - 2])
-    reduced = [r for r in reduced if any(r)]
+        if any(c):
+            reduced.append(c)
     if not reduced:
         return 1
     sat = xl.saturation(reduced)
@@ -257,17 +260,9 @@ def abf_space(diagram, p, t):
     t %= p
     if t == 0:
         raise ValueError("t must be invertible mod p")
-    arcs = sorted(diagram.arcs)
-    index = {a: i for i, a in enumerate(arcs)}
-    tinv = pow(t, p - 2, p)
-    M = np.zeros((len(diagram.crossings), len(arcs)), dtype=np.int64)
-    for r, c in enumerate(diagram.crossings):
-        if c.sign is None:
-            raise ValueError("crossing lacks a braid orientation tag")
-        tt = t if c.sign > 0 else tinv
-        M[r, index[c.over]] += 1 - tt
-        M[r, index[c.under_in]] += tt
-        M[r, index[c.under_out]] -= 1
-    ker = xl.kernel_mod_p(M, p) if arcs else SubspaceModP(p, 0, (), ())
+    if any(c.sign is None for c in diagram.crossings):
+        raise ValueError("crossing lacks a braid orientation tag")
+    arcs, M = _relation_matrix(diagram, t, pow(t, p - 2, p))
+    ker = xl.kernel_mod_p(M, p)
     count = p ** (ker.dim + diagram.closed_components)
     return ColoringSpace(p, tuple(arcs), diagram.closed_components, count, kernel=ker)

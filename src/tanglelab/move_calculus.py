@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import fox_coloring as fox
-from .errors import CrossCheckError, InvalidSiteError, NotPrimeError
+from .errors import (
+    CrossCheckError,
+    InvalidSiteError,
+    NotPrimeError,
+    NotRationalError,
+)
 from .exact_linear import SubspaceModP, is_prime
 from .tangle_core import (
     INF,
@@ -37,6 +42,7 @@ from .tangle_core import (
     compile_expr,
     expr_width,
     rational_expr,
+    slope,
 )
 
 __all__ = [
@@ -224,7 +230,8 @@ def _best_kill(a1, p):
     for t in range(-((abs(a1) + 4)), abs(a1) + 5):
         k = k0 + t * p
         s, r = divmod(a1 * k - 1, p)
-        assert r == 0
+        if r:
+            raise CrossCheckError(f"{k} is not an inverse of {a1} mod {p}")
         cand = (abs(s), abs(k), k, s)
         if best is None or cand < best:
             best = cand
@@ -417,10 +424,8 @@ def reduce_2algebraic(expr, p):
     circles = compile_expr(expr).closed_components
     certificate = ()
     try:
-        from .tangle_core import slope
-
         s = slope(expr)
-    except Exception:
+    except NotRationalError:
         s = None
     if s is not None:
         res = reduce_rational(s, p)

@@ -15,6 +15,7 @@ from . import exact_linear as xl
 from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
 from .exact_linear import SubspaceModP
 from .fox_coloring import reduce_to_f_basis, reduced_boundary_image
+from .move_calculus import horizontal_family
 from .tangle_core import (
     Compose,
     Infinity,
@@ -207,14 +208,6 @@ def matching_census(n):
 # Realization search.
 
 
-def _horizontal_family(p):
-    """Integer tangles (1-p)/2 .. (p-1)/2 and infinity."""
-    half = (p - 1) // 2
-    out = [Integer(k) for k in range(-half, half + 1)]
-    out.append(Infinity())
-    return out
-
-
 def _rational_candidates(p, max_len, values):
     for L in range(1, max_len + 1):
         for entries in product(values, repeat=L):
@@ -227,9 +220,11 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
 
     Rational tangles come first (for n = 2 the horizontal family and
     bounded twist vectors; for larger n twisted planar leaves), then
-    seeded random algebraic trees fill the gaps.
+    seeded random algebraic trees fill the gaps.  `generator_budget`
+    bounds both the number of candidates tried and the enumeration of
+    the targets (BudgetExceededError when there are more Lagrangians).
     """
-    targets = enumerate_lagrangians(p, n)
+    targets = enumerate_lagrangians(p, n, budget=generator_budget)
     remaining = {s.rows: s for s in targets}
     witnesses = {}
     rng = random.Random(seed)
@@ -242,8 +237,8 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
 
     budget = generator_budget
     if n == 2:
-        for expr in _horizontal_family(p):
-            try_expr(expr)
+        for s in horizontal_family(p):
+            try_expr(Infinity() if s.is_inf else Integer(s.num))
             budget -= 1
     systematic = []
     if n == 2:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import ConwaySyntaxError, NotRationalError
+from .errors import ConwaySyntaxError, CrossCheckError, NotRationalError
 
 __all__ = [
     "Frac",
@@ -279,6 +279,10 @@ def expr_width(expr):
 
 _TOKEN = re.compile(r"\s*(-?\d+|inf|[rT()*,])")
 _MAX_INT = 2**31
+# Nesting levels of r(...) and (... * ...) accepted by the parser.  The
+# parser and the tree walks after it recurse once per level, so the cap
+# keeps every command well inside the interpreter's recursion limit.
+_MAX_DEPTH = 300
 
 
 def _tokenize(text):
@@ -327,19 +331,23 @@ class _Parser:
             raise ConwaySyntaxError("integer literal too large", pos)
         return val
 
-    def parse_expr(self):
+    def parse_expr(self, depth=0):
         tok, pos = self.next()
         if tok == "inf":
             return Infinity()
+        if tok in ("r", "(") and depth == _MAX_DEPTH:
+            raise ConwaySyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", pos
+            )
         if tok == "r":
             self.expect("(")
-            inner = self.parse_expr()
+            inner = self.parse_expr(depth + 1)
             self.expect(")")
             return Rot(inner)
         if tok == "(":
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.expect("*")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.expect(")")
             return Compose(left, right)
         if tok == "T":
@@ -592,12 +600,14 @@ def cf_vector(frac):
     a, b = frac.num, frac.den
     while b != 1:
         q, r = divmod(a, b)
-        assert r != 0  # frac is reduced, so b >= 2 forces a remainder
+        if not r:  # frac is reduced, so b >= 2 forces a remainder
+            raise CrossCheckError(f"{frac} is not a reduced fraction")
         rev.append(q)
         a, b = b, r
     rev.append(a)
     vec = list(reversed(rev))
-    assert cf_eval(vec) == frac, (vec, str(frac))
+    if cf_eval(vec) != frac:
+        raise CrossCheckError(f"twist vector {vec} does not evaluate to {frac}")
     return vec
 
 

@@ -10,23 +10,19 @@ import tanglelab.burnside3 as bg
 from tanglelab import cli
 from tanglelab.burnside3 import (
     BurnsideElement,
-    CorePresentation,
     commutator,
     conjugate,
     consistency_check,
-    core_presentation,
     enumerate_group,
     evaluate_word,
     generator,
     group_order,
     identity,
     inverse,
-    kill_generator,
     multiply,
     obstruction,
     project_away,
     quotient_order,
-    strand_words,
 )
 from tanglelab.errors import BudgetExceededError, CrossCheckError
 from tanglelab.tangle_core import BraidWord
@@ -176,10 +172,9 @@ def test_strand_action_inverse_law():
     for _ in range(30):
         n = rng.randint(2, 5)
         i = rng.randint(1, n - 1)
-        w = BraidWord(n, (i, -i))
-        assert strand_words(w) == [(j,) for j in range(1, n + 1)]
-        w = BraidWord(n, (-i, i))
-        assert strand_words(w) == [(j,) for j in range(1, n + 1)]
+        gens = [generator(n, j) for j in range(1, n + 1)]
+        assert bg._strand_images(BraidWord(n, (i, -i))) == gens
+        assert bg._strand_images(BraidWord(n, (-i, i))) == gens
 
 
 def test_strand_action_alternating_product_invariant():
@@ -190,44 +185,13 @@ def test_strand_action_alternating_product_invariant():
         n = rng.randint(2, 5)
         L = rng.randint(1, 10)
         letters = tuple(rng.choice([x for x in range(-n + 1, n) if x]) for _ in range(L))
-        state = strand_words(BraidWord(n, letters))
-        from tanglelab.burnside3 import _finv, _fmul
-
-        alt = ()
-        for j, word in enumerate(state):
-            alt = _fmul(alt, word if j % 2 == 0 else _finv(word))
-        expected = ()
-        for j in range(1, n + 1):
-            expected = _fmul(expected, (j,) if j % 2 == 1 else (-j,))
+        state = bg._strand_images(BraidWord(n, letters))
+        alt = expected = identity(n)
+        for j, g in enumerate(state):
+            alt = multiply(alt, g if j % 2 == 0 else inverse(g))
+            x = generator(n, j + 1)
+            expected = multiply(expected, x if j % 2 == 0 else inverse(x))
         assert alt == expected
-
-
-def test_strand_words_letter_budget(monkeypatch):
-    # (s1 s2^-1)^20 would grow its strand words past 10^8 letters
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError):
-            strand_words(BraidWord(3, (1, -2) * 20))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert len(strand_words(BraidWord(3, (1, -2) * 3))) == 3
-    monkeypatch.setattr(bg, "DEFAULT_LETTER_BUDGET", 10)
-    with pytest.raises(BudgetExceededError):
-        strand_words(BraidWord(3, (1, -2) * 3))
-
-
-def test_core_presentation_examples():
-    # trivial braid: empty relators
-    pres = core_presentation(BraidWord(3, ()))
-    assert all(not r for r in pres.relators)
-    # trefoil: relators die in B(1,3) after killing the other strand
-    pres = core_presentation(BraidWord(2, (1, 1, 1)))
-    killed = kill_generator(pres, 2)
-    assert killed.generators == 1
-    for rel in killed.relators:
-        assert evaluate_word(1, rel).is_identity()
 
 
 def test_project_away_is_homomorphism():
@@ -251,6 +215,17 @@ def test_project_away_matches_killed_word_evaluation():
             (abs(x) - (abs(x) > j)) * (1 if x > 0 else -1) for x in w if abs(x) != j
         )
         assert project_away(evaluate_word(r, w), j) == evaluate_word(r - 1, killed)
+
+
+def test_obstruction_trivial_braid_inconclusive():
+    # no crossings: every strand image is its own generator
+    for n in (2, 3, 4, 5):
+        for kill in range(1, n + 1):
+            rep = obstruction(BraidWord(n, ()), kill=kill)
+            assert rep.verdict == "INCONCLUSIVE"
+            assert len(rep.relator_images) == n
+            assert all(e.is_identity() for e in rep.relator_images)
+            assert rep.tri_closure == 3**n
 
 
 def test_obstruction_trefoil_inconclusive():

@@ -175,6 +175,47 @@ def test_exit_codes():
     assert code == 3
 
 
+def test_realize_budget_bounds_the_enumeration():
+    # (3, 5) has 91840 Lagrangians: refused before any is built
+    code, out = capture(
+        ["lagrangians", "--p", "3", "--n", "5", "--realize", "--budget", "10"]
+    )
+    assert code == 3
+    assert out == "error = 91840 Lagrangians exceed the budget of 10\n"
+    code, out = capture(["lagrangians", "--p", "3", "--n", "2", "--realize"])
+    assert code == 0
+    assert out.startswith("lagrangians = 4\nrealized = 4\n")
+
+
+def test_conway_nesting_cap():
+    from tanglelab.tangle_core import _MAX_DEPTH
+
+    commands = (
+        ["tri", "--conway"],
+        ["reduce", "--p", "5", "--conway"],
+        ["slope", "--conway"],
+        ["boundary", "--p", "5", "--conway"],
+    )
+    at_cap = (
+        "r(" * _MAX_DEPTH + "1" + ")" * _MAX_DEPTH,
+        "(" * _MAX_DEPTH + "1" + "*1)" * _MAX_DEPTH,
+    )
+    for text in at_cap:
+        for argv in commands:
+            code, out = capture(argv + [text])
+            assert code == 0, (argv, out)
+    over = _MAX_DEPTH + 1
+    for text in (
+        "r(" * over + "1" + ")" * over,
+        "(1*" * over + "1" + ")" * over,
+        "r(" * 3000 + "1" + ")" * 3000,
+    ):
+        for argv in commands:
+            code, out = capture(argv + [text])
+            assert code == 2
+            assert out.startswith(f"error = expression nested deeper than {_MAX_DEPTH}")
+
+
 def test_determinism():
     for argv in (
         ["lagrangians", "--p", "3", "--n", "3"],

@@ -8,6 +8,7 @@ import pytest
 from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
+    _relation_matrix,
     abf_space,
     boundary_image,
     coloring_space,
@@ -267,3 +268,30 @@ def test_abf_matches_bruteforce_random():
             continue
         for p, t in ((3, 2), (5, 3), (7, 5)):
             assert abf_space(d, p, t).count == brute_abf_count(d, p, t)
+
+
+def test_abf_matrix_at_p_minus_one_is_fox_matrix():
+    rng = random.Random(8)
+    diagrams = [trefoil(), figure_eight(), borromean_rings()]
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        L = rng.randint(0, 8)
+        letters = tuple(rng.choice([x for x in range(-n + 1, n) if x]) for _ in range(L))
+        diagrams.append(braid_closure(BraidWord(n, letters)))
+    diagrams += [compile_expr(random_algebraic_expr(2, rng, 3)) for _ in range(10)]
+    for d in diagrams:
+        arcs, fox = _relation_matrix(d)
+        # Fox: twice the over color is the sum of the under colors
+        index = {a: i for i, a in enumerate(arcs)}
+        want = np.zeros_like(fox)
+        for r, c in enumerate(d.crossings):
+            want[r, index[c.over]] += 2
+            want[r, index[c.under_in]] -= 1
+            want[r, index[c.under_out]] -= 1
+        assert np.array_equal(fox, want)
+        for p in (3, 5, 7):
+            abf_arcs, abf = _relation_matrix(d, p - 1, p - 1)
+            assert abf_arcs == arcs
+            assert np.array_equal(abf % p, fox % p)
+            if all(c.sign is not None for c in d.crossings):
+                assert abf_space(d, p, p - 1) == coloring_space(d, p)
