@@ -100,8 +100,7 @@ def _cmd_boundary(args, out):
     img = fox.boundary_image(d, args.p)
     _print_subspace(out, "psi", img)
     if d.n >= 2:
-        red = fox.reduced_boundary_image(d, args.p)
-        _print_subspace(out, "psihat", red)
+        _print_subspace(out, "psihat", fox.reduce_image(img))
     return 0
 
 

@@ -27,6 +27,10 @@ class NotPrimeError(TangleLabError, ValueError):
     """Modulus expected to be prime is not."""
 
 
+class PrimalityBoundError(TangleLabError, ValueError):
+    """Modulus too large for the deterministic primality test."""
+
+
 class InvalidSiteError(TangleLabError, ValueError):
     """Move site does not describe two strands of the diagram."""
 

@@ -1,8 +1,20 @@
 """Exact linear algebra: echelon forms over prime fields, Smith normal
-form over the integers, and canonical subspace representations.
+form over the integers, canonical subspace representations, and sparse
+unit-pivot elimination.
 
-Everything here is exact: prime-field work uses numpy int64 arrays with
-entries reduced mod p, integer work uses Python ints (no overflow).
+Everything here is exact.  Prime-field work keeps entries reduced mod p
+in numpy int64 arrays when the product of two residues fits in int64,
+that is (p - 1)^2 < 2^63, and in object arrays of Python ints for larger
+p.  Integer work uses Python ints (no overflow).
+
+Sparse relation systems (a few nonzero entries per row, such as the
+crossing relations of a diagram) first go through `eliminate_units`,
+which takes unit pivots that cause no fill (a row with one unknown
+column left, or a column that one row alone still uses) and leaves only
+a small residual matrix over the columns that stayed free for the dense
+eliminators.  Unit pivots are unimodular row and column operations, so
+the residual has the same kernel up to the `expand` map and, over the
+integers, the same nonunit invariant factors.
 """
 
 from __future__ import annotations
@@ -12,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPrimeError
+from .errors import NotPrimeError, PrimalityBoundError
 
 __all__ = [
     "is_prime",
     "SubspaceModP",
     "rref_mod_p",
     "kernel_mod_p",
+    "eliminate_units",
+    "sparse_kernel_mod_p",
     "SNFResult",
     "snf",
     "lattice_index",
@@ -26,16 +40,40 @@ __all__ = [
     "saturation",
 ]
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def is_prime(p):
-    """Trial-division primality test; all in-scope moduli are tiny."""
+    """Deterministic Miller-Rabin primality test for p below 3.3e24;
+    raises PrimalityBoundError for a larger p it cannot rule out."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p < _MR_BASES[-1] ** 2:
+        return True
+    if p >= _MR_BOUND:
+        raise PrimalityBoundError(
+            f"modulus {p} is beyond the deterministic primality bound {_MR_BOUND}"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -44,15 +82,28 @@ def _check_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
 
 
+_INT64_MAX = 2**63 - 1
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def _array_mod_p(values, p):
+    """values reduced mod p, as int64 when the product of two residues
+    fits in int64 and as Python ints otherwise."""
+    if (p - 1) ** 2 <= _INT64_MAX:
+        return np.asarray(values, dtype=np.int64) % p
+    return _to_int(np.asarray(values, dtype=object)) % p
+
+
 def _as_modp(mat, p):
-    a = np.asarray(mat, dtype=np.int64)
+    a = _array_mod_p(mat, p)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    return a % p
+    return a
 
 
 def _rref_raw(M, p):
-    """Row-reduce M mod p in place-ish; returns (reduced rows, pivot cols)."""
+    """Row-reduce M mod p (an array from `_as_modp`); returns (reduced
+    rows, pivot cols)."""
     R = M % p
     nrows, ncols = R.shape
     pivots = []
@@ -95,7 +146,7 @@ class SubspaceModP:
         vecs = [v for v in vectors]
         if not vecs:
             return cls(p, ambient, (), ())
-        M = _as_modp(np.array(vecs, dtype=np.int64), p)
+        M = _as_modp(vecs, p)
         if M.shape[1] != ambient:
             raise ValueError(f"expected vectors of length {ambient}")
         R, piv = _rref_raw(M, p)
@@ -109,16 +160,16 @@ class SubspaceModP:
     def basis_matrix(self):
         if not self.rows:
             return np.zeros((0, self.ambient), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
+        return _array_mod_p(self.rows, self.p)
 
     def contains(self, vector):
         """Membership test by reduction against the echelon basis."""
-        v = np.asarray(vector, dtype=np.int64) % self.p
+        v = _array_mod_p(vector, self.p)
         if v.shape != (self.ambient,):
             raise ValueError("vector/ambient dimension mismatch")
         for row, c in zip(self.rows, self.pivots):
             if v[c]:
-                v = (v - v[c] * np.array(row, dtype=np.int64)) % self.p
+                v = (v - v[c] * _array_mod_p(row, self.p)) % self.p
         return not v.any()
 
     def contains_subspace(self, other):
@@ -140,21 +191,181 @@ def rref_mod_p(mat, p):
     return SubspaceModP.from_vectors(M, p, M.shape[1])
 
 
-def kernel_mod_p(mat, p):
-    """Right kernel {x : M x = 0} over F_p, canonical form."""
-    _check_prime(p)
-    M = _as_modp(mat, p)
+def _kernel_basis(M, p):
+    """A basis of the right kernel of M (an array from `_as_modp`)."""
     ncols = M.shape[1]
     R, piv = _rref_raw(M, p)
     free = [c for c in range(ncols) if c not in piv]
     basis = []
     for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
+        v = np.zeros(ncols, dtype=M.dtype)
         v[f] = 1
         for i, c in enumerate(piv):
             v[c] = (-R[i, f]) % p
         basis.append(v)
-    return SubspaceModP.from_vectors(basis, p, ncols)
+    return basis
+
+
+def kernel_mod_p(mat, p):
+    """Right kernel {x : M x = 0} over F_p, canonical form."""
+    _check_prime(p)
+    M = _as_modp(mat, p)
+    return SubspaceModP.from_vectors(_kernel_basis(M, p), p, M.shape[1])
+
+
+def sparse_kernel_mod_p(rows, ncols, p):
+    """A basis (full vectors of length ncols, not canonical) of the
+    solutions over F_p of a sparse system given as for
+    `eliminate_units`; only its residual is row-reduced."""
+    _check_prime(p)
+    free, residual, expand = eliminate_units(rows, ncols, p)
+    if residual:
+        basis = _kernel_basis(_as_modp(residual, p), p)
+    else:
+        basis = [[int(i == j) for j in range(len(free))] for i in range(len(free))]
+    return [expand(v) for v in basis]
+
+
+# ---------------------------------------------------------------------------
+# Sparse unit-pivot elimination.
+
+
+def eliminate_units(rows, ncols, p=None):
+    """Eliminate a sparse linear system by unit pivots.
+
+    `rows` is a sequence of sparse rows over columns 0..ncols-1, each a
+    sequence of (column, coefficient) pairs (repeated columns add up)
+    whose first pair names the row's preferred pivot column.  Over F_p
+    (p prime) every nonzero entry is a unit; over the integers (p None)
+    only +1 and -1 are.  Only pivots that cause no fill are taken:
+
+    - forward: a row whose columns are all determined but one, with a
+      unit there, determines that column as an expression in the free
+      columns;
+    - peeling: an undetermined column that only one pending row still
+      uses, with a unit there, is solved from that row afterwards.
+
+    When neither applies, a pending row with the fewest undetermined
+    columns (the first in the given order on ties) frees one of them,
+    another than its preferred column if it can.  A braid closure then
+    propagates forward from one seed per strand, in any crossing order,
+    and a tangle nested outside in is peeled from its boundary.  Rows
+    that found no pivot are left over.
+
+    Returns (free, residual, expand): the free columns in increasing
+    order; the left-over rows rewritten over the free columns (zero rows
+    kept, so the residual has len(rows) - pivots rows); and a function
+    from a vector over the free columns to the full vector.  The
+    solutions of the system are the expanded solutions of the residual,
+    and over the integers the invariant factors of the system are
+    (1,) * pivots followed by those of the residual.
+    """
+    unit = bool if p is not None else (lambda a: a == 1 or a == -1)
+    sparse = []
+    for row in rows:
+        r = {}
+        for c, a in row:
+            r[c] = r.get(c, 0) + a
+        if p is not None:
+            r = {c: a % p for c, a in r.items()}
+        sparse.append({c: a for c, a in r.items() if a})
+    rows_of = [[] for _ in range(ncols)]
+    for i, r in enumerate(sparse):
+        for c in r:
+            rows_of[c].append(i)
+    uses = [len(ix) for ix in rows_of]  # pending rows per column
+    undetermined = [len(r) for r in sparse]  # per row
+    known = [False] * ncols  # free or forward-determined
+    pivoted = [False] * len(sparse)
+    exprs = {}  # forward column -> {free column: coefficient}
+    peeled = []  # (column, row), solved in reverse order
+    ready = [i for i, n in enumerate(undetermined) if n == 1]
+    lonely = [c for c, n in enumerate(uses) if n == 1]
+
+    def inverse(u):
+        return u if p is None else pow(u, -1, p)
+
+    def substitute(terms):
+        out = {}
+        for c, a in terms:
+            e = exprs.get(c)
+            if e is None:
+                out[c] = out.get(c, 0) + a
+            else:
+                for j, b in e.items():
+                    out[j] = out.get(j, 0) + a * b
+        if p is not None:
+            out = {c: a % p for c, a in out.items()}
+        return {c: a for c, a in out.items() if a}
+
+    def retire(i):
+        pivoted[i] = True
+        for j in sparse[i]:
+            uses[j] -= 1
+            if uses[j] == 1:
+                lonely.append(j)
+
+    def determine(c):
+        known[c] = True
+        for i in rows_of[c]:
+            undetermined[i] -= 1
+            if undetermined[i] == 1:
+                ready.append(i)
+
+    while True:
+        if ready:
+            i = ready.pop()
+            if pivoted[i] or undetermined[i] != 1:
+                continue
+            r = sparse[i]
+            c = next(j for j in r if not known[j])
+            if unit(r[c]):
+                scale = -inverse(r[c])
+                exprs[c] = substitute((j, a * scale) for j, a in r.items() if j != c)
+                retire(i)
+                determine(c)
+            continue
+        if lonely:
+            c = lonely.pop()
+            if known[c] or uses[c] != 1:
+                continue
+            i = next(i for i in rows_of[c] if not pivoted[i])
+            if unit(sparse[i][c]):
+                peeled.append((c, i))
+                known[c] = True
+                retire(i)
+            continue
+        pending = [i for i in range(len(sparse)) if not pivoted[i] and undetermined[i]]
+        if not pending:
+            break
+        row = sparse[min(pending, key=undetermined.__getitem__)]
+        first, *rest = [j for j in row if not known[j]]
+        # keep the preferred pivot (the row's leading column) unknown if possible
+        determine(rest[0] if rest and first == next(iter(row)) else first)
+
+    solved = set(exprs).union(c for c, _ in peeled)
+    free = tuple(c for c in range(ncols) if c not in solved)
+    position = {c: i for i, c in enumerate(free)}
+    residual = []
+    for i, r in enumerate(sparse):
+        if not pivoted[i]:
+            dense = [0] * len(free)
+            for c, a in substitute(r.items()).items():
+                dense[position[c]] = a
+            residual.append(dense)
+
+    def expand(v):
+        x = [0] * ncols
+        for c, a in zip(free, v):
+            x[c] = int(a)
+        for c, e in exprs.items():
+            x[c] = sum(b * x[j] for j, b in e.items())
+        for c, i in reversed(peeled):
+            r = sparse[i]
+            x[c] = -inverse(r[c]) * sum(a * x[j] for j, a in r.items() if j != c)
+        return x if p is None else [a % p for a in x]
+
+    return free, residual, expand
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "tri",
     "boundary_image",
     "reduced_boundary_image",
+    "reduce_image",
     "reduce_to_f_basis",
     "virtual_index",
     "abf_space",
@@ -53,47 +54,49 @@ class ColoringSpace:
     invariant_factors: tuple | None = None
 
 
-def _relation_matrix(diagram, t=-1, tinv=-1):
-    """Integer matrix of the crossing relations c = (1-t) a + t b (a
-    over, b entering under, c exiting under), one row per crossing, with
-    tinv in place of t at negative crossings.  At t = tinv = -1 this is
-    the Fox relation 2a = b + c at every crossing."""
+def _relation_rows(diagram, t=-1, tinv=-1):
+    """Sorted arcs and the sparse crossing relations c = (1-t) a + t b
+    (a over, b entering under, c exiting under), one row per crossing
+    with tinv in place of t at negative crossings, as (arc index,
+    coefficient) pairs led by the exiting under-arc, the row's preferred
+    pivot.  At t = tinv = -1 this is the Fox relation 2a = b + c at
+    every crossing."""
     arcs = sorted(diagram.arcs)
     index = {a: i for i, a in enumerate(arcs)}
-    M = np.zeros((len(diagram.crossings), len(arcs)), dtype=np.int64)
-    for r, c in enumerate(diagram.crossings):
+    rows = []
+    for c in diagram.crossings:
         tt = t if c.sign is None or c.sign > 0 else tinv
-        M[r, index[c.over]] += 1 - tt
-        M[r, index[c.under_in]] += tt
-        M[r, index[c.under_out]] -= 1
-    return arcs, M
+        rows.append(
+            ((index[c.under_out], -1), (index[c.over], 1 - tt), (index[c.under_in], tt))
+        )
+    return arcs, rows
+
+
+def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
+    """Sorted arcs and a basis (vectors over all arcs) of the solutions
+    of the crossing relations over F_p."""
+    arcs, rows = _relation_rows(diagram, t, tinv)
+    return arcs, xl.sparse_kernel_mod_p(rows, len(arcs), p)
 
 
 def coloring_space(diagram, k):
     """All Fox k-colorings of the diagram."""
     if k < 2:
         raise ValueError("modulus must be at least 2")
-    arcs, M = _relation_matrix(diagram)
+    closed = diagram.closed_components
     if xl.is_prime(k):
-        ker = xl.kernel_mod_p(M, k)
-        count = k ** (ker.dim + diagram.closed_components)
-        return ColoringSpace(k, tuple(arcs), diagram.closed_components, count, kernel=ker)
-    rows, cols = M.shape
-    if cols == 0:
-        factors = ()
-        count = k**diagram.closed_components
-        return ColoringSpace(
-            k, (), diagram.closed_components, count, invariant_factors=factors
-        )
-    factors = xl.snf(M.tolist()).factors if rows else ()
+        arcs, basis = _kernel_mod_p(diagram, k)
+        ker = SubspaceModP.from_vectors(basis, k, len(arcs))
+        count = k ** (ker.dim + closed)
+        return ColoringSpace(k, tuple(arcs), closed, count, kernel=ker)
+    arcs, rows = _relation_rows(diagram)
+    free, residual, _ = xl.eliminate_units(rows, len(arcs))
+    factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual).factors
     count = 1
     for d in factors:
         count *= gcd(d, k) if d else k
-    count *= k ** (cols - len(factors))
-    count *= k**diagram.closed_components
-    return ColoringSpace(
-        k, tuple(arcs), diagram.closed_components, count, invariant_factors=factors
-    )
+    count *= k ** (len(arcs) - len(factors) + closed)
+    return ColoringSpace(k, tuple(arcs), closed, count, invariant_factors=factors)
 
 
 def tri(diagram):
@@ -128,11 +131,10 @@ def _ensure_calibrated():
 
 
 def _kernel_basis_on_boundary(diagram, p):
-    arcs, M = _relation_matrix(diagram)
+    arcs, basis = _kernel_mod_p(diagram, p)
     index = {a: i for i, a in enumerate(arcs)}
-    B = xl.kernel_mod_p(M, p).basis_matrix()
     cols = [index[a] for a in diagram.boundary]
-    return B[:, cols] % p if len(cols) else B[:, :0]
+    return [[v[i] for i in cols] for v in basis]
 
 
 def _check_alternating(rows, p):
@@ -188,14 +190,24 @@ def reduce_to_f_basis(vectors, p, n):
     normalize the f_{2n-1} coordinate to zero using the monochromatic
     relation, and drop it.  Returns vectors in F_p^(2n-2)."""
     out = []
-    for v in np.atleast_2d(np.asarray(vectors, dtype=np.int64)):
+    for v in np.atleast_2d(np.asarray(vectors, dtype=object)):
         c, residual = _f_coordinates(v, n)
         if residual % p:
             raise AlternatingConditionError(
                 "vector is outside the span of the f-basis"
             )
-        out.append(np.array(c, dtype=np.int64) % p)
+        out.append([x % p for x in c])
     return out
+
+
+def reduce_image(img):
+    """A boundary image (from `boundary_image`) modulo monochromatic
+    colorings, written in the f-basis coordinates of F_p^(2n-2)."""
+    n = img.ambient // 2
+    if n < 2:
+        raise ValueError("reduction needs an n-tangle with n >= 2")
+    reduced = reduce_to_f_basis(img.basis_matrix(), img.p, n)
+    return SubspaceModP.from_vectors(reduced, img.p, 2 * n - 2)
 
 
 def reduced_boundary_image(diagram, p):
@@ -203,12 +215,9 @@ def reduced_boundary_image(diagram, p):
     f-basis coordinates of F_p^(2n-2)."""
     if not xl.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    n = diagram.n
-    if n < 2:
+    if diagram.n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
-    img = boundary_image(diagram, p)
-    reduced = reduce_to_f_basis(img.basis_matrix(), p, n)
-    return SubspaceModP.from_vectors(reduced, p, 2 * n - 2)
+    return reduce_image(boundary_image(diagram, p))
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +234,14 @@ def virtual_index(diagram):
     n = diagram.n
     if n < 2:
         raise ValueError("virtual index needs an n-tangle with n >= 2")
-    arcs, M = _relation_matrix(diagram)
+    arcs, rows = _relation_rows(diagram)
+    free, left, expand = xl.eliminate_units(rows, len(arcs))
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in diagram.boundary]
+    # the kernel of a matrix with no rows is all of Z^free
+    kernel = xl.int_kernel(left) if left else np.eye(len(free), dtype=int).tolist()
     reduced = []
-    for v in xl.int_kernel(M.tolist()):
+    for v in map(expand, kernel):
         c, residual = _f_coordinates([v[i] for i in cols], n)
         if residual:
             raise AlternatingConditionError(
@@ -262,7 +274,7 @@ def abf_space(diagram, p, t):
         raise ValueError("t must be invertible mod p")
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
-    arcs, M = _relation_matrix(diagram, t, pow(t, p - 2, p))
-    ker = xl.kernel_mod_p(M, p)
+    arcs, basis = _kernel_mod_p(diagram, p, t, pow(t, p - 2, p))
+    ker = SubspaceModP.from_vectors(basis, p, len(arcs))
     count = p ** (ker.dim + diagram.closed_components)
     return ColoringSpace(p, tuple(arcs), diagram.closed_components, count, kernel=ker)

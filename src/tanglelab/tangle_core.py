@@ -746,8 +746,8 @@ def _builder_from_diagram(diagram):
 
 
 def parse_diagram_text(text):
-    """Read the line format: 'X over under_in under_out', 'B a1 ... a2n',
-    'O n_circles'; '#' starts a comment."""
+    """Read the line format: 'X over under_in under_out [sign]' (sign 1
+    or -1), 'B a1 ... a2n', 'O n_circles'; '#' starts a comment."""
     crossings = []
     boundary = ()
     circles = 0
@@ -765,6 +765,8 @@ def parse_diagram_text(text):
             if len(vals) not in (3, 4):
                 raise ValueError(f"line {lineno}: X needs 3 arc ids")
             sign = vals[3] if len(vals) == 4 else None
+            if sign not in (None, 1, -1):
+                raise ValueError(f"line {lineno}: crossing sign must be 1 or -1")
             crossings.append(Crossing(vals[0], vals[1], vals[2], sign))
         elif tag == "B":
             if len(vals) % 2:

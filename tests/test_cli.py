@@ -228,6 +228,51 @@ def test_determinism():
         assert a == b
 
 
+def test_color_mod_large_prime():
+    # constant colorings alone give p; int64 elimination printed 1
+    p = 4294967311
+    code, out = capture(["color", "--mod", str(p), "--braid", "3: 1 -2 1 -2"])
+    assert code == 0
+    assert int(out.removeprefix(f"col_{p} = ")) >= p
+
+
+def test_color_modulus_beyond_primality_bound():
+    code, out = capture(["color", "--mod", str(2**89 - 1), "--braid", "2: 1 1 1"])
+    assert code == 2
+    assert out.startswith("error = modulus ")
+
+
+def test_diagram_sign_field_is_plus_or_minus_one(tmp_path):
+    f = tmp_path / "trefoil.dg"
+    f.write_text("X 0 1 2 1\nX 2 0 1 -1\nX 1 2 0 1\n")
+    code, _ = capture(["color", "--abf-t", "3", "--p", "7", "--diagram", str(f)])
+    assert code == 0
+    # the parent read 0 as negative and 7 as positive: abf_col_7(t=3) = 7
+    for text, line in (("X 0 1 2 0\nX 2 0 1 7\nX 1 2 0 -1\n", 1),
+                       ("X 0 1 2 1\nX 2 0 1 1\nX 1 2 0 2\n", 3)):
+        f.write_text(text)
+        code, out = capture(["color", "--abf-t", "3", "--p", "7", "--diagram", str(f)])
+        assert code == 2
+        assert out == f"error = line {line}: crossing sign must be 1 or -1\n"
+
+
+def test_boundary_computes_the_image_once(monkeypatch):
+    from tanglelab import fox_coloring
+
+    calls = []
+    image = fox_coloring.boundary_image
+
+    def counted(*args):
+        calls.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(fox_coloring, "boundary_image", counted)
+    code, out = capture(["boundary", "--p", "5", "--conway", "T(3,2,4)"])
+    assert code == 0
+    assert "psihat_dim = 1" in out
+    assert len(calls) == 1
+
+
 def test_diagram_file_input(tmp_path):
     f = tmp_path / "trefoil.dg"
     f.write_text("# trefoil\nX 0 1 2\nX 2 0 1\nX 1 2 0\n")

@@ -5,8 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tanglelab.errors import NotPrimeError
+from tanglelab.errors import NotPrimeError, PrimalityBoundError
 from tanglelab.exact_linear import (
+    _MR_BOUND,
     SubspaceModP,
     int_kernel,
     is_prime,
@@ -34,6 +35,60 @@ def test_primality():
     assert not is_prime(1)
     with pytest.raises(NotPrimeError):
         rref_mod_p([[1]], 4)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)
+    ]
+
+
+def test_miller_rabin_pseudoprimes_and_bound():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    # smallest strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and
+    # 12 prime bases
+    strong = (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+    )
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+    for q in (2**31 - 1, 2**61 - 1, 4294967311, 10**15 + 37, 10**24 + 7):
+        assert is_prime(q), q
+    # above the bound a small factor still rules a number out
+    assert not is_prime(_MR_BOUND + 1)
+    assert not is_prime(3 * (2**89 - 1))
+    # the bound itself is a strong pseudoprime to all 13 bases
+    for n in (_MR_BOUND, 2**89 - 1):
+        with pytest.raises(PrimalityBoundError):
+            is_prime(n)
+
+
+def test_kernel_mod_large_prime_is_exact():
+    # (p - 1)^2 overflows int64: elimination runs on Python ints
+    p = 4294967311
+    rng = random.Random(2)
+    for _ in range(20):
+        M = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+        K = kernel_mod_p(M, p)
+        assert K.dim == 2
+        for v in K.rows:
+            for row in M:
+                assert sum(a * x for a, x in zip(row, v)) % p == 0
+        assert rref_mod_p(M, p).dim == 4
+        S = SubspaceModP.from_vectors(K.rows, p, 6)
+        assert S == K and S.contains([2 * x for x in K.rows[0]])
 
 
 def test_kernel_of_x_equals_y():

@@ -8,7 +8,7 @@ import pytest
 from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
-    _relation_matrix,
+    _relation_rows,
     abf_space,
     boundary_image,
     coloring_space,
@@ -279,8 +279,17 @@ def test_abf_matrix_at_p_minus_one_is_fox_matrix():
         letters = tuple(rng.choice([x for x in range(-n + 1, n) if x]) for _ in range(L))
         diagrams.append(braid_closure(BraidWord(n, letters)))
     diagrams += [compile_expr(random_algebraic_expr(2, rng, 3)) for _ in range(10)]
+
+    def relation_matrix(d, t=-1, tinv=-1):
+        arcs, rows = _relation_rows(d, t, tinv)
+        M = np.zeros((len(rows), len(arcs)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for col, a in row:
+                M[r, col] += a
+        return arcs, M
+
     for d in diagrams:
-        arcs, fox = _relation_matrix(d)
+        arcs, fox = relation_matrix(d)
         # Fox: twice the over color is the sum of the under colors
         index = {a: i for i, a in enumerate(arcs)}
         want = np.zeros_like(fox)
@@ -290,7 +299,7 @@ def test_abf_matrix_at_p_minus_one_is_fox_matrix():
             want[r, index[c.under_out]] -= 1
         assert np.array_equal(fox, want)
         for p in (3, 5, 7):
-            abf_arcs, abf = _relation_matrix(d, p - 1, p - 1)
+            abf_arcs, abf = relation_matrix(d, p - 1, p - 1)
             assert abf_arcs == arcs
             assert np.array_equal(abf % p, fox % p)
             if all(c.sign is not None for c in d.crossings):

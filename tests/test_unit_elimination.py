@@ -1,0 +1,211 @@
+"""Cross-checks of the sparse unit-pivot route against dense elimination.
+
+The oracle builds the dense crossings x arcs relation matrix directly from
+the crossings (2 / -1 / -1 for Fox, (1-t) / t / -1 for ABF) and solves it
+with the dense eliminators: `kernel_mod_p` over F_p and `snf` over Z.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from tanglelab import exact_linear as xl
+from tanglelab.fox_coloring import (
+    _f_coordinates,
+    _relation_rows,
+    abf_space,
+    boundary_image,
+    coloring_space,
+    virtual_index,
+)
+from tanglelab.tangle_core import (
+    BraidWord,
+    TangleDiagram,
+    braid_closure,
+    closure,
+    compile_expr,
+    diagram_to_text,
+    parse_conway,
+    parse_diagram_text,
+    pretzel,
+    random_algebraic_expr,
+    rational_expr,
+    trivial_link,
+)
+
+
+def dense_matrix(d, t=-1, tinv=-1):
+    arcs = sorted(d.arcs)
+    index = {a: i for i, a in enumerate(arcs)}
+    M = np.zeros((len(d.crossings), len(arcs)), dtype=np.int64)
+    for r, c in enumerate(d.crossings):
+        tt = t if c.sign is None or c.sign > 0 else tinv
+        M[r, index[c.over]] += 1 - tt
+        M[r, index[c.under_in]] += tt
+        M[r, index[c.under_out]] -= 1
+    return arcs, M
+
+
+def dense_kernel(d, p, t=-1, tinv=-1):
+    arcs, M = dense_matrix(d, t, tinv)
+    return xl.kernel_mod_p(M, p)
+
+
+def dense_factors(d):
+    _, M = dense_matrix(d)
+    return xl.snf(M.tolist()).factors if M.shape[0] else ()
+
+
+def dense_boundary_image(d, p):
+    arcs, M = dense_matrix(d)
+    index = {a: i for i, a in enumerate(arcs)}
+    B = xl.kernel_mod_p(M, p).basis_matrix()
+    rows = B[:, [index[a] for a in d.boundary]]
+    return xl.SubspaceModP.from_vectors(rows, p, 2 * d.n)
+
+
+def dense_virtual_index(d):
+    arcs, M = dense_matrix(d)
+    index = {a: i for i, a in enumerate(arcs)}
+    cols = [index[a] for a in d.boundary]
+    reduced = []
+    for v in xl.int_kernel(M.tolist()):
+        c, residual = _f_coordinates([v[i] for i in cols], d.n)
+        assert residual == 0
+        if any(c):
+            reduced.append(c)
+    if not reduced:
+        return 1
+    return xl.lattice_index(reduced, xl.saturation(reduced))
+
+
+def shuffled(d, rng):
+    crossings = list(d.crossings)
+    rng.shuffle(crossings)
+    return TangleDiagram(d.arcs, tuple(crossings), d.boundary, d.closed_components)
+
+
+def random_word(rng, n, length):
+    letters = [x for x in range(-n + 1, n) if x]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+
+
+def closures(seed, count=40):
+    rng = random.Random(seed)
+    out = [trivial_link(3), braid_closure(BraidWord(4, ())), braid_closure(BraidWord(3, (1, 1)))]
+    for _ in range(count):
+        d = braid_closure(random_word(rng, rng.randint(2, 5), rng.randint(0, 60)))
+        out.append(d)
+        out.append(shuffled(d, rng))
+    # a crossing-free component next to a knotted one, and extra free circles
+    text = diagram_to_text(braid_closure(BraidWord(2, (1, 1, 1))))
+    out.append(parse_diagram_text(text + "O 2\n"))
+    return out
+
+
+def tangles(seed, count=40):
+    rng = random.Random(seed)
+    out = [compile_expr(pretzel(3, -3)), compile_expr(parse_conway("0"))]
+    for entries in ([3, -2] * 12, [2, 3, 2], [5, -1, 7, 2, -3], [-40, 17, 9]):
+        out.append(compile_expr(rational_expr(entries)))
+    for _ in range(count):
+        d = compile_expr(random_algebraic_expr(rng.randint(2, 4), rng, max_depth=4))
+        out.append(d)
+        out.append(shuffled(d, rng))
+    # a diagram file round trip, crossings reversed
+    d = compile_expr(parse_conway("T(3,-2,4)"))
+    lines = diagram_to_text(d).splitlines()
+    out.append(parse_diagram_text("\n".join(lines[-2::-1] + lines[-1:]) + "\n"))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_prime_counts_and_kernels_match_dense(seed):
+    rng = random.Random(seed)
+    diagrams = closures(seed) + tangles(seed)
+    diagrams += [closure(d, rng.choice(["numerator", "denominator"]))
+                 for d in tangles(seed + 10, 10) if d.n == 2]
+    for d in diagrams:
+        for p in (2, 3, 5, 7):
+            space = coloring_space(d, p)
+            ker = dense_kernel(d, p)
+            assert space.kernel == ker, (d, p)
+            assert space.count == p ** (ker.dim + d.closed_components)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_invariant_factors_match_dense_snf(seed):
+    for d in closures(seed, 25) + tangles(seed, 25):
+        factors = dense_factors(d)
+        for k in (4, 6, 9, 12):
+            space = coloring_space(d, k)
+            assert space.invariant_factors == factors, (d, k)
+
+
+def test_boundary_images_and_virtual_index_match_dense():
+    for d in tangles(5):
+        for p in (3, 5, 7):
+            assert boundary_image(d, p) == dense_boundary_image(d, p), (d, p)
+        if d.n >= 2:
+            assert virtual_index(d) == dense_virtual_index(d), d
+
+
+def test_abf_matches_dense():
+    rng = random.Random(6)
+    for _ in range(40):
+        d = braid_closure(random_word(rng, rng.randint(2, 5), rng.randint(0, 50)))
+        for d in (d, shuffled(d, rng)):
+            for p, t in ((7, 3), (5, 2)):
+                ker = dense_kernel(d, p, t, pow(t, -1, p))
+                assert abf_space(d, p, t).kernel == ker, (d, p, t)
+
+
+def test_residual_of_long_closure_is_small():
+    # a 4-strand closure taken top to bottom propagates from one seed per
+    # strand; shuffled, it may need a seed or two more
+    rng = random.Random(7)
+    d = braid_closure(random_word(rng, 4, 800))
+    for d, most in ((d, 4), (shuffled(d, rng), 6)):
+        arcs, rows = _relation_rows(d)
+        for p in (None, 3):
+            free, residual, _ = xl.eliminate_units(rows, len(arcs), p)
+            assert len(free) <= most
+            assert len(residual) == len(rows) - (len(arcs) - len(free))
+
+
+def test_nested_twist_vector_needs_no_residual():
+    # twist regions nested in alternating directions are peeled from the
+    # boundary in and propagated from the inside out: no left-over rows
+    d = compile_expr(rational_expr([3, -2] * 20))
+    arcs, rows = _relation_rows(d)
+    free, residual, _ = xl.eliminate_units(rows, len(arcs))
+    assert (len(free), residual) == (2, [])
+
+
+def test_eliminate_units_on_random_sparse_systems():
+    rng = random.Random(8)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+        rows = []
+        for _ in range(nrows):
+            cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
+            rows.append(tuple((c, rng.choice((-2, -1, 1, 1, 2, 3))) for c in cols))
+        M = np.zeros((nrows, ncols), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for c, a in row:
+                M[r, c] += a
+        free, residual, expand = xl.eliminate_units(rows, ncols)
+        pivots = ncols - len(free)
+        assert len(residual) == nrows - pivots
+        want = xl.snf(M.tolist()).factors if nrows else ()
+        assert (1,) * pivots + xl.snf(residual).factors == want
+        kernel = xl.int_kernel(residual) if residual else np.eye(len(free), dtype=int).tolist()
+        for v in kernel:
+            assert not (M @ np.array(expand(v))).any()
+        for p in (2, 3, 5):
+            free, residual, expand = xl.eliminate_units(rows, ncols, p)
+            R = np.array(residual, dtype=np.int64).reshape(len(residual), len(free))
+            basis = [expand(v) for v in xl.kernel_mod_p(R, p).rows]
+            got = xl.SubspaceModP.from_vectors(basis, p, ncols)
+            assert got == xl.kernel_mod_p(M, p)
