@@ -391,7 +391,7 @@ def run(argv, stdout=None):
     except BudgetExceededError as exc:
         print(f"error = {exc}", file=stdout)
         return 3
-    except (CrossCheckError, AssertionError) as exc:
+    except CrossCheckError as exc:
         print(f"error = {exc}", file=stdout)
         return 4
     except (TangleLabError, ValueError, OSError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CrossCheckError
 
 __all__ = [
     "Presentation",
@@ -248,7 +248,7 @@ def enumerate_cosets(pres, max_cosets=10**6, strategy=0):
         out = []
         for x in range(width):
             if row[x] == UNDEF:
-                raise AssertionError("incomplete table after enumeration")
+                raise CrossCheckError("incomplete table after enumeration")
             out.append(rank[find(row[x])])
         table.append(tuple(out))
     result = CosetTable(g, tuple(table))
@@ -264,7 +264,7 @@ def _verify(table, pres):
         for row in table.table:
             seen[row[x]] = 1
         if not all(seen):
-            raise AssertionError("a generator column is not a permutation")
+            raise CrossCheckError("a generator column is not a permutation")
     for rel in pres.relators:
         letters = _letters_of(rel)
         for c in range(n):
@@ -272,7 +272,7 @@ def _verify(table, pres):
             for x in letters:
                 d = table.table[d][x]
             if d != c:
-                raise AssertionError("a relator does not fix every coset")
+                raise CrossCheckError("a relator does not fix every coset")
 
 
 def trace(table, word, start=0):

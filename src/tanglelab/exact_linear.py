@@ -1,11 +1,13 @@
 """Exact linear algebra: echelon forms over prime fields, Smith normal
-form over the integers, canonical subspace representations, and sparse
-unit-pivot elimination.
+form and saturated kernels over the integers, canonical subspace
+representations, and sparse unit-pivot elimination.
 
 Everything here is exact.  Prime-field work keeps entries reduced mod p
 in numpy int64 arrays when the product of two residues fits in int64,
 that is (p - 1)^2 < 2^63, and in object arrays of Python ints for larger
-p.  Integer work uses Python ints (no overflow).
+p.  Integer work uses Python ints (no overflow).  The index of a lattice
+in its saturation needs no routine of its own: it is the product of the
+nonzero invariant factors of any matrix whose rows generate the lattice.
 
 Sparse relation systems (a few nonzero entries per row, such as the
 crossing relations of a diagram) first go through `eliminate_units`,
@@ -19,12 +21,11 @@ integers, the same nonunit invariant factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPrimeError, PrimalityBoundError
+from .errors import CrossCheckError, NotPrimeError, PrimalityBoundError
 
 __all__ = [
     "is_prime",
@@ -35,9 +36,7 @@ __all__ = [
     "sparse_kernel_mod_p",
     "SNFResult",
     "snf",
-    "lattice_index",
     "int_kernel",
-    "saturation",
 ]
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -219,11 +218,9 @@ def sparse_kernel_mod_p(rows, ncols, p):
     `eliminate_units`; only its residual is row-reduced."""
     _check_prime(p)
     free, residual, expand = eliminate_units(rows, ncols, p)
-    if residual:
-        basis = _kernel_basis(_as_modp(residual, p), p)
-    else:
-        basis = [[int(i == j) for j in range(len(free))] for i in range(len(free))]
-    return [expand(v) for v in basis]
+    # a residual with no rows has the identity kernel basis
+    R = _array_mod_p(residual, p).reshape(len(residual), len(free))
+    return [expand(v) for v in _kernel_basis(R, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def eliminate_units(rows, ncols, p=None):
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: Smith normal form and lattice indices.
+# Integer matrices: Smith normal form and saturated kernels.
 
 
 def _pyint_matrix(A):
@@ -398,13 +395,10 @@ def _matmul(A, B):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Invariant factors d1 | d2 | ... with unimodular transforms.
-
-    U @ A @ V == diag(factors) is re-verified at construction time.
-    """
+    """Invariant factors d1 | d2 | ... and the unimodular column
+    transform V of a Smith normal form U @ A @ V == diag(factors)."""
 
     factors: tuple
-    U: tuple
     V: tuple
 
 
@@ -509,7 +503,8 @@ def _snf_inplace(A):
 
 
 def snf(A):
-    """Smith normal form with verification of U @ A @ V = D."""
+    """Smith normal form of A, with U @ A @ V = D and the divisibility
+    chain of D verified."""
     orig = _pyint_matrix(A)
     work = [row[:] for row in orig]
     factors, U, V = _snf_inplace(work)
@@ -520,97 +515,21 @@ def snf(A):
         for j in range(m):
             want = factors[i] if (i == j and i < len(factors)) else 0
             if check[i][j] != want:
-                raise AssertionError(f"SNF verification failed at ({i},{j})")
+                raise CrossCheckError(f"SNF verification failed at ({i},{j})")
     for i in range(len(factors) - 1):
         if factors[i] and factors[i + 1] % factors[i]:
-            raise AssertionError("SNF divisibility chain broken")
+            raise CrossCheckError("SNF divisibility chain broken")
         if factors[i] == 0 and factors[i + 1] != 0:
-            raise AssertionError("SNF zero factor precedes nonzero")
-    return SNFResult(
-        tuple(factors),
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in V),
-    )
+            raise CrossCheckError("SNF zero factor precedes nonzero")
+    return SNFResult(tuple(factors), tuple(tuple(r) for r in V))
 
 
-def int_kernel(A):
-    """Basis (rows) of the saturated integer kernel {x : A x = 0}."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if n == 0:
-        return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def int_kernel(A, m):
+    """Basis (rows) of the saturated integer kernel {x in Z^m : A x = 0};
+    all of Z^m when A has no rows."""
+    if not len(A):
+        return _identity(m)
     res = snf(A)
     rank = sum(1 for d in res.factors if d)
-    V = [list(r) for r in res.V]
-    # kernel columns of V: indices >= rank
-    basis = []
-    for j in range(rank, m):
-        basis.append([V[i][j] for i in range(m)])
-    return basis
-
-
-def saturation(rows):
-    """Saturation of the row lattice: (Q-span of rows) intersect Z^d.
-
-    Computed without matrix inversion: x lies in the Q-span iff x kills
-    the right kernel of the row matrix.
-    """
-    rows = _pyint_matrix(rows)
-    if not rows:
-        return []
-    d = len(rows[0])
-    N = int_kernel(rows)
-    if not N:
-        return _identity(d)
-    # x in span_Q(rows) <=> x . v = 0 for every right-kernel vector v
-    return int_kernel(N)
-
-
-def lattice_index(sub, ambient_basis):
-    """Index [L : L'] of the row lattice of `sub` inside that of
-    `ambient_basis`; math.inf when the ranks differ.
-
-    Requires the ambient rows to be a basis (independent) and L' <= L;
-    a row of `sub` outside L raises ValueError.
-    """
-    amb = _pyint_matrix(ambient_basis)
-    sub = _pyint_matrix(sub)
-    if not amb:
-        if not sub or all(all(x == 0 for x in r) for r in sub):
-            return 1
-        raise ValueError("sub lattice not contained in ambient lattice")
-    res = snf(amb)
-    k = len(amb)
-    d = len(amb[0])
-    rank = sum(1 for f in res.factors if f)
-    if rank != k:
-        raise ValueError("ambient rows are not a basis")
-    U = [list(r) for r in res.U]
-    V = [list(r) for r in res.V]
-    coords = []
-    for s in sub:
-        if len(s) != d:
-            raise ValueError("row length mismatch")
-        w = [sum(s[i] * V[i][j] for i in range(d)) for j in range(d)]
-        y = []
-        for i in range(k):
-            di = res.factors[i]
-            if w[i] % di:
-                raise ValueError("sub lattice not contained in ambient lattice")
-            y.append(w[i] // di)
-        for i in range(k, d):
-            if w[i]:
-                raise ValueError("sub lattice not contained in ambient lattice")
-        x = [sum(y[i] * U[i][j] for i in range(k)) for j in range(k)]
-        coords.append(x)
-    if not coords:
-        return math.inf if k else 1
-    cres = snf(coords)
-    crank = sum(1 for f in cres.factors if f)
-    if crank < k:
-        return math.inf
-    idx = 1
-    for f in cres.factors:
-        if f:
-            idx *= f
-    return idx
+    # the columns of V past the rank span the kernel
+    return [[row[j] for row in res.V] for j in range(rank, m)]

@@ -14,12 +14,17 @@ normalized to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from . import exact_linear as xl
-from .errors import AlternatingConditionError, CalibrationError, NotPrimeError
+from .errors import (
+    AlternatingConditionError,
+    CalibrationError,
+    CrossCheckError,
+    NotPrimeError,
+)
 from .exact_linear import SubspaceModP
 from .tangle_core import Integer, TangleDiagram, compile_expr
 
@@ -162,7 +167,7 @@ def boundary_image(diagram, p):
     _check_alternating(img.basis_matrix(), p)
     mono = [1] * (2 * diagram.n)
     if not img.contains(mono):
-        raise AssertionError("monochromatic colorings missing from boundary image")
+        raise CrossCheckError("monochromatic colorings missing from boundary image")
     return img
 
 
@@ -228,8 +233,9 @@ def virtual_index(diagram):
     """Index of the reduced boundary lattice inside its saturation.
 
     Over the integers the reduced boundary image is a finite index
-    sublattice of a Lagrangian; the saturation is that Lagrangian and
-    the index is the product of the invariant factors.
+    sublattice of a Lagrangian; the saturation is that Lagrangian, and
+    the index is the product of the nonzero invariant factors of any
+    matrix whose rows generate the reduced image.
     """
     n = diagram.n
     if n < 2:
@@ -238,10 +244,8 @@ def virtual_index(diagram):
     free, left, expand = xl.eliminate_units(rows, len(arcs))
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in diagram.boundary]
-    # the kernel of a matrix with no rows is all of Z^free
-    kernel = xl.int_kernel(left) if left else np.eye(len(free), dtype=int).tolist()
     reduced = []
-    for v in map(expand, kernel):
+    for v in map(expand, xl.int_kernel(left, len(free))):
         c, residual = _f_coordinates([v[i] for i in cols], n)
         if residual:
             raise AlternatingConditionError(
@@ -249,10 +253,7 @@ def virtual_index(diagram):
             )
         if any(c):
             reduced.append(c)
-    if not reduced:
-        return 1
-    sat = xl.saturation(reduced)
-    return xl.lattice_index(reduced, sat)
+    return prod(d for d in xl.snf(reduced).factors if d) if reduced else 1
 
 
 # ---------------------------------------------------------------------------

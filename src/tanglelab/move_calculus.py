@@ -79,9 +79,9 @@ def fraction_shift_identities(p, q):
     first = Frac.make(p, p - q)
     second = Frac.make(p, -(p + q))
     if pq.add_int(-1).recip().add_int(1) != first:
-        raise AssertionError("shift identity for p/(p-q) failed")
+        raise CrossCheckError("shift identity for p/(p-q) failed")
     if pq.add_int(1).recip().add_int(-1) != second:
-        raise AssertionError("shift identity for p/(-(p+q)) failed")
+        raise CrossCheckError("shift identity for p/(-(p+q)) failed")
     return first, second
 
 
@@ -174,7 +174,7 @@ def target_table(p):
     for t in horizontal_family(p):
         table[_proj_of_frac(t, p)] = t
     if len(table) != p + 1:
-        raise AssertionError("horizontal family points are not distinct")
+        raise CrossCheckError("horizontal family points are not distinct")
     return table
 
 

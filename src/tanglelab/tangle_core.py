@@ -447,7 +447,7 @@ class _Builder:
                 self.circles += 1
                 self.ends[a] = -1  # mark dead
         if self.ends[self.find(a)] < -1:
-            raise AssertionError("gluing consumed more ends than available")
+            raise CrossCheckError("gluing consumed more ends than available")
 
     def finish(self, corners):
         corners = [self.find(c) for c in corners]

@@ -279,3 +279,18 @@ def test_diagram_file_input(tmp_path):
     code, out = capture(["tri", "--diagram", str(f)])
     assert code == 0
     assert out == "tri = 9\n"
+
+
+def test_failed_cross_check_exits_4(monkeypatch):
+    from tanglelab import exact_linear
+
+    smith = exact_linear._snf_inplace
+
+    def wrong_factor(A):
+        factors, U, V = smith(A)
+        return [factors[0] + 1] + factors[1:], U, V
+
+    monkeypatch.setattr(exact_linear, "_snf_inplace", wrong_factor)
+    code, out = capture(["color", "--mod", "6", "--braid", "3: 1 -2 1 -2"])
+    assert code == 4
+    assert out == "error = SNF verification failed at (0,0)\n"

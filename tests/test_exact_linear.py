@@ -12,9 +12,7 @@ from tanglelab.exact_linear import (
     int_kernel,
     is_prime,
     kernel_mod_p,
-    lattice_index,
     rref_mod_p,
-    saturation,
     snf,
 )
 
@@ -199,23 +197,20 @@ def test_snf_random_properties():
                 assert prod == abs(det)
 
 
-def test_lattice_index():
-    assert lattice_index([[0, 1]], [[0, 1]]) == 1
-    assert lattice_index([[0, 5]], [[0, 1]]) == 5
-    assert lattice_index([], [[0, 1]]) == math.inf
-    assert lattice_index([[2, 0], [0, 3]], [[1, 0], [0, 1]]) == 6
-    with pytest.raises(ValueError):
-        lattice_index([[1, 1]], [[2, 0]])
-
-
-def test_int_kernel_and_saturation():
+def test_int_kernel():
     A = [[1, -1, 0], [0, 0, 0]]
-    K = int_kernel(A)
+    K = int_kernel(A, 3)
     assert len(K) == 2
     for v in K:
         assert v[0] == v[1]
-    sat = saturation([[0, 2, 2]])
-    assert len(sat) == 1
-    assert lattice_index([[0, 2, 2]], sat) == 2
-    # saturation of a saturated lattice is itself (up to basis)
-    assert lattice_index(sat, saturation(sat)) == 1
+    # the kernel of 2y + 2z = 0 is saturated: all its invariant factors are 1
+    K = int_kernel([[0, 2, 2]], 3)
+    assert len(K) == 2 and all(2 * v[1] + 2 * v[2] == 0 for v in K)
+    assert snf(K).factors == (1, 1)
+
+
+def test_int_kernel_without_relations_is_everything():
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert int_kernel([], 3) == identity
+    assert int_kernel([[0, 0, 0]], 3) == identity
+    assert int_kernel(np.zeros((0, 2), dtype=int), 2) == [[1, 0], [0, 1]]

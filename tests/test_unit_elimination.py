@@ -3,9 +3,14 @@
 The oracle builds the dense crossings x arcs relation matrix directly from
 the crossings (2 / -1 / -1 for Fox, (1-t) / t / -1 for ABF) and solves it
 with the dense eliminators: `kernel_mod_p` over F_p and `snf` over Z.
+Virtual indices are checked against the gcd of the maximal nonzero
+minors of the reduced lattice, computed without a Smith form.
 """
 
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from tanglelab.fox_coloring import (
 )
 from tanglelab.tangle_core import (
     BraidWord,
+    Compose,
+    Rot,
     TangleDiagram,
     braid_closure,
     closure,
@@ -65,19 +72,48 @@ def dense_boundary_image(d, p):
     return xl.SubspaceModP.from_vectors(rows, p, 2 * d.n)
 
 
+def fraction_det(M):
+    """Determinant of a square integer matrix by elimination over Q."""
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        r = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            M[c], M[r] = M[r], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return int(det)
+
+
+def minors_gcd(rows):
+    """gcd of the r x r minors of a nonzero integer matrix, r its rank:
+    the index of its row lattice in the saturation, without a Smith form."""
+    for r in range(min(len(rows), len(rows[0])), 0, -1):
+        g = 0
+        for I in combinations(range(len(rows)), r):
+            for J in combinations(range(len(rows[0])), r):
+                g = gcd(g, fraction_det([[rows[i][j] for j in J] for i in I]))
+        if g:
+            return g
+    raise ValueError("zero matrix")
+
+
 def dense_virtual_index(d):
     arcs, M = dense_matrix(d)
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in d.boundary]
     reduced = []
-    for v in xl.int_kernel(M.tolist()):
+    for v in xl.int_kernel(M.tolist(), len(arcs)):
         c, residual = _f_coordinates([v[i] for i in cols], d.n)
         assert residual == 0
         if any(c):
             reduced.append(c)
-    if not reduced:
-        return 1
-    return xl.lattice_index(reduced, xl.saturation(reduced))
+    return minors_gcd(reduced) if reduced else 1
 
 
 def shuffled(d, rng):
@@ -120,6 +156,21 @@ def tangles(seed, count=40):
     return out
 
 
+def pretzel_tangles(seed, count=40):
+    """(p,-p) pretzels, of virtual index p, and rotated compositions of
+    two of them, whose indices can reach the product of the two."""
+    rng = random.Random(seed)
+    out = [compile_expr(pretzel(p, -p)) for p in range(1, 12)]
+    for _ in range(count):
+        p, q = rng.randint(1, 10), rng.randint(1, 10)
+        pair = [pretzel(p, -p), pretzel(q * rng.choice((1, 2)), -q)]
+        for i in range(2):
+            for _ in range(rng.randrange(4)):
+                pair[i] = Rot(pair[i])
+        out.append(compile_expr(Compose(*pair)))
+    return out
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_prime_counts_and_kernels_match_dense(seed):
     rng = random.Random(seed)
@@ -149,6 +200,15 @@ def test_boundary_images_and_virtual_index_match_dense():
             assert boundary_image(d, p) == dense_boundary_image(d, p), (d, p)
         if d.n >= 2:
             assert virtual_index(d) == dense_virtual_index(d), d
+
+
+def test_virtual_index_of_pretzel_tangles_matches_minors():
+    diagrams = pretzel_tangles(9)
+    indices = [virtual_index(d) for d in diagrams]
+    assert indices[:11] == list(range(1, 12))
+    assert max(indices) > 11
+    for d, index in zip(diagrams, indices):
+        assert index == dense_virtual_index(d), d
 
 
 def test_abf_matches_dense():
@@ -200,8 +260,7 @@ def test_eliminate_units_on_random_sparse_systems():
         assert len(residual) == nrows - pivots
         want = xl.snf(M.tolist()).factors if nrows else ()
         assert (1,) * pivots + xl.snf(residual).factors == want
-        kernel = xl.int_kernel(residual) if residual else np.eye(len(free), dtype=int).tolist()
-        for v in kernel:
+        for v in xl.int_kernel(residual, len(free)):
             assert not (M @ np.array(expand(v))).any()
         for p in (2, 3, 5):
             free, residual, expand = xl.eliminate_units(rows, ncols, p)
