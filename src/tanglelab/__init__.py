@@ -44,7 +44,6 @@ from .exact_linear import (
     SubspaceModP,
     is_prime,
     kernel_mod_p,
-    rref_mod_p,
     snf,
 )
 from .fox_coloring import (

@@ -17,6 +17,7 @@ from . import fox_coloring as fox
 from . import move_calculus as mv
 from . import symplectic_lagrangian as sym
 from .errors import (
+    AlternatingConditionError,
     BudgetExceededError,
     CrossCheckError,
     TangleLabError,
@@ -94,10 +95,17 @@ def _cmd_tri(args, out):
 
 def _cmd_boundary(args, out):
     d = _diagram_from_args(args)
-    if args.integers:
-        out.append(f"virtual_index = {fox.virtual_index(d)}")
-        return 0
-    img = fox.boundary_image(d, args.p)
+    try:
+        if args.integers:
+            out.append(f"virtual_index = {fox.virtual_index(d)}")
+            return 0
+        img = fox.boundary_image(d, args.p)
+    except AlternatingConditionError as exc:
+        # the colorings of a planar diagram satisfy the condition; a
+        # compiled diagram is planar, a diagram file need not be
+        if not args.diagram:
+            raise
+        raise ValueError(f"diagram is not planar: {exc}") from None
     _print_subspace(out, "psi", img)
     if d.n >= 2:
         _print_subspace(out, "psihat", fox.reduce_image(img))

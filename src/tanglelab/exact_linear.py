@@ -2,12 +2,11 @@
 form and saturated kernels over the integers, canonical subspace
 representations, and sparse unit-pivot elimination.
 
-Everything here is exact.  Prime-field work keeps entries reduced mod p
-in numpy int64 arrays when the product of two residues fits in int64,
-that is (p - 1)^2 < 2^63, and in object arrays of Python ints for larger
-p.  Integer work uses Python ints (no overflow).  The index of a lattice
-in its saturation needs no routine of its own: it is the product of the
-nonzero invariant factors of any matrix whose rows generate the lattice.
+Everything here is exact and runs on Python ints, so nothing overflows
+for any prime or integer entry: prime-field work keeps every row as a
+list of residues mod p.  The index of a lattice in its saturation needs
+no routine of its own: it is the product of the nonzero invariant
+factors of any matrix whose rows generate the lattice.
 
 Sparse relation systems (a few nonzero entries per row, such as the
 crossing relations of a diagram) first go through `eliminate_units`,
@@ -22,15 +21,13 @@ integers, the same nonunit invariant factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
 
 from .errors import CrossCheckError, NotPrimeError, PrimalityBoundError
 
 __all__ = [
     "is_prime",
     "SubspaceModP",
-    "rref_mod_p",
     "kernel_mod_p",
     "eliminate_units",
     "sparse_kernel_mod_p",
@@ -81,48 +78,35 @@ def _check_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
 
 
-_INT64_MAX = 2**63 - 1
-_to_int = np.frompyfunc(int, 1, 1)
+def _residues(rows, p, width):
+    """The rows as lists of Python-int residues mod p, each of the given
+    width."""
+    out = [[int(x) % p for x in row] for row in rows]
+    if any(len(row) != width for row in out):
+        raise ValueError(f"expected vectors of length {width}")
+    return out
 
 
-def _array_mod_p(values, p):
-    """values reduced mod p, as int64 when the product of two residues
-    fits in int64 and as Python ints otherwise."""
-    if (p - 1) ** 2 <= _INT64_MAX:
-        return np.asarray(values, dtype=np.int64) % p
-    return _to_int(np.asarray(values, dtype=object)) % p
-
-
-def _as_modp(mat, p):
-    a = _array_mod_p(mat, p)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a
-
-
-def _rref_raw(M, p):
-    """Row-reduce M mod p (an array from `_as_modp`); returns (reduced
-    rows, pivot cols)."""
-    R = M % p
-    nrows, ncols = R.shape
+def _rref_raw(R, p, ncols):
+    """Row-reduce the residue rows R (lists over ncols columns; R is
+    reordered and its rows rebound) over F_p; returns (the nonzero
+    reduced rows, pivot cols)."""
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
+        r = len(pivots)
+        if r == len(R):
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        pivot = R[r] = [x * inv % p for x in R[r]]
+        for j, row in enumerate(R):
+            f = row[c]
+            if f and j != r:
+                R[j] = [(x - f * y) % p for x, y in zip(row, pivot)]
         pivots.append(c)
-        r += 1
     return R[: len(pivots)], pivots
 
 
@@ -142,74 +126,54 @@ class SubspaceModP:
     @classmethod
     def from_vectors(cls, vectors, p, ambient):
         _check_prime(p)
-        vecs = [v for v in vectors]
-        if not vecs:
-            return cls(p, ambient, (), ())
-        M = _as_modp(vecs, p)
-        if M.shape[1] != ambient:
-            raise ValueError(f"expected vectors of length {ambient}")
-        R, piv = _rref_raw(M, p)
-        rows = tuple(tuple(int(x) for x in row) for row in R)
-        return cls(p, ambient, rows, tuple(piv))
+        R, piv = _rref_raw(_residues(vectors, p, ambient), p, ambient)
+        return cls(p, ambient, tuple(map(tuple, R)), tuple(piv))
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def basis_matrix(self):
-        if not self.rows:
-            return np.zeros((0, self.ambient), dtype=np.int64)
-        return _array_mod_p(self.rows, self.p)
-
     def contains(self, vector):
         """Membership test by reduction against the echelon basis."""
-        v = _array_mod_p(vector, self.p)
-        if v.shape != (self.ambient,):
-            raise ValueError("vector/ambient dimension mismatch")
+        (v,) = _residues([vector], self.p, self.ambient)
         for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * _array_mod_p(row, self.p)) % self.p
-        return not v.any()
+            f = v[c]
+            if f:
+                v = [(x - f * y) % self.p for x, y in zip(v, row)]
+        return not any(v)
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
 
     def vectors(self):
         """Iterate over all vectors of the subspace (small spaces only)."""
-        from itertools import product
-
-        B = self.basis_matrix()
         for coeffs in product(range(self.p), repeat=self.dim):
-            yield tuple(int(x) for x in (np.array(coeffs) @ B) % self.p)
+            v = [0] * self.ambient
+            for a, row in zip(coeffs, self.rows):
+                v = [(x + a * y) % self.p for x, y in zip(v, row)]
+            yield tuple(v)
 
 
-def rref_mod_p(mat, p):
-    """Row space of mat over F_p as a canonical SubspaceModP."""
-    _check_prime(p)
-    M = _as_modp(mat, p)
-    return SubspaceModP.from_vectors(M, p, M.shape[1])
-
-
-def _kernel_basis(M, p):
-    """A basis of the right kernel of M (an array from `_as_modp`)."""
-    ncols = M.shape[1]
-    R, piv = _rref_raw(M, p)
-    free = [c for c in range(ncols) if c not in piv]
+def _kernel_basis(R, p, ncols):
+    """A basis of the right kernel of the residue rows R over F_p."""
+    R, piv = _rref_raw(R, p, ncols)
     basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=M.dtype)
-        v[f] = 1
-        for i, c in enumerate(piv):
-            v[c] = (-R[i, f]) % p
-        basis.append(v)
+    for f in range(ncols):
+        if f not in piv:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(R, piv):
+                v[c] = -row[f] % p
+            basis.append(v)
     return basis
 
 
-def kernel_mod_p(mat, p):
-    """Right kernel {x : M x = 0} over F_p, canonical form."""
+def kernel_mod_p(rows, ncols, p):
+    """Right kernel {x in F_p^ncols : M x = 0} of the matrix M with these
+    rows, canonical form; all of F_p^ncols when there are no rows."""
     _check_prime(p)
-    M = _as_modp(mat, p)
-    return SubspaceModP.from_vectors(_kernel_basis(M, p), p, M.shape[1])
+    basis = _kernel_basis(_residues(rows, p, ncols), p, ncols)
+    return SubspaceModP.from_vectors(basis, p, ncols)
 
 
 def sparse_kernel_mod_p(rows, ncols, p):
@@ -218,9 +182,7 @@ def sparse_kernel_mod_p(rows, ncols, p):
     `eliminate_units`; only its residual is row-reduced."""
     _check_prime(p)
     free, residual, expand = eliminate_units(rows, ncols, p)
-    # a residual with no rows has the identity kernel basis
-    R = _array_mod_p(residual, p).reshape(len(residual), len(free))
-    return [expand(v) for v in _kernel_basis(R, p)]
+    return [expand(v) for v in _kernel_basis(residual, p, len(free))]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +321,10 @@ def eliminate_units(rows, ncols, p=None):
             x[c] = sum(b * x[j] for j, b in e.items())
         for c, i in reversed(peeled):
             r = sparse[i]
-            x[c] = -inverse(r[c]) * sum(a * x[j] for j, a in r.items() if j != c)
+            y = -inverse(r[c]) * sum(a * x[j] for j, a in r.items() if j != c)
+            # reduce as we go: a chain of peeled columns would otherwise
+            # grow its representatives by a factor of up to p per step
+            x[c] = y if p is None else y % p
         return x if p is None else [a % p for a in x]
 
     return free, residual, expand

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-import numpy as np
-
 from . import exact_linear as xl
 from .errors import (
     AlternatingConditionError,
@@ -142,18 +140,6 @@ def _kernel_basis_on_boundary(diagram, p):
     return [[v[i] for i in cols] for v in basis]
 
 
-def _check_alternating(rows, p):
-    for v in np.atleast_2d(rows):
-        s = 0
-        for i, x in enumerate(v, start=1):
-            s += (-1) ** i * int(x)
-        if s % p:
-            raise AlternatingConditionError(
-                f"boundary coloring {tuple(int(x) for x in v)} violates the "
-                f"alternating condition mod {p}"
-            )
-
-
 def boundary_image(diagram, p):
     """Image of the coloring space in F_p^(2n), restricted to boundary
     points in counterclockwise order."""
@@ -164,7 +150,12 @@ def boundary_image(diagram, p):
     _ensure_calibrated()
     rows = _kernel_basis_on_boundary(diagram, p)
     img = SubspaceModP.from_vectors(rows, p, 2 * diagram.n)
-    _check_alternating(img.basis_matrix(), p)
+    for v in img.rows:
+        _, residual = _f_coordinates(v, diagram.n)
+        if residual % p:
+            raise AlternatingConditionError(
+                f"boundary coloring {v} violates the alternating condition mod {p}"
+            )
     mono = [1] * (2 * diagram.n)
     if not img.contains(mono):
         raise CrossCheckError("monochromatic colorings missing from boundary image")
@@ -195,7 +186,7 @@ def reduce_to_f_basis(vectors, p, n):
     normalize the f_{2n-1} coordinate to zero using the monochromatic
     relation, and drop it.  Returns vectors in F_p^(2n-2)."""
     out = []
-    for v in np.atleast_2d(np.asarray(vectors, dtype=object)):
+    for v in vectors:
         c, residual = _f_coordinates(v, n)
         if residual % p:
             raise AlternatingConditionError(
@@ -211,7 +202,7 @@ def reduce_image(img):
     n = img.ambient // 2
     if n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
-    reduced = reduce_to_f_basis(img.basis_matrix(), img.p, n)
+    reduced = reduce_to_f_basis(img.rows, img.p, n)
     return SubspaceModP.from_vectors(reduced, img.p, 2 * n - 2)
 
 

@@ -65,13 +65,13 @@ def build_form(p, n):
     if n < 2:
         raise ValueError("need n >= 2")
     d = 2 * n - 2
-    G = np.zeros((d, d), dtype=np.int64)
-    for i in range(d - 1):
-        G[i, i + 1] = 1
-        G[i + 1, i] = p - 1
-    if xl.kernel_mod_p(G, p).dim:
+    gram = tuple(
+        tuple(1 if j == i + 1 else p - 1 if j == i - 1 else 0 for j in range(d))
+        for i in range(d)
+    )
+    if xl.kernel_mod_p(gram, d, p).dim:
         raise CrossCheckError("form is degenerate")
-    return SymplecticSpace(p, n, tuple(tuple(int(x) for x in row) for row in G))
+    return SymplecticSpace(p, n, gram)
 
 
 def is_lagrangian(subspace, space):
@@ -84,11 +84,12 @@ def is_lagrangian(subspace, space):
 
 
 def _is_isotropic(subspace, space):
-    B = subspace.basis_matrix()
-    if not B.size:
-        return True
-    G = space.gram_matrix()
-    return not ((B @ G @ B.T) % space.p).any()
+    """phi(u, w) = 0 mod p for every pair of basis rows u, w."""
+    form = [(i, j, g) for i, r in enumerate(space.gram) for j, g in enumerate(r) if g]
+    rows = subspace.rows
+    return not any(
+        sum(u[i] * g * w[j] for i, j, g in form) % space.p for u in rows for w in rows
+    )
 
 
 def lagrangian_count(p, n):
@@ -188,9 +189,8 @@ def matching_image(pairs, n):
     any diagram's 2-colorings factor through such a matching."""
     basis = []
     for i, j in pairs:
-        v = np.zeros(2 * n, dtype=np.int64)
-        v[i - 1] = 1
-        v[j - 1] = 1
+        v = [0] * (2 * n)
+        v[i - 1] = v[j - 1] = 1
         basis.append(v)
     reduced = reduce_to_f_basis(basis, 2, n)
     return SubspaceModP.from_vectors(reduced, 2, 2 * n - 2)
@@ -198,6 +198,8 @@ def matching_image(pairs, n):
 
 def matching_census(n):
     """Number of distinct reduced mod-2 images over all matchings."""
+    if n < 1:
+        raise ValueError("census needs n >= 1")
     if n > 8:
         raise BudgetExceededError("census limited to n <= 8")
     images = {matching_image(m, n).rows for m in all_matchings(n)}

@@ -76,7 +76,7 @@ class Frac:
     def make(num, den=1):
         if den == 0:
             if num == 0:
-                raise ZeroDivisionError("0/0 is not a tangle slope")
+                raise ValueError("0/0 is not a tangle slope")
             return Frac(1, 0)
         if den < 0:
             num, den = -num, -den
@@ -163,13 +163,17 @@ class TangleDiagram:
             for a in (c.over, c.under_in, c.under_out):
                 if a not in self.arcs:
                     raise ValueError(f"crossing references unknown arc {a}")
-        counts = {}
+        ends = dict.fromkeys(self.arcs, 0)
         for a in self.boundary:
             if a not in self.arcs:
                 raise ValueError(f"boundary references unknown arc {a}")
-            counts[a] = counts.get(a, 0) + 1
-        if any(v > 2 for v in counts.values()):
-            raise ValueError("an arc carries more than two boundary endpoints")
+            ends[a] += 1
+        for c in self.crossings:
+            ends[c.under_in] += 1
+            ends[c.under_out] += 1
+        for a, k in sorted(ends.items()):
+            if k not in (0, 2):
+                raise ValueError(f"arc {a} has an end count of {k}, not 0 or 2")
         if self.closed_components < 0:
             raise ValueError("negative closed component count")
         return self

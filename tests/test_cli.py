@@ -294,3 +294,47 @@ def test_failed_cross_check_exits_4(monkeypatch):
     code, out = capture(["color", "--mod", "6", "--braid", "3: 1 -2 1 -2"])
     assert code == 4
     assert out == "error = SNF verification failed at (0,0)\n"
+
+
+def test_diagram_file_with_a_dangling_arc_end_exits_2(tmp_path):
+    # the parent failed these with "violates the alternating condition"
+    # (exit 4) on `boundary` and printed a count on `tri`
+    f = tmp_path / "dangling.dg"
+    for text, arc in (("B 5 4\n", 4), ("B -1 1\n", -1), ("B -2 -1\nX 1 3 4\n", -2)):
+        f.write_text(text)
+        for argv in (["boundary", "--p", "3"], ["boundary", "--integers"], ["tri"]):
+            code, out = capture(argv + ["--diagram", str(f)])
+            assert code == 2, (text, argv)
+            assert out == f"error = arc {arc} has an end count of 1, not 0 or 2\n"
+
+
+def test_diagram_file_that_is_not_planar_exits_2(tmp_path):
+    # every arc has two ends, but the closed arc 9 passes over one
+    # crossing only, which no planar diagram allows
+    f = tmp_path / "nonplanar.dg"
+    f.write_text("X 0 1 2\nX 9 2 3\nB 1 0 0 3\n")
+    code, out = capture(["boundary", "--p", "5", "--diagram", str(f)])
+    assert code == 2
+    assert out.startswith("error = diagram is not planar: boundary coloring ")
+    code, out = capture(["boundary", "--integers", "--diagram", str(f)])
+    assert code == 2
+    assert out.startswith("error = diagram is not planar: integer coloring ")
+
+
+def test_census_below_one_exits_2():
+    for n in ("0", "-3"):
+        assert capture(["census", "--n", n]) == (2, "error = census needs n >= 1\n")
+    code, out = capture(["census", "--n", "1"])
+    assert code == 0
+    assert out.splitlines() == [
+        "census = 1",
+        "product_odd_reading = 1",
+        "lagrangian_count = 1",
+        "matches_odd_reading = True",
+        "all_lagrangians_realized = True",
+    ]
+
+
+def test_move_check_fraction_zero_over_zero_exits_2():
+    code, out = capture(["move-check", "--p", "3", "--fraction", "0/0"])
+    assert (code, out) == (2, "error = 0/0 is not a tangle slope\n")

@@ -1,0 +1,127 @@
+"""Seeded CLI fuzz: random (often malformed) Conway strings, braid lines
+and diagram files sent through the coloring, boundary, slope, reduce,
+obstruction, census and move-check commands of `cli.run`.
+
+Every input has one of three outcomes: an answer (exit 0), invalid input
+(exit 2) or an exhausted budget (exit 3).  A traceback or a failed
+cross-check (exit 4) on any of them is a defect.
+"""
+
+import io
+import random
+
+import pytest
+
+from tanglelab.cli import run
+from tanglelab.tangle_core import compile_expr, diagram_to_text, parse_conway
+
+PRIMES = (-1, 0, 1, 2, 3, 4, 5, 7, 9)
+
+
+def _mutate(rng, text, alphabet):
+    """Delete, insert or replace one character, or leave the text."""
+    if not text or rng.random() < 0.5:
+        return text
+    i = rng.randrange(len(text))
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + text[i + 1 :]
+    c = rng.choice(alphabet)
+    return text[:i] + c + text[i + (op == 2) :]
+
+
+def _conway(rng, depth=3):
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        k = rng.randrange(3)
+        if k == 0:
+            return str(rng.randint(-4, 4))
+        if k == 1:
+            return "inf"
+        entries = (str(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3)))
+        return "T(" + ",".join(entries) + ")"
+    if r < 0.55:
+        return f"r({_conway(rng, depth - 1)})"
+    return f"({_conway(rng, depth - 1)}*{_conway(rng, depth - 1)})"
+
+
+def _braid(rng, max_strands):
+    n = rng.randint(-1, max_strands)
+    letters = [rng.randint(-n - 1, n + 1) for _ in range(rng.randint(0, 8))]
+    return _mutate(rng, f"{n}: " + " ".join(map(str, letters)), " :-0123x")
+
+
+def _diagram_text(rng):
+    """Either a compiled diagram with one number changed or a few random
+    records over small (also negative) arc ids."""
+    if rng.random() < 0.5:
+        try:
+            text = diagram_to_text(compile_expr(parse_conway(_conway(rng))))
+        except ValueError:
+            text = ""
+        return _mutate(rng, text, "0123456789- ")
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        tag = rng.choice("XXBBO")
+        count = {"X": rng.choice((3, 3, 4)), "B": 2 * rng.randint(0, 3), "O": 1}[tag]
+        ids = [str(rng.randint(-2, 5)) for _ in range(count)]
+        lines.append(" ".join([tag] + ids))
+    return "\n".join(lines) + "\n"
+
+
+def _cases(rng, path):
+    """(argv, diagram file text or None) pairs."""
+    mod = ["--mod", str(rng.randint(-1, 12))]
+    abf = ["--abf-t", str(rng.randint(-2, 3)), "--p", str(rng.choice(PRIMES))]
+    conway = _mutate(rng, _conway(rng), "()*r,T-0123 ")
+    closure = rng.choice(([], ["--closure", "numerator"], ["--closure", "denominator"]))
+    for argv in (
+        ["tri", "--conway", conway] + closure,
+        ["color", "--conway", conway] + mod + closure,
+        ["boundary", "--conway", conway, "--p", str(rng.choice(PRIMES))],
+        ["boundary", "--conway", conway, "--integers"],
+        ["slope", "--conway", conway],
+        ["reduce", "--conway", conway, "--p", str(rng.choice(PRIMES))],
+    ):
+        yield argv, None
+    braid = _braid(rng, 5)
+    for argv in (
+        ["tri", "--braid", braid],
+        ["color", "--braid", braid] + mod,
+        ["color", "--braid", braid] + abf,
+        # B(n,3) obstructions of 4 or 5 strands take seconds each
+        ["obstruct", "--braid", _braid(rng, 3)],
+    ):
+        yield argv, None
+    text = _diagram_text(rng)
+    for argv in (
+        ["tri", "--diagram", path],
+        ["color", "--diagram", path] + mod,
+        ["color", "--diagram", path] + abf,
+        ["boundary", "--diagram", path, "--p", str(rng.choice(PRIMES))],
+        ["boundary", "--diagram", path, "--integers"],
+    ):
+        yield argv, text
+    yield ["census", "--n", str(rng.randint(-3, 3))], None
+    fraction = f"{rng.randint(-2, 2)}/{rng.randint(-2, 2)}"
+    yield ["move-check", "--p", "3", f"--fraction={fraction}", "--trials", "2"], None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_fuzz_exits_0_2_or_3(tmp_path, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "fuzz.dg"
+    bad = []
+    for _ in range(8):
+        for argv, text in _cases(rng, str(path)):
+            if text is not None:
+                path.write_text(text)
+            buf = io.StringIO()
+            try:
+                code = run(argv, stdout=buf)
+            except Exception as exc:  # a traceback at the command line
+                bad.append((argv, text, repr(exc)))
+                continue
+            if code not in (0, 2, 3):
+                bad.append((argv, text, code, buf.getvalue()))
+    assert not bad, bad[:5]

@@ -12,7 +12,6 @@ from tanglelab.exact_linear import (
     int_kernel,
     is_prime,
     kernel_mod_p,
-    rref_mod_p,
     snf,
 )
 
@@ -32,7 +31,7 @@ def test_primality():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     with pytest.raises(NotPrimeError):
-        rref_mod_p([[1]], 4)
+        SubspaceModP.from_vectors([[1]], 4, 1)
 
 
 def trial_division(n):
@@ -79,12 +78,12 @@ def test_kernel_mod_large_prime_is_exact():
     rng = random.Random(2)
     for _ in range(20):
         M = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
-        K = kernel_mod_p(M, p)
+        K = kernel_mod_p(M, 6, p)
         assert K.dim == 2
         for v in K.rows:
             for row in M:
                 assert sum(a * x for a, x in zip(row, v)) % p == 0
-        assert rref_mod_p(M, p).dim == 4
+        assert SubspaceModP.from_vectors(M, p, 6).dim == 4
         S = SubspaceModP.from_vectors(K.rows, p, 6)
         assert S == K and S.contains([2 * x for x in K.rows[0]])
 
@@ -92,13 +91,13 @@ def test_kernel_mod_large_prime_is_exact():
 def test_kernel_of_x_equals_y():
     # kernel of [1, p-1] mod p is the diagonal x = y
     for p in (3, 5, 7, 13):
-        K = kernel_mod_p([[1, p - 1]], p)
+        K = kernel_mod_p([[1, p - 1]], 2, p)
         assert K.dim == 1
         assert K.rows == ((1, 1),)
 
 
 def test_rref_identity():
-    S = rref_mod_p(np.eye(4, dtype=int), 5)
+    S = SubspaceModP.from_vectors(np.eye(4, dtype=int), 5, 4)
     assert S.rows == tuple(tuple(int(x) for x in row) for row in np.eye(4, dtype=int))
     assert S.pivots == (0, 1, 2, 3)
 
@@ -109,7 +108,7 @@ def test_rref_canonical_under_row_ops():
         for _ in range(40):
             n, m = rng.randint(1, 4), rng.randint(1, 5)
             M = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)])
-            S1 = rref_mod_p(M, p)
+            S1 = SubspaceModP.from_vectors(M, p, m)
             # random invertible row operations preserve the row space
             N = M.copy()
             for _ in range(6):
@@ -118,9 +117,9 @@ def test_rref_canonical_under_row_ops():
                     N[i] = (N[i] + rng.randrange(1, p) * N[j]) % p
                 else:
                     N[i] = (N[i] * rng.randrange(1, p)) % p if rng.random() < 0.5 else N[i]
-            S2 = rref_mod_p(N, p)
+            S2 = SubspaceModP.from_vectors(N, p, m)
             assert S1 == S2
-            assert rref_mod_p(S1.basis_matrix(), p) == S1
+            assert SubspaceModP.from_vectors(S1.rows, p, m) == S1
 
 
 def test_rank_nullity_and_annihilation():
@@ -129,8 +128,8 @@ def test_rank_nullity_and_annihilation():
         for _ in range(50):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
             M = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)])
-            row = rref_mod_p(M, p)
-            ker = kernel_mod_p(M, p)
+            row = SubspaceModP.from_vectors(M, p, m)
+            ker = kernel_mod_p(M, m, p)
             assert row.dim + ker.dim == m
             for v in ker.rows:
                 assert not ((M @ np.array(v)) % p).any()
@@ -142,7 +141,7 @@ def test_kernel_matches_bruteforce():
         for _ in range(15):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
             M = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-            K = kernel_mod_p(M, p)
+            K = kernel_mod_p(M, m, p)
             assert set(K.vectors()) == brute_kernel(M, p)
 
 
@@ -160,7 +159,8 @@ def test_subspace_echelon_structure():
     for _ in range(60):
         p = rng.choice((2, 3, 5, 7))
         n, m = rng.randint(1, 5), rng.randint(1, 6)
-        S = rref_mod_p([[rng.randrange(p) for _ in range(m)] for _ in range(n)], p)
+        M = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        S = SubspaceModP.from_vectors(M, p, m)
         assert list(S.pivots) == sorted(set(S.pivots))
         for r, c in enumerate(S.pivots):
             assert S.rows[r][c] == 1

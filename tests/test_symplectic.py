@@ -79,7 +79,7 @@ def test_enumerate_small():
     for L in lag33:
         assert is_lagrangian(L, s)
         # canonical form is idempotent
-        assert SubspaceModP.from_vectors(L.basis_matrix(), 3, 4) == L
+        assert SubspaceModP.from_vectors(L.rows, 3, 4) == L
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])

@@ -56,7 +56,7 @@ def dense_matrix(d, t=-1, tinv=-1):
 
 def dense_kernel(d, p, t=-1, tinv=-1):
     arcs, M = dense_matrix(d, t, tinv)
-    return xl.kernel_mod_p(M, p)
+    return xl.kernel_mod_p(M, len(arcs), p)
 
 
 def dense_factors(d):
@@ -67,8 +67,8 @@ def dense_factors(d):
 def dense_boundary_image(d, p):
     arcs, M = dense_matrix(d)
     index = {a: i for i, a in enumerate(arcs)}
-    B = xl.kernel_mod_p(M, p).basis_matrix()
-    rows = B[:, [index[a] for a in d.boundary]]
+    B = xl.kernel_mod_p(M, len(arcs), p).rows
+    rows = [[v[index[a]] for a in d.boundary] for v in B]
     return xl.SubspaceModP.from_vectors(rows, p, 2 * d.n)
 
 
@@ -265,6 +265,6 @@ def test_eliminate_units_on_random_sparse_systems():
         for p in (2, 3, 5):
             free, residual, expand = xl.eliminate_units(rows, ncols, p)
             R = np.array(residual, dtype=np.int64).reshape(len(residual), len(free))
-            basis = [expand(v) for v in xl.kernel_mod_p(R, p).rows]
+            basis = [expand(v) for v in xl.kernel_mod_p(R, len(free), p).rows]
             got = xl.SubspaceModP.from_vectors(basis, p, ncols)
-            assert got == xl.kernel_mod_p(M, p)
+            assert got == xl.kernel_mod_p(M, ncols, p)
