@@ -3,8 +3,8 @@
 Fox k-coloring spaces and their boundary restrictions, the symplectic
 structure on reduced boundary colorings and its Lagrangians, rational
 tangle move calculus with replayable certificates, exponent-3 Burnside
-group obstructions to 3-move reducibility, and Todd-Coxeter coset
-enumeration for braid quotients.
+group obstructions to 3-move reducibility, and braid quotients certified
+by Todd-Coxeter coset enumeration and the Burau representation.
 
 All types are immutable values and all operations are pure functions;
 randomized searches and property suites take explicit seeds.
@@ -87,9 +87,11 @@ from .burnside3 import (
     quotient_order,
 )
 from .coset_enumeration import (
+    BraidQuotient,
     CosetTable,
     Presentation,
     braid_presentation,
+    certify_braid_quotient,
     conjugacy_classes,
     enumerate_cosets,
     word_equal,

@@ -232,7 +232,7 @@ def _cmd_burnside(args, out):
 
 def _cmd_obstruct(args, out):
     word = parse_braid(args.braid)
-    if args.kill:
+    if args.kill is not None:
         kills = [args.kill]
     else:
         kills = list(range(1, word.strands + 1))
@@ -252,13 +252,20 @@ def _cmd_obstruct(args, out):
 
 
 def _cmd_braid_quotient(args, out):
-    pres = ce.braid_presentation(args.n, args.k)
-    table = ce.enumerate_cosets(pres, max_cosets=args.budget)
+    quotient = ce.certify_braid_quotient(args.n, args.k, budget=args.budget)
     if args.count_only:
-        out.append(str(table.order))
+        out.append(str(quotient.order))
         return 0
-    out.append(f"order = {table.order}")
+    out.append(f"order = {quotient.order}")
     if args.classes:
+        # class lines follow the coset order of the regular table
+        pres = ce.braid_presentation(args.n, args.k)
+        table = ce.enumerate_cosets(pres, max_cosets=args.budget)
+        if table.order != quotient.order:
+            raise CrossCheckError(
+                f"regular coset table has {table.order} cosets, "
+                f"certified order is {quotient.order}"
+            )
         count, classes, reps = ce.conjugacy_classes(table)
         out.append(f"classes = {count}")
         for rep_word, cls in zip(reps, classes):
@@ -267,7 +274,7 @@ def _cmd_braid_quotient(args, out):
     if args.word_equal:
         w1 = tuple(int(x) for x in args.word_equal[0].split())
         w2 = tuple(int(x) for x in args.word_equal[1].split())
-        out.append(f"equal = {ce.word_equal(table, w1, w2)}")
+        out.append(f"equal = {quotient.word_equal(w1, w2)}")
     return 0
 
 
@@ -386,11 +393,29 @@ def _reorder_burnside_argv(argv):
     return head + loose + opts
 
 
+def _glue_fraction_argv(argv):
+    """argparse reads a separate value such as `-1/2` as an option, so
+    hoist the token after `move-check --fraction` into `--fraction=`."""
+    if not argv or argv[0] != "move-check":
+        return argv
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--fraction" and i + 1 < len(argv):
+            out.append(f"--fraction={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
+    argv = _glue_fraction_argv(_reorder_burnside_argv(list(argv)))
     try:
-        args = parser.parse_args(_reorder_burnside_argv(list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = []

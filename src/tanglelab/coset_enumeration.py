@@ -1,17 +1,31 @@
 """Todd-Coxeter coset enumeration for finitely presented groups, with
-braid-quotient presentations, word equality, and conjugacy classes.
+braid-quotient presentations, certified braid-quotient orders, word
+equality, and conjugacy classes.
 
-The enumerator builds the Schreier graph of the trivial subgroup with a
-union-find over vertices: every live vertex is scanned against every
-relator (defining new vertices as needed) and the endpoint is unified
-with the start; missing edges are then filled by definition.  For a
-finite quotient this terminates with the regular representation, which
-is re-verified before the table is returned.
+The enumerator builds the Schreier graph of a subgroup with a union-find
+over vertices: the subgroup generators are scanned at coset 0, every
+live vertex is scanned against every relator (defining new vertices as
+needed) and the endpoint is unified with the start; missing edges are
+then filled by definition.  For a finite index this terminates with the
+coset table, which is re-verified before it is returned.  Over the
+trivial subgroup the table is the regular representation.
+
+The order of B_n/(s_i^k) is certified by two bounds that must agree
+(Coxeter, *Factor groups of the braid group*, 1957, gives the finite
+cases).  The upper bound multiplies the indices of the parabolic
+subgroups <s_1..s_{m-2}> in B_m/(s_i^k) for m = 3..n; it holds because
+the image of that subgroup is a quotient of B_{m-1}/(s_i^k).  The lower
+bound is the order of the unreduced Burau image over F_p at a t whose
+negative is a primitive k-th root of unity: the matrices satisfy every
+relator, so they form a quotient of the group.  Equal bounds make the
+Burau map an isomorphism, so words compare as matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError, CrossCheckError
 
@@ -21,6 +35,10 @@ __all__ = [
     "parse_presentation",
     "CosetTable",
     "enumerate_cosets",
+    "parabolic_bound",
+    "burau_image_order",
+    "BraidQuotient",
+    "certify_braid_quotient",
     "trace",
     "word_equal",
     "conjugacy_classes",
@@ -58,9 +76,7 @@ class Presentation:
         rels = []
         for rel in self.relators:
             red = _cyclically_reduce(rel)
-            for x in red:
-                if x == 0 or abs(x) > self.generators:
-                    raise ValueError(f"letter {x} out of range")
+            _letters_of(red, self.generators)
             if red:
                 rels.append(red)
         object.__setattr__(self, "relators", tuple(rels))
@@ -98,7 +114,7 @@ def parse_presentation(text):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete coset table over the trivial subgroup: row per coset,
+    """Complete coset table: row per coset (row 0 is the subgroup),
     column per letter (generator g -> 2g-2, inverse -> 2g-1)."""
 
     generators: int
@@ -106,6 +122,7 @@ class CosetTable:
 
     @property
     def order(self):
+        """Number of cosets: the group order over the trivial subgroup."""
         return len(self.table)
 
     def step(self, coset, letter):
@@ -114,21 +131,32 @@ class CosetTable:
         return self.table[coset][col]
 
 
-def _letters_of(word):
-    return [2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in word]
+def _letters_of(word, generators):
+    """Table columns of a word of signed generator indices; a letter
+    outside 1 <= |x| <= generators is a ValueError."""
+    out = []
+    for x in word:
+        if not 0 < abs(x) <= generators:
+            raise ValueError(
+                f"letter {x} out of range: need 1 <= |x| <= {generators}"
+            )
+        out.append(2 * (abs(x) - 1) + (0 if x > 0 else 1))
+    return out
 
 
-def enumerate_cosets(pres, max_cosets=10**6, strategy=0):
-    """Complete the coset table of the trivial subgroup; raises
+def enumerate_cosets(pres, max_cosets=10**6, strategy=0, subgroup=()):
+    """Complete the coset table of the subgroup generated by the words
+    `subgroup` (the trivial subgroup by default); raises
     BudgetExceededError when more than max_cosets vertices get created
-    (the group may be infinite or the budget too small).
+    (the index may be infinite or the budget too small).
 
     `strategy` rotates the per-vertex relator processing order; the
-    resulting group order must not depend on it.
+    resulting index must not depend on it.
     """
     g = pres.generators
     width = 2 * g
-    rel_letters = [_letters_of(r) for r in pres.relators]
+    rel_letters = [_letters_of(r, g) for r in pres.relators]
+    sub_letters = [_letters_of(_freely_reduce(w), g) for w in subgroup]
     if rel_letters and strategy:
         k = strategy % len(rel_letters)
         rel_letters = rel_letters[k:] + rel_letters[:k]
@@ -219,9 +247,13 @@ def enumerate_cosets(pres, max_cosets=10**6, strategy=0):
 
     # repeat full passes until a pass makes no definition and finds no
     # coincidence: a collapse can hand an already-processed vertex new
-    # edges whose relator cycles still need scanning
+    # edges whose relator cycles still need scanning.  Each pass first
+    # closes the subgroup generators at coset 0 (HLT); coset 0 stays
+    # live because a coincidence keeps the smaller label.
     while True:
         before = events
+        for letters in sub_letters:
+            scan_and_fill(0, letters)
         idx = 0
         while idx < len(labels):
             if labels[idx] == idx:
@@ -252,11 +284,14 @@ def enumerate_cosets(pres, max_cosets=10**6, strategy=0):
             out.append(rank[find(row[x])])
         table.append(tuple(out))
     result = CosetTable(g, tuple(table))
-    _verify(result, pres)
+    _verify(result, pres, subgroup)
     return result
 
 
-def _verify(table, pres):
+def _verify(table, pres, subgroup=()):
+    for word in subgroup:
+        if trace(table, word) != 0:
+            raise CrossCheckError("a subgroup generator moves coset 0")
     n = table.order
     width = 2 * pres.generators
     for x in range(width):
@@ -266,7 +301,7 @@ def _verify(table, pres):
         if not all(seen):
             raise CrossCheckError("a generator column is not a permutation")
     for rel in pres.relators:
-        letters = _letters_of(rel)
+        letters = _letters_of(rel, pres.generators)
         for c in range(n):
             d = c
             for x in letters:
@@ -277,19 +312,154 @@ def _verify(table, pres):
 
 def trace(table, word, start=0):
     c = start
-    for x in _letters_of(word):
+    for x in _letters_of(word, table.generators):
         c = table.table[c][x]
     return c
 
 
-def word_equal(pres_or_table, w1, w2, max_cosets=10**6):
-    """True iff w1 and w2 represent the same element of the quotient."""
-    if isinstance(pres_or_table, CosetTable):
-        table = pres_or_table
-    else:
-        table = enumerate_cosets(pres_or_table, max_cosets)
+def word_equal(table, w1, w2):
+    """True iff w1 and w2 represent the same element of the group whose
+    regular coset table is `table`."""
     inv2 = tuple(-x for x in reversed(tuple(w2)))
     return trace(table, tuple(w1) + inv2) == 0
+
+
+# (p, t) with -t a primitive k-th root of unity mod p, so the Burau
+# block of every s_i has order k.  Coxeter's finite quotients with n >= 3
+# all have k <= 5; B_2/(s^k) is cyclic and needs no field.
+_BURAU_FIELDS = {2: (3, 1), 3: (7, 5), 4: (5, 3), 5: (11, 2)}
+
+
+def parabolic_bound(n, k, max_cosets=10**6):
+    """Upper bound on |B_n/(s_i^k)|: k times the index of <s_1..s_{m-2}>
+    in B_m/(s_i^k) for each m = 3..n."""
+    bound = k
+    for m in range(3, n + 1):
+        subgroup = [(i,) for i in range(1, m - 1)]
+        table = enumerate_cosets(
+            braid_presentation(m, k), max_cosets, subgroup=subgroup
+        )
+        bound *= table.order
+    return bound
+
+
+def _burau_right(mats, code, p, t):
+    """mats (a matrix or a batch of them, entries < p < 256 as bytes)
+    times the Burau matrix of one letter, given as its table column:
+    s_i rewrites only columns i and i+1 (counting from 1), as
+    (a, b) -> ((1-t)a + b, ta)."""
+    i = code >> 1
+    a = mats[..., i].astype(np.int64)
+    b = mats[..., i + 1].astype(np.int64)
+    out = mats.copy()
+    if code & 1:
+        u = pow(t, -1, p)
+        out[..., i] = u * b % p
+        out[..., i + 1] = (a + (1 - u) * b) % p
+    else:
+        out[..., i] = ((1 - t) * a + b) % p
+        out[..., i + 1] = t * a % p
+    return out
+
+
+def burau_image_order(n, p, t, limit):
+    """Order of the group generated by the Burau matrices of s_1..s_{n-1}
+    over F_p (p < 256), by breadth-first search over right
+    multiplications; once it passes `limit` the search stops and returns
+    the count so far.
+
+    Every row of a Burau matrix sums to 1, so the first n-1 columns
+    identify it; they are packed as radix-p digits into int64 words.
+    Each level is deduplicated with np.unique and searched against the
+    sorted keys already visited.
+    """
+    if not 1 < p < 256:
+        raise ValueError(f"Burau entries are bytes: need 1 < p < 256, got {p}")
+    digits = n * (n - 1)
+    per_word = 1
+    while p ** (per_word + 1) < 2**63:
+        per_word += 1
+    words = -(-digits // per_word)
+    weights = np.zeros((digits, words), dtype=np.int64)
+    for j in range(digits):
+        weights[j, j // per_word] = p ** (j % per_word)
+
+    def keys(batch):
+        w = batch[:, :, : n - 1].reshape(len(batch), digits) @ weights
+        if words == 1:
+            return w[:, 0]
+        # several words sort and compare as one byte string
+        return np.ascontiguousarray(w).view(np.dtype((np.void, 8 * words)))[:, 0]
+
+    frontier = np.eye(n, dtype=np.uint8)[None]
+    visited = keys(frontier)
+    while len(frontier) and len(visited) <= limit:
+        cands = np.concatenate(
+            [_burau_right(frontier, 2 * i, p, t) for i in range(n - 1)]
+        )
+        fresh, first = np.unique(keys(cands), return_index=True)
+        pos = np.minimum(np.searchsorted(visited, fresh), len(visited) - 1)
+        new = visited[pos] != fresh
+        frontier = cands[first[new]]
+        visited = np.sort(np.concatenate([visited, fresh[new]]), kind="stable")
+    return len(visited)
+
+
+@dataclass(frozen=True)
+class BraidQuotient:
+    """B_n/(s_i^k) with its certified order and, for n >= 3, the field
+    F_p and parameter t of its faithful Burau representation."""
+
+    n: int
+    k: int
+    order: int
+    p: int = 0
+    t: int = 0
+
+    def matrix(self, word):
+        """Burau matrix of a word of signed generator indices."""
+        mat = np.eye(self.n, dtype=np.uint8)
+        for code in _letters_of(word, self.n - 1):
+            mat = _burau_right(mat, code, self.p, self.t)
+        return mat
+
+    def word_equal(self, w1, w2):
+        """True iff w1 and w2 represent the same element."""
+        if self.n == 2:
+            _letters_of(tuple(w1) + tuple(w2), 1)
+            return (sum(w1) - sum(w2)) % self.k == 0
+        return np.array_equal(self.matrix(w1), self.matrix(w2))
+
+
+def certify_braid_quotient(n, k, budget=10**6):
+    """B_n/(s_i^k) with its order certified as parabolic_bound = Burau
+    image order.  Raises BudgetExceededError when a parabolic index or
+    the bound exceeds `budget` (an infinite quotient does), and
+    CrossCheckError when the matrices fail a relator or the bounds
+    differ."""
+    pres = braid_presentation(n, k)
+    upper = parabolic_bound(n, k, budget)
+    if upper > budget:
+        raise BudgetExceededError(
+            f"braid quotient order {upper} exceeds the budget of {budget}"
+        )
+    if n == 2:
+        return BraidQuotient(n, k, upper)
+    p, t = _BURAU_FIELDS[k]  # the bound is finite, so k <= 5 (Coxeter)
+    quotient = BraidQuotient(n, k, upper, p, t)
+    eye = np.eye(n, dtype=np.uint8)
+    for rel in pres.relators:
+        if not np.array_equal(quotient.matrix(rel), eye):
+            raise CrossCheckError(
+                f"Burau matrices over F_{p} at t = {t} fail the relator {rel}"
+            )
+    image = burau_image_order(n, p, t, upper)
+    if image != upper:
+        raise CrossCheckError(
+            f"parabolic coset bound {upper} differs from the Burau image "
+            f"order{' above' if image > upper else ''} {image}"
+        )
+    return quotient
 
 
 def canonical_words(table):

@@ -338,3 +338,47 @@ def test_census_below_one_exits_2():
 def test_move_check_fraction_zero_over_zero_exits_2():
     code, out = capture(["move-check", "--p", "3", "--fraction", "0/0"])
     assert (code, out) == (2, "error = 0/0 is not a tangle slope\n")
+
+
+def test_braid_quotient_word_letters_out_of_range_exit_2():
+    for words, bad in ((["0", "-2"], "0"), (["7", "1"], "7"), (["1 2", "1 -3"], "-3")):
+        code, out = capture(
+            ["braid-quotient", "--n", "3", "--k", "3", "--word-equal", *words]
+        )
+        assert (code, out) == (
+            2, f"error = letter {bad} out of range: need 1 <= |x| <= 2\n"
+        )
+    code, out = capture(
+        ["braid-quotient", "--n", "2", "--k", "4", "--word-equal", "1 1 1 1 1", "-1 -1 -1"]
+    )
+    assert (code, out) == (0, "order = 4\nequal = True\n")
+
+
+def test_obstruct_kill_zero_exits_2():
+    code, out = capture(["obstruct", "--braid", "3: 1 2", "--kill", "0"])
+    assert (code, out) == (2, "error = no strand generator 0\n")
+
+
+def test_move_check_negative_fraction_as_two_arguments():
+    for fraction in ("-3/2", "-1/2"):
+        assert capture(
+            ["move-check", "--p", "3", "--fraction", fraction, "--trials", "2"]
+        ) == capture(
+            ["move-check", "--p", "3", f"--fraction={fraction}", "--trials", "2"]
+        )
+    code, out = capture(["move-check", "--p", "3", "--fraction", "-3/2", "--trials", "2"])
+    assert (code, out) == (0, "move = -3/2\nchecked = 2\nviolations = 0\n")
+    code, out = capture(["move-check", "--p", "3", "--fraction", "-1/2"])
+    assert (code, out) == (2, "error = move fraction -1/2 does not preserve 3-colorings\n")
+
+
+def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
+    from tanglelab import coset_enumeration as ce
+
+    monkeypatch.setattr(
+        ce, "certify_braid_quotient", lambda n, k, budget: ce.BraidQuotient(n, k, 25, 7, 5)
+    )
+    code, out = capture(["braid-quotient", "--n", "3", "--k", "3", "--classes"])
+    assert (code, out) == (
+        4, "error = regular coset table has 24 cosets, certified order is 25\n"
+    )

@@ -1,6 +1,7 @@
-"""Seeded CLI fuzz: random (often malformed) Conway strings, braid lines
-and diagram files sent through the coloring, boundary, slope, reduce,
-obstruction, census and move-check commands of `cli.run`.
+"""Seeded CLI fuzz: random (often malformed) Conway strings, braid lines,
+diagram files and words sent through the coloring, boundary, slope,
+reduce, obstruction, census, move-check, braid-quotient and burnside eval
+commands of `cli.run`.
 
 Every input has one of three outcomes: an answer (exit 0), invalid input
 (exit 2) or an exhausted budget (exit 3).  A traceback or a failed
@@ -104,7 +105,27 @@ def _cases(rng, path):
         yield argv, text
     yield ["census", "--n", str(rng.randint(-3, 3))], None
     fraction = f"{rng.randint(-2, 2)}/{rng.randint(-2, 2)}"
-    yield ["move-check", "--p", "3", f"--fraction={fraction}", "--trials", "2"], None
+    yield ["move-check", "--p", "3", "--fraction", fraction, "--trials", "2"], None
+    n, k = rng.randint(-1, 6), rng.randint(-1, 7)
+    quotient = ["braid-quotient", "--n", str(n), "--k", str(k),
+                "--budget", str(rng.randint(1, 2000))]
+    yield quotient + rng.choice(([], ["--count-only"], ["--classes"])), None
+    yield quotient + ["--word-equal", _word(rng, n - 1), _word(rng, n - 1)], None
+    r = rng.randint(-1, 5)
+    yield ["burnside", "eval", "-r", str(r), "--word", _word(rng, r)], None
+    yield ["burnside", "eval", *_word(rng, r).split(), "-r", str(r)], None
+
+
+def _word(rng, max_letter):
+    """Signed letters up to max_letter; often one of them is 0, out of
+    range or not an integer."""
+    top = max(max_letter, 1)
+    letters = [str(rng.choice((1, -1)) * rng.randint(1, top))
+               for _ in range(rng.randint(1, 10))]
+    if rng.random() < 0.4:
+        bad = rng.choice(("0", str(top + 1), str(-top - 2), "x", "1.5"))
+        letters[rng.randrange(len(letters))] = bad
+    return " ".join(letters)
 
 
 @pytest.mark.parametrize("seed", range(4))
