@@ -26,6 +26,7 @@ from .tangle_core import (
     braid_closure,
     cf_eval,
     cf_vector,
+    check_crossing_parity,
     closure,
     compile_expr,
     compose,
@@ -51,6 +52,7 @@ from .fox_coloring import (
     abf_space,
     boundary_image,
     coloring_space,
+    expr_boundary_image,
     reduced_boundary_image,
     tri,
     virtual_index,

@@ -24,6 +24,8 @@ from .errors import (
 )
 from .tangle_core import (
     Frac,
+    _read_diagram_text,
+    check_crossing_parity,
     closure,
     compile_expr,
     parse_braid,
@@ -37,7 +39,7 @@ from .tangle_core import (
 __all__ = ["run", "main"]
 
 
-def _diagram_from_args(args):
+def _diagram_from_args(args, read=parse_diagram_text):
     sources = [s for s in (args.braid, args.conway, args.diagram) if s]
     if len(sources) != 1:
         raise ValueError("need exactly one of --braid, --conway, --diagram")
@@ -47,7 +49,7 @@ def _diagram_from_args(args):
         d = compile_expr(parse_conway(args.conway))
     else:
         with open(args.diagram) as fh:
-            d = parse_diagram_text(fh.read())
+            d = read(fh.read())
     if getattr(args, "closure", None):
         d = closure(d, args.closure)
     return d
@@ -94,21 +96,26 @@ def _cmd_tri(args, out):
 
 
 def _cmd_boundary(args, out):
-    d = _diagram_from_args(args)
+    # a diagram file that breaks the alternating condition is reported by
+    # the coloring that breaks it, before the crossing parity check (the
+    # lines in `out` are printed only if no check fails)
+    d = _diagram_from_args(args, read=_read_diagram_text)
     try:
         if args.integers:
             out.append(f"virtual_index = {fox.virtual_index(d)}")
-            return 0
-        img = fox.boundary_image(d, args.p)
+        else:
+            img = fox.boundary_image(d, args.p)
+            _print_subspace(out, "psi", img)
+            if d.n >= 2:
+                _print_subspace(out, "psihat", fox.reduce_image(img))
     except AlternatingConditionError as exc:
         # the colorings of a planar diagram satisfy the condition; a
         # compiled diagram is planar, a diagram file need not be
         if not args.diagram:
             raise
         raise ValueError(f"diagram is not planar: {exc}") from None
-    _print_subspace(out, "psi", img)
-    if d.n >= 2:
-        _print_subspace(out, "psihat", fox.reduce_image(img))
+    if args.diagram:
+        check_crossing_parity(d)
     return 0
 
 

@@ -24,7 +24,18 @@ from .errors import (
     NotPrimeError,
 )
 from .exact_linear import SubspaceModP
-from .tangle_core import Integer, TangleDiagram, compile_expr
+from .tangle_core import (
+    Compose,
+    Infinity,
+    Integer,
+    Planar,
+    Rational,
+    Rot,
+    Sigma,
+    TangleDiagram,
+    compile_expr,
+    rational_expr,
+)
 
 __all__ = [
     "ColoringSpace",
@@ -32,6 +43,7 @@ __all__ = [
     "tri",
     "boundary_image",
     "reduced_boundary_image",
+    "expr_boundary_image",
     "reduce_image",
     "reduce_to_f_basis",
     "virtual_index",
@@ -123,10 +135,7 @@ def _ensure_calibrated():
     p = 5
     for k in (1, 2):
         img = boundary_image(compile_expr(Integer(k)), p)
-        want = SubspaceModP.from_vectors(
-            [[1, 1, 1, 1], [0, 1, (1 + k) % p, k % p]], p, 4
-        )
-        if img != want:
+        if img != SubspaceModP.from_vectors(_integer_rows(k), p, 4):
             _calibrated = False
             raise CalibrationError(
                 f"twist tangle T({k}) violates the corner convention"
@@ -214,6 +223,128 @@ def reduced_boundary_image(diagram, p):
     if diagram.n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
     return reduce_image(boundary_image(diagram, p))
+
+
+# ---------------------------------------------------------------------------
+# Boundary images of expression trees, without compiling.
+
+
+def _integer_rows(k):
+    """The boundary image of the twist tangle with k crossings: the corner
+    convention x4 - x1 = k (x2 - x1), x3 = x2 + x4 - x1."""
+    return [[1, 1, 1, 1], [0, 1, 1 + k, k]]
+
+
+def _pair_rows(pairs, n):
+    """e_i + e_j for each pair (i, j) of 1-indexed boundary points."""
+    rows = []
+    for i, j in pairs:
+        v = [0] * (2 * n)
+        v[i - 1] = v[j - 1] = 1
+        rows.append(v)
+    return rows
+
+
+def _sigma_rows(n, level, sign):
+    """The straight strands, and over + 2 u_out and u_in - u_out for the
+    crossing (2 over = u_in + u_out), at the corners `_build_sigma` uses:
+    the over strand enters on the left at `over` and leaves on the right
+    at the other level, and so does the under strand."""
+    over, under = (level, level - 1) if sign > 0 else (level - 1, level)
+    right = 2 * n - 1  # right-side corner of the left corner j is right - j
+    straight = [ell for ell in range(1, n + 1) if ell not in (level, level + 1)]
+    rows = _pair_rows([(ell, 2 * n + 1 - ell) for ell in straight], n)
+    v = [0] * (2 * n)
+    v[over] = v[right - under] = 1
+    v[right - over] = 2
+    w = [0] * (2 * n)
+    w[under] = 1
+    w[right - over] = -1
+    return rows + [v, w]
+
+
+def _leaf_image(expr, p, memo):
+    if isinstance(expr, Integer):
+        rows, n = _integer_rows(expr.k), 2
+    elif isinstance(expr, Infinity):
+        rows, n = _pair_rows(((1, 2), (3, 4)), 2), 2
+    elif isinstance(expr, Planar):
+        rows, n = _pair_rows(expr.pairs, len(expr.pairs)), len(expr.pairs)
+    elif isinstance(expr, Sigma):
+        rows, n = _sigma_rows(expr.n, expr.i, expr.sign), expr.n
+    elif isinstance(expr, Rational):
+        return _expr_image(rational_expr(expr.entries), p, memo)
+    else:
+        raise TypeError(f"not a tangle expression: {expr!r}")
+    return SubspaceModP.from_vectors(rows, p, 2 * n)
+
+
+def _fiber_product(left, right, p):
+    """Image of the composition: pairs of vectors of the two images that
+    agree on the glued points (left[2n-1-k] = right[k], as in
+    `_glue_compose`), projected to left[:n] + right[n:]."""
+    n = left.ambient // 2
+    a = len(left.rows)
+    system = [
+        [u[2 * n - 1 - k] for u in left.rows] + [-w[k] % p for w in right.rows]
+        for k in range(n)
+    ]
+    vectors = []
+    for c in xl._kernel_basis(system, p, a + len(right.rows)):
+        v = [0] * (2 * n)
+        for x, u in zip(c[:a], left.rows):
+            for j in range(n):
+                v[j] += x * u[j]
+        for y, w in zip(c[a:], right.rows):
+            for j in range(n, 2 * n):
+                v[j] += y * w[j]
+        vectors.append(v)
+    return SubspaceModP.from_vectors(vectors, p, 2 * n)
+
+
+def _expr_image(expr, p, memo):
+    if isinstance(expr, Rot):
+        child = _expr_image(expr.child, p, memo)
+        key = ("rot", child.rows)
+        img = memo.get(key)
+        if img is None:
+            # the corner shift of `_build`: position 0 takes the last corner
+            shifted = [r[-1:] + r[:-1] for r in child.rows]
+            img = memo[key] = SubspaceModP.from_vectors(shifted, p, child.ambient)
+        return img
+    if isinstance(expr, Compose):
+        left = _expr_image(expr.left, p, memo)
+        right = _expr_image(expr.right, p, memo)
+        if left.ambient != right.ambient:
+            raise ValueError("composed tangles must have equal widths")
+        key = ("compose", left.rows, right.rows)
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = _fiber_product(left, right, p)
+        return img
+    img = memo.get(expr)
+    if img is None:
+        img = memo[expr] = _leaf_image(expr, p, memo)
+    return img
+
+
+def expr_boundary_image(expr, p, memo=None):
+    """The boundary image of `compile_expr(expr)` (as `boundary_image`
+    gives it) computed from the expression tree without compiling.
+
+    Leaves have closed forms; `Rot` shifts the corners and `Compose` is
+    the fiber product of the two images over the glued points.  A
+    caller that scores many trees over one prime p may pass the same
+    dict as `memo` to every call: it keeps leaf images by expression
+    and rotations and compositions by the images they act on, and must
+    not be shared between primes.
+    """
+    if not xl.is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    img = _expr_image(expr, p, {} if memo is None else memo)
+    if not img.ambient:
+        raise ValueError("diagram has no boundary")
+    return img
 
 
 # ---------------------------------------------------------------------------

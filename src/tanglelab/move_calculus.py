@@ -28,14 +28,7 @@ from .errors import (
 from .exact_linear import SubspaceModP, is_prime
 from .tangle_core import (
     INF,
-    Compose,
     Frac,
-    Infinity,
-    Integer,
-    Planar,
-    Rational,
-    Rot,
-    Sigma,
     _builder_from_diagram,
     cf_eval,
     cf_vector,
@@ -100,41 +93,8 @@ def _proj(a, b, p):
     return (0, 1)
 
 
-def _proj_add(x, y, p):
-    a, b = x
-    c, d = y
-    if b == 0 and d == 0:
-        return (1, 0)
-    return _proj(a * d + c * b, b * d, p)
-
-
 def _proj_of_frac(f, p):
     return _proj(f.num, f.den, p)
-
-
-def _structural_point(expr, p):
-    if isinstance(expr, Integer):
-        return _proj(expr.k, 1, p)
-    if isinstance(expr, Infinity):
-        return (1, 0)
-    if isinstance(expr, Rational):
-        return _proj_of_frac(cf_eval(expr.entries), p)
-    if isinstance(expr, Planar):
-        if expr.pairs == ((1, 4), (2, 3)):
-            return (0, 1)
-        if expr.pairs == ((1, 2), (3, 4)):
-            return (1, 0)
-        raise ValueError("non-planar 2-tangle matching")
-    if isinstance(expr, Sigma):
-        return _proj(expr.sign, 1, p)
-    if isinstance(expr, Rot):
-        a, b = _structural_point(expr.child, p)
-        return _proj(-b, a, p)
-    if isinstance(expr, Compose):
-        return _proj_add(
-            _structural_point(expr.left, p), _structural_point(expr.right, p), p
-        )
-    raise TypeError(f"not a tangle expression: {expr!r}")
 
 
 def point_to_line(point, p):
@@ -144,22 +104,30 @@ def point_to_line(point, p):
     return SubspaceModP.from_vectors([[(-a) % p, b % p]], p, 2)
 
 
+def line_to_point(line):
+    """The projective point of a reduced boundary image line, the inverse
+    of `point_to_line`: span{(x, y)} is [-x : y]."""
+    ((x, y),) = line.rows
+    return _proj(-x, y, line.p)
+
+
 def boundary_invariant(expr, p):
-    """Projective boundary point of a 2-tangle expression, computed by
-    structural gluing rules and always cross-checked against the reduced
-    boundary image of the compiled diagram."""
+    """Projective boundary point of a 2-tangle expression, read from its
+    structural boundary image (`fox.expr_boundary_image`) and always
+    cross-checked against the reduced boundary image of the compiled
+    diagram."""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
     if expr_width(expr) != 2:
         raise ValueError("boundary invariant is defined for 2-tangles")
-    point = _structural_point(expr, p)
+    line = fox.reduce_image(fox.expr_boundary_image(expr, p))
     direct = fox.reduced_boundary_image(compile_expr(expr), p)
-    if direct != point_to_line(point, p):
+    if direct != line or line.dim != 1:
         raise CrossCheckError(
-            f"structural invariant {point} disagrees with the compiled "
-            f"diagram image {direct.rows} mod {p}"
+            f"structural image {line.rows} and the compiled diagram image "
+            f"{direct.rows} mod {p} are not one line"
         )
-    return point
+    return line_to_point(line)
 
 
 def horizontal_family(p):

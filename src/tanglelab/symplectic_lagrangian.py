@@ -14,7 +14,13 @@ import numpy as np
 from . import exact_linear as xl
 from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
 from .exact_linear import SubspaceModP
-from .fox_coloring import reduce_to_f_basis, reduced_boundary_image
+from .fox_coloring import (
+    _pair_rows,
+    expr_boundary_image,
+    reduce_image,
+    reduce_to_f_basis,
+    reduced_boundary_image,
+)
 from .move_calculus import horizontal_family
 from .tangle_core import (
     Compose,
@@ -25,6 +31,7 @@ from .tangle_core import (
     Sigma,
     compile_expr,
     noncrossing_matchings,
+    print_conway,
     random_algebraic_expr,
 )
 
@@ -187,12 +194,7 @@ def matching_image(pairs, n):
     boundary points are identified along the matching: mod 2 every
     crossing relation degenerates to equality of the two under arcs, so
     any diagram's 2-colorings factor through such a matching."""
-    basis = []
-    for i, j in pairs:
-        v = [0] * (2 * n)
-        v[i - 1] = v[j - 1] = 1
-        basis.append(v)
-    reduced = reduce_to_f_basis(basis, 2, n)
+    reduced = reduce_to_f_basis(_pair_rows(pairs, n), 2, n)
     return SubspaceModP.from_vectors(reduced, 2, 2 * n - 2)
 
 
@@ -225,17 +227,28 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
     seeded random algebraic trees fill the gaps.  `generator_budget`
     bounds both the number of candidates tried and the enumeration of
     the targets (BudgetExceededError when there are more Lagrangians).
+
+    Candidates are scored by their structural boundary images
+    (`expr_boundary_image`, sharing one memo for the whole search), and
+    the first candidate to hit a Lagrangian is its witness.  Every
+    witness is then compiled once and its reduced boundary image
+    compared with the structural one (CrossCheckError on a mismatch).
     """
     targets = enumerate_lagrangians(p, n, budget=generator_budget)
     remaining = {s.rows: s for s in targets}
     witnesses = {}
     rng = random.Random(seed)
+    memo = {}
 
     def try_expr(expr):
-        img = reduced_boundary_image(compile_expr(expr), p)
-        if img.rows in remaining:
-            del remaining[img.rows]
-            witnesses[img] = expr
+        img = expr_boundary_image(expr, p, memo)
+        key = ("reduce", img.rows)
+        reduced = memo.get(key)
+        if reduced is None:
+            reduced = memo[key] = reduce_image(img)
+        if reduced.rows in remaining:
+            del remaining[reduced.rows]
+            witnesses[reduced] = expr
 
     budget = generator_budget
     if n == 2:
@@ -269,6 +282,13 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
         expr = random_algebraic_expr(n, rng, max_depth=4)
         try_expr(expr)
         budget -= 1
+    for img, expr in witnesses.items():
+        direct = reduced_boundary_image(compile_expr(expr), p)
+        if direct != img:
+            raise CrossCheckError(
+                f"structural image {img.rows} of {print_conway(expr)} disagrees "
+                f"with the compiled diagram image {direct.rows} mod {p}"
+            )
     return witnesses, sorted(remaining.values(), key=lambda s: s.rows)
 
 

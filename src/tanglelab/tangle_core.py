@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import ConwaySyntaxError, CrossCheckError, NotRationalError
+from .errors import (
+    BudgetExceededError,
+    ConwaySyntaxError,
+    CrossCheckError,
+    NotRationalError,
+)
 
 __all__ = [
     "Frac",
@@ -50,6 +55,7 @@ __all__ = [
     "braid_closure",
     "closure",
     "parse_diagram_text",
+    "check_crossing_parity",
     "diagram_to_text",
     "noncrossing_matchings",
     "random_algebraic_expr",
@@ -550,8 +556,36 @@ def _build(b, expr):
     raise TypeError(f"not a tangle expression: {expr!r}")
 
 
+# Crossings one compilation may build.  A twist region compiles to one
+# crossing per twist, so without this bound a single Conway integer near
+# 2^31 would exhaust memory; `tri --conway 200000` takes about 4 s and
+# 235 MB on a 2-core machine.
+MAX_CROSSINGS = 200_000
+
+
+def _crossing_count(expr):
+    """Crossings that compiling the expression builds."""
+    if isinstance(expr, Integer):
+        return abs(expr.k)
+    if isinstance(expr, Rational):
+        return sum(abs(e) for e in expr.entries)
+    if isinstance(expr, Sigma):
+        return 1
+    if isinstance(expr, Rot):
+        return _crossing_count(expr.child)
+    if isinstance(expr, Compose):
+        return _crossing_count(expr.left) + _crossing_count(expr.right)
+    return 0
+
+
 def compile_expr(expr):
-    """Compile an expression tree to a TangleDiagram."""
+    """Compile an expression tree to a TangleDiagram; BudgetExceededError
+    when it has more than MAX_CROSSINGS crossings."""
+    crossings = _crossing_count(expr)
+    if crossings > MAX_CROSSINGS:
+        raise BudgetExceededError(
+            f"{crossings} crossings exceed the budget of {MAX_CROSSINGS}"
+        )
     b = _Builder()
     corners = _build(b, expr)
     return b.finish(corners)
@@ -751,7 +785,14 @@ def _builder_from_diagram(diagram):
 
 def parse_diagram_text(text):
     """Read the line format: 'X over under_in under_out [sign]' (sign 1
-    or -1), 'B a1 ... a2n', 'O n_circles'; '#' starts a comment."""
+    or -1), 'B a1 ... a2n', 'O n_circles'; '#' starts a comment.  The
+    diagram must pass `check_crossing_parity`."""
+    return check_crossing_parity(_read_diagram_text(text))
+
+
+def _read_diagram_text(text):
+    """The diagram of a text in the line format, with its arc ends
+    validated but no planarity check."""
     crossings = []
     boundary = ()
     circles = 0
@@ -786,6 +827,43 @@ def parse_diagram_text(text):
     for c in crossings:
         arcs.update((c.over, c.under_in, c.under_out))
     return TangleDiagram(frozenset(arcs), tuple(crossings), boundary, circles).validate()
+
+
+def check_crossing_parity(diagram):
+    """Reject (ValueError) a diagram in which a closed strand crosses the
+    other strands an odd number of times; returns the diagram.
+
+    Strands are the arcs joined through the under arcs of each crossing.
+    In a planar diagram a closed strand is a Jordan curve, and every
+    other strand is closed or ends on the boundary circle outside it, so
+    it crosses the curve an even number of times.  This is a necessary
+    condition for planarity, not a full test."""
+    parent = {a: a for a in diagram.arcs}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for c in diagram.crossings:
+        parent[find(c.under_in)] = find(c.under_out)
+    count = {find(a): 0 for a in diagram.arcs}
+    for c in diagram.crossings:
+        over, under = find(c.over), find(c.under_in)
+        if over != under:
+            count[over] += 1
+            count[under] += 1
+    open_strands = {find(a) for a in diagram.boundary}
+    for a in sorted(diagram.arcs):
+        root = find(a)
+        k = count[root]
+        if k % 2 and root not in open_strands:
+            raise ValueError(
+                f"diagram is not planar: the closed strand through arc {a} "
+                f"has an odd crossing count ({k}) with the other strands"
+            )
+    return diagram
 
 
 def diagram_to_text(diagram):

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -382,3 +383,40 @@ def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
     assert (code, out) == (
         4, "error = regular coset table has 24 cosets, certified order is 25\n"
     )
+
+
+
+def test_compile_budget_exits_3_without_building():
+    # one crossing per twist: 2^31 - 1 of them would exhaust memory
+    for argv, crossings in (
+        (["tri", "--conway", "2147483647"], 2147483647),
+        (["color", "--mod", "5", "--conway", "(1*r(-2147483647))"], 2147483648),
+        (["reduce", "--p", "3", "--conway", "2147483647"], 2147483647),
+        (["move-check", "--p", "2147483647", "--fraction", "2147483647/1"], 2147483647),
+        (["tri", "--conway", "T(100000,100001)"], 200001),
+    ):
+        start = time.perf_counter()
+        code, out = capture(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3, (argv, out)
+        assert out == f"error = {crossings} crossings exceed the budget of 200000\n"
+
+
+def test_diagram_file_with_odd_crossing_parity_exits_2(tmp_path):
+    f = tmp_path / "nonplanar.dg"
+    # the closed arc 9 passes over one crossing only
+    f.write_text("X 0 1 2\nX 9 2 3\nB 1 0 0 3\n")
+    want = (
+        "error = diagram is not planar: the closed strand through arc 9 "
+        "has an odd crossing count (1) with the other strands\n"
+    )
+    for argv in (["tri"], ["color", "--mod", "5"], ["color", "--mod", "6"]):
+        assert capture(argv + ["--diagram", str(f)]) == (2, want), argv
+    # the closed arc 9 runs under the open strand 0 once: its colorings
+    # meet the alternating condition, and only the parity check sees it
+    f.write_text("X 0 9 9\nB 0 0 1 1\n")
+    for argv in (["boundary", "--p", "3"], ["boundary", "--integers"], ["tri"]):
+        assert capture(argv + ["--diagram", str(f)]) == (2, want), argv
+    # crossing the open strand twice is allowed
+    f.write_text("X 0 9 8\nX 0 8 9\nB 0 0\n")
+    assert capture(["tri", "--diagram", str(f)]) == (0, "tri = 9\n")

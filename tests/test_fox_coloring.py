@@ -12,6 +12,7 @@ from tanglelab.fox_coloring import (
     abf_space,
     boundary_image,
     coloring_space,
+    expr_boundary_image,
     reduced_boundary_image,
     tri,
     virtual_index,
@@ -21,8 +22,10 @@ from tanglelab.tangle_core import (
     Compose,
     Infinity,
     Integer,
+    Planar,
     Rational,
     Rot,
+    Sigma,
     borromean_rings,
     braid_closure,
     compile_expr,
@@ -304,3 +307,74 @@ def test_abf_matrix_at_p_minus_one_is_fox_matrix():
             assert np.array_equal(abf % p, fox % p)
             if all(c.sign is not None for c in d.crossings):
                 assert abf_space(d, p, p - 1) == coloring_space(d, p)
+
+
+# ---------------------------------------------------------------------------
+# Structural boundary images of expression trees.
+
+
+def test_structural_image_matches_criterion_2_corpus():
+    # the trees and primes of acceptance criterion 2
+    rng = random.Random(20240)
+    for _ in range(500):
+        n = rng.choice((2, 3, 4))
+        e = random_algebraic_expr(n, rng, max_depth=3)
+        d = compile_expr(e)
+        for p in (3, 5, 7):
+            assert expr_boundary_image(e, p) == boundary_image(d, p), (e, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structural_image_matches_compiled_random_trees(n):
+    rng = random.Random(900 + n)
+    memo = {p: {} for p in (2, 3, 5, 7)}
+    for _ in range(60):
+        e = random_algebraic_expr(n, rng, max_depth=4)
+        d = compile_expr(e)
+        for p in memo:
+            want = boundary_image(d, p)
+            assert expr_boundary_image(e, p) == want, (e, p)
+            # a memo kept across the trees of one prime gives the same images
+            assert expr_boundary_image(e, p, memo[p]) == want, (e, p)
+
+
+def test_structural_image_of_twist_tangles():
+    for k in range(-40, 41):
+        for p in (2, 3, 5, 7):
+            want = boundary_image(compile_expr(Integer(k)), p)
+            assert expr_boundary_image(Integer(k), p) == want, (k, p)
+
+
+def test_structural_image_of_leaves_and_rational_tangles():
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for sign in (1, -1):
+                e = Sigma(n, i, sign)
+                for p in (2, 3, 5):
+                    assert expr_boundary_image(e, p) == boundary_image(compile_expr(e), p)
+    rng = random.Random(31)
+    for _ in range(40):
+        entries = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        e = Rot(Rational(*entries)) if rng.random() < 0.5 else Rational(*entries)
+        for p in (3, 5, 7, 11):
+            assert expr_boundary_image(e, p) == boundary_image(compile_expr(e), p), (e, p)
+    for e in (Infinity(), Compose(Infinity(), Infinity())):
+        assert expr_boundary_image(e, 3) == boundary_image(compile_expr(e), 3)
+
+
+def test_structural_image_needs_no_compile_for_long_twists():
+    # the closed form of a twist region: no crossing is built
+    k = 10**12
+    img = expr_boundary_image(Integer(k), 7)
+    assert img == SubspaceModP.from_vectors([[1, 1, 1, 1], [0, 1, 1 + k, k]], 7, 4)
+
+
+def test_structural_image_rejects_bad_input():
+    with pytest.raises(NotPrimeError):
+        expr_boundary_image(Integer(1), 4)
+    with pytest.raises(ValueError, match="equal widths"):
+        expr_boundary_image(Compose(Integer(1), Sigma(3, 1, 1)), 3)
+    with pytest.raises(ValueError, match="no boundary"):
+        expr_boundary_image(Planar(()), 3)
+    with pytest.raises(TypeError):
+        expr_boundary_image(Rot("1"), 3)

@@ -10,6 +10,7 @@ from tanglelab.move_calculus import (
     fraction_shift_identities,
     horizontal_family,
     invariance_harness,
+    line_to_point,
     mq_to_fraction,
     point_to_line,
     reduce_2algebraic,
@@ -309,3 +310,10 @@ def test_reduce_rational_huge_fractions():
         for p in (3, 13):
             res = reduce_rational(f, p)
             assert replay_certificate(f, res.certificate, p) == res.target
+
+
+def test_line_to_point_inverts_point_to_line():
+    for p in (3, 5, 7, 11):
+        points = [(1, b) for b in range(p)] + [(0, 1)]
+        for point in points:
+            assert line_to_point(point_to_line(point, p)) == point

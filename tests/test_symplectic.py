@@ -21,9 +21,14 @@ from tanglelab.symplectic_lagrangian import (
     realize_lagrangians,
 )
 from tanglelab.tangle_core import (
+    Compose,
     Infinity,
     Integer,
+    Rational,
+    Rot,
+    Sigma,
     compile_expr,
+    noncrossing_matchings,
     random_algebraic_expr,
 )
 
@@ -211,3 +216,84 @@ def test_realize_propagates_cross_checks(monkeypatch):
     out = io.StringIO()
     argv = ["lagrangians", "--p", "3", "--n", "2", "--realize"]
     assert cli.run(argv, stdout=out) == 4
+
+
+def _realize_by_compiling(p, n, budget=20000, seed=0):
+    """The realization search that compiles every candidate and reduces
+    its boundary image: same candidate order, seeded draws, budget and
+    first-hit rule as `realize_lagrangians`, used here as its oracle."""
+    remaining = {s.rows for s in enumerate_lagrangians(p, n, budget=budget)}
+    witnesses = {}
+    rng = random.Random(seed)
+
+    def rot(e, k):
+        for _ in range(k):
+            e = Rot(e)
+        return e
+
+    def try_expr(e):
+        img = reduced_boundary_image(compile_expr(e), p)
+        if img.rows in remaining:
+            remaining.discard(img.rows)
+            witnesses[img] = e
+
+    if n == 2:
+        for s in sl.horizontal_family(p):
+            try_expr(Infinity() if s.is_inf else Integer(s.num))
+            budget -= 1
+        half = (p - 1) // 2
+        vals = [v for v in range(-half, half + 1) if v] or [1, -1]
+        systematic = (
+            Rational(*entries)
+            for length in range(1, 4)
+            for entries in product(vals, repeat=length)
+        )
+    else:
+        pool = list(noncrossing_matchings(n)) + [
+            Sigma(n, i, s) for i in range(1, n) for s in (1, -1)
+        ]
+        systematic = pool + [
+            Compose(rot(a, i), b) for a in pool for b in pool for i in range(2 * n)
+        ]
+    for e in systematic:
+        if not remaining or budget <= 0:
+            break
+        try_expr(e)
+        budget -= 1
+    while remaining and budget > 0:
+        try_expr(random_algebraic_expr(n, rng, max_depth=4))
+        budget -= 1
+    return witnesses, sorted(remaining)
+
+
+# (3, 3) at seed 1 finds 39 of the 40 in the default budget of 20000
+# tries; a budget of 4000 cuts it short sooner and still compares the
+# witnesses and the unrealized list
+@pytest.mark.parametrize(
+    "p,n,seed,budget",
+    [(3, 2, 0, 20000), (3, 2, 1, 20000), (5, 2, 0, 20000), (5, 2, 1, 20000),
+     (3, 3, 0, 20000), (3, 3, 1, 4000)],
+)
+def test_realize_matches_the_compile_per_candidate_search(p, n, seed, budget):
+    witnesses, missing = realize_lagrangians(p, n, generator_budget=budget, seed=seed)
+    want, want_missing = _realize_by_compiling(p, n, budget=budget, seed=seed)
+    # the same witnesses, found in the same order
+    assert list(witnesses.items()) == list(want.items())
+    assert [s.rows for s in missing] == want_missing
+
+
+def test_realize_cross_checks_structural_images(monkeypatch):
+    # a structural rule that rotates every image once too often: the
+    # witnesses it finds disagree with their compiled diagrams
+    right = sl.expr_boundary_image
+
+    def wrong(expr, p, memo=None):
+        return right(Rot(expr), p, memo)
+
+    monkeypatch.setattr(sl, "expr_boundary_image", wrong)
+    with pytest.raises(CrossCheckError, match="disagrees with the compiled"):
+        realize_lagrangians(3, 2)
+    out = io.StringIO()
+    argv = ["lagrangians", "--p", "3", "--n", "3", "--realize"]
+    assert cli.run(argv, stdout=out) == 4
+    assert out.getvalue().startswith("error = structural image ")

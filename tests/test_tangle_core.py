@@ -3,7 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from tanglelab.errors import ConwaySyntaxError, NotRationalError
+from tanglelab import tangle_core
+from tanglelab.errors import BudgetExceededError, ConwaySyntaxError, NotRationalError
 from tanglelab.tangle_core import (
     INF,
     BraidWord,
@@ -18,6 +19,7 @@ from tanglelab.tangle_core import (
     braid_closure,
     cf_eval,
     cf_vector,
+    check_crossing_parity,
     closure,
     compile_expr,
     compose,
@@ -262,3 +264,43 @@ def test_expr_width_checks():
     assert expr_width(Sigma(3, 2, -1)) == 3
     with pytest.raises(ValueError):
         expr_width(Compose(Integer(1), Sigma(3, 1, 1)))
+
+
+def test_crossing_count_is_the_compiled_count():
+    rng = random.Random(44)
+    exprs = [Compose(Rot(Integer(-7)), Rational(3, -2)), Infinity(), Planar(((1, 2), (3, 4)))]
+    for _ in range(30):
+        exprs.append(Rational(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]))
+        exprs.append(random_algebraic_expr(rng.randint(2, 4), rng, max_depth=4))
+    for e in exprs:
+        assert tangle_core._crossing_count(e) == len(compile_expr(e).crossings), e
+
+
+def test_compile_budget(monkeypatch):
+    monkeypatch.setattr(tangle_core, "MAX_CROSSINGS", 10)
+    assert len(compile_expr(Compose(Integer(4), Rational(3, -3))).crossings) == 10
+    for e in (Integer(11), Integer(-11), Compose(Integer(4), Rational(3, 4))):
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 10"):
+            compile_expr(e)
+
+
+def test_planar_diagrams_pass_the_crossing_parity_check():
+    rng = random.Random(45)
+    for _ in range(200):
+        d = compile_expr(random_algebraic_expr(rng.randint(2, 5), rng, max_depth=4))
+        assert parse_diagram_text(diagram_to_text(d)) == d
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        length = rng.randint(0, 30)
+        letters = [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(length)]
+        d = braid_closure(BraidWord(n, letters))
+        assert check_crossing_parity(d) is d
+
+
+def test_crossing_parity_rejects_a_closed_strand_crossed_once():
+    # arc 9 is a closed loop over one crossing of the strand 1 -> 2 -> 3
+    with pytest.raises(ValueError, match="arc 9 has an odd crossing count"):
+        parse_diagram_text("X 0 1 2\nX 9 2 3\nB 1 0 0 3\n")
+    # two closed loops crossing each other once each way: 2 crossings
+    d = parse_diagram_text("X 5 6 6\nX 6 5 5\n")
+    assert len(d.crossings) == 2
