@@ -13,9 +13,12 @@ collection rules are
     c central, all cubes trivial, b's commute with each other.
 
 Full alternation of the triple bracket and triviality on repeated
-indices follow from the 2-Engel law.  The consistency of this table is
-certified at test time: associativity checks and the breadth-first
-closure counts 3^(r + C(r,2) + C(r,3)) for r = 1..4.
+indices follow from the 2-Engel law.  `_tables` compiles the rules into
+one step per generator, and `_collect` is the only routine that reads a
+step: on one list of digits (`multiply`, `inverse`, `evaluate_word`) and
+on numpy digit columns (`enumerate_group`).  The table is certified by
+`consistency_check` (associativity, exponent 3, 2-Engel) and by the
+breadth-first closure count 3^(r + C(r,2) + C(r,3)) for r = 1..4.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -57,45 +61,45 @@ def _element_budget():
     return DEFAULT_ELEMENT_BUDGET
 
 
+def _step(index, r, k):
+    """The terms of right-multiplication by x_k (see `_tables`)."""
+    terms = []
+    # x_k crosses the commutator zone: b_ij x_k = x_k b_ij c^sign
+    for i in range(r):
+        for j in range(i + 1, r):
+            if k not in (i, j):
+                # the sign of sorting (i, j, k) is odd only for i < k < j
+                sign = -1 if i < k < j else 1
+                terms.append((index[tuple(sorted((i, j, k)))], sign, (index[i, j],)))
+    # x_k crosses the generator blocks x_j^a_j, j > k, to its left
+    for j in range(k + 1, r):
+        terms.append((index[k, j], -1, (j,)))
+        for l in range(j + 1, r):
+            terms.append((index[k, j, l], -1, (j, l)))
+    terms.append((k, 1, ()))
+    return tuple(terms)
+
+
 @lru_cache(maxsize=None)
 def _tables(r):
-    """Coordinate layout of B(r,3) and the step table of the generators.
+    """Digit labels of B(r,3) and the step table of the generators.
 
     A normal form is one flat digit vector v: the r generator exponents,
     then one b digit per pair i < j, then one c digit per triple
-    i < j < k.  steps[k] is the rule for right-multiplying by x_k: each
-    term (target, coeff, sources) adds coeff * prod(v[s] for s in sources)
-    to v[target], mod 3, with every source read before the step.  No
-    target is a source, so the terms may be applied in place in any order.
+    i < j < k; labels[d] is the index set of digit d.  steps[k] is the
+    rule for right-multiplying by x_k: each term (target, coeff, sources)
+    adds coeff * prod(v[s] for s in sources) to v[target], mod 3.  No
+    step reads one of its own targets (CrossCheckError otherwise), so the
+    terms apply in place in any order and x_k^n adds n times as much.
     """
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    pidx = {pq: t for t, pq in enumerate(pairs)}
-    triples = [
-        (i, j, k)
-        for i in range(r)
-        for j in range(i + 1, r)
-        for k in range(j + 1, r)
-    ]
-    tidx = {t: s for s, t in enumerate(triples)}
-    B, C = r, r + len(pairs)  # offsets of the b and c digits
-    steps = []
-    for k in range(r):
-        terms = []
-        # x_k crosses the commutator zone: b_ij x_k = x_k b_ij c^sign
-        for t, (i, j) in enumerate(pairs):
-            if k in (i, j):
-                continue
-            # the sign of sorting (i, j, k) is odd only for i < k < j
-            sign = -1 if i < k < j else 1
-            terms.append((C + tidx[tuple(sorted((i, j, k)))], sign, (B + t,)))
-        # x_k crosses the generator blocks x_j^a_j, j > k, to its left
-        for j in range(k + 1, r):
-            terms.append((B + pidx[(k, j)], -1, (j,)))
-            for l in range(j + 1, r):
-                terms.append((C + tidx[(k, j, l)], -1, (j, l)))
-        terms.append((k, 1, ()))
-        steps.append(tuple(terms))
-    return pairs, pidx, triples, tidx, tuple(steps)
+    labels = [lab for size in (1, 2, 3) for lab in combinations(range(r), size)]
+    index = {lab: d for d, lab in enumerate(labels)}
+    steps = tuple(_step(index, r, k) for k in range(r))
+    for k, step in enumerate(steps):
+        targets = {t for t, _, _ in step}
+        if any(s in targets for _, _, sources in step for s in sources):
+            raise CrossCheckError(f"the step of x_{k + 1} reads one of its targets")
+    return tuple(labels), steps
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,15 @@ def generator(rank, i):
     return _element(rank, v)
 
 
-def _rmul_unit(rank, v, k):
-    """Right-multiply the flat normal form v by x_k, in place."""
-    _, _, _, _, steps = _tables(rank)
-    for target, coeff, sources in steps[k]:
+def _collect(v, step, n=1):
+    """Right-multiply the digits v by x_k^n in place, where step is
+    steps[k] of `_tables`.  v is a list of ints or of numpy digit
+    columns; entries the step writes are replaced, not mutated."""
+    for target, coeff, sources in step:
+        inc = coeff * n
         for s in sources:
-            coeff *= v[s]
-        if coeff:
-            v[target] = (v[target] + coeff) % 3
+            inc = inc * v[s]
+        v[target] = (v[target] + inc) % 3
 
 
 def multiply(g, h):
@@ -146,10 +151,11 @@ def multiply(g, h):
     if g.rank != h.rank:
         raise ValueError("rank mismatch")
     rank = g.rank
+    _, steps = _tables(rank)
     v = [*g.a, *g.b, *g.c]
-    for k in range(rank):
-        for _ in range(h.a[k]):
-            _rmul_unit(rank, v, k)
+    for step, n in zip(steps, h.a):
+        if n:
+            _collect(v, step, n)
     for d, x in enumerate(h.b + h.c, rank):
         v[d] = (v[d] + x) % 3
     return _element(rank, v)
@@ -158,10 +164,11 @@ def multiply(g, h):
 def inverse(g):
     """g^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
     rank = g.rank
+    _, steps = _tables(rank)
     v = [0] * rank + [(-x) % 3 for x in g.b + g.c]
     for k in range(rank - 1, -1, -1):
-        for _ in range((-g.a[k]) % 3):
-            _rmul_unit(rank, v, k)
+        if g.a[k]:
+            _collect(v, steps[k], -g.a[k])
     return _element(rank, v)
 
 
@@ -175,14 +182,12 @@ def commutator(g, h):
 
 def evaluate_word(rank, word):
     """Image of a signed-letter word (letters in +-1..+-rank)."""
+    _, steps = _tables(rank)
     v = [0] * _dim(rank)
     for letter in word:
         if letter == 0 or abs(letter) > rank:
             raise ValueError(f"letter {letter} out of range for rank {rank}")
-        k = abs(letter) - 1
-        times = 1 if letter > 0 else 2  # x^-1 = x^2
-        for _ in range(times):
-            _rmul_unit(rank, v, k)
+        _collect(v, steps[abs(letter) - 1], 1 if letter > 0 else -1)
     return _element(rank, v)
 
 
@@ -203,31 +208,16 @@ def _digits(keys, dim):
     return digits
 
 
-def _step_keys(r, keys, digits, k):
-    """Keys of the elements (keys, digits) times x_k: `_rmul_unit` over
-    arrays, read from the same step table."""
-    _, _, _, _, steps = _tables(r)
-    incs = {}
-    for target, coeff, sources in steps[k]:
-        for s in sources:
-            coeff = coeff * digits[s]
-        incs[target] = incs.get(target, 0) + coeff
-    out = keys.copy()
-    for target, inc in incs.items():
-        old = digits[target]
-        out += ((old + inc) % 3 - old) * np.int32(3**target)
-    return out
-
-
 def enumerate_group(r, budget=None):
     """Breadth-first closure of the identity under right multiplication
     by the generators, as a certificate of the collection table.
 
     Elements are radix-3 keys of their digit vectors (int32, since
-    3^14 < 2^31).  Each level decodes the frontier keys into digit
-    columns, applies every generator's step table (`_step_keys`) as
-    array operations, marks the resulting keys in a bool bitmap of size
-    3^dim and keeps the keys not visited before as the next frontier.
+    3^14 < 2^31).  Each level decodes the frontier keys into int8 digit
+    columns, runs every generator's step on them with `_collect`, re-keys
+    only the digits the step writes, marks the resulting keys in a bool
+    bitmap of size 3^dim and keeps the keys not visited before as the
+    next frontier.
     The step table is consistent only if the closure reaches exactly
     3^(r + C(r,2) + C(r,3)) elements; any other count raises
     CrossCheckError.  Raises BudgetExceededError when the order exceeds
@@ -242,6 +232,7 @@ def enumerate_group(r, budget=None):
             f"group of order {order} exceeds the element budget {budget}"
         )
     dim = _dim(r)
+    _, steps = _tables(r)
     visited = np.zeros(order, dtype=bool)
     visited[0] = True
     frontier = np.zeros(1, dtype=np.int32)
@@ -249,8 +240,14 @@ def enumerate_group(r, budget=None):
     while frontier.size:
         digits = _digits(frontier, dim)
         level = np.zeros(order, dtype=bool)
-        for k in range(r):
-            level[_step_keys(r, frontier, digits, k)] = True
+        for step in steps:
+            v = list(digits)
+            _collect(v, step)
+            keys = frontier.copy()
+            for d in {target for target, _, _ in step}:
+                keys += (v[d] - digits[d]) * np.int32(3**d)
+            level[keys] = True
+            del v, keys  # else they outlive the step and raise the peak
         level &= ~visited
         visited |= level
         frontier = np.flatnonzero(level).astype(np.int32)
@@ -294,8 +291,6 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
                     raise CrossCheckError("generator overlap failed")
                 checks += 1
     if exhaustive:
-        from itertools import product
-
         space = [
             BurnsideElement(r, a, b, c)
             for a in product(range(3), repeat=r)
@@ -344,25 +339,12 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
 
 def project_away(element, j):
     """Quotient map B(r,3) -> B(r-1,3) killing generator j (1-based):
-    drop every coordinate whose index set contains j-1."""
-    r = element.rank
-    k = j - 1
-    pairs_r, _, triples_r, _, _ = _tables(r)
-    keep_a = [i for i in range(r) if i != k]
-    a = tuple(element.a[i] for i in keep_a)
-    relabel = {old: new for new, old in enumerate(keep_a)}
-    _, pidx_s, _, tidx_s, _ = _tables(r - 1)
-    b = [0] * comb(r - 1, 2)
-    for t, (i, jj) in enumerate(pairs_r):
-        if k in (i, jj):
-            continue
-        b[pidx_s[(relabel[i], relabel[jj])]] = element.b[t]
-    c = [0] * comb(r - 1, 3)
-    for s, (i, jj, kk) in enumerate(triples_r):
-        if k in (i, jj, kk):
-            continue
-        c[tidx_s[(relabel[i], relabel[jj], relabel[kk])]] = element.c[s]
-    return BurnsideElement(r - 1, a, tuple(b), tuple(c))
+    drop every digit whose label contains j-1.  The labels that avoid
+    j-1 keep their order, so what is left is the normal form in B(r-1,3)."""
+    labels, _ = _tables(element.rank)
+    v = [*element.a, *element.b, *element.c]
+    kept = [x for x, label in zip(v, labels) if j - 1 not in label]
+    return _element(element.rank - 1, kept)
 
 
 @dataclass(frozen=True)
@@ -371,10 +353,6 @@ class ObstructionReport:
     killed: int
     relator_images: tuple
     tri_closure: int
-
-    @property
-    def obstructed(self):
-        return self.verdict == "OBSTRUCTED"
 
     @cached_property
     def quotient(self):

@@ -125,11 +125,6 @@ class CosetTable:
         """Number of cosets: the group order over the trivial subgroup."""
         return len(self.table)
 
-    def step(self, coset, letter):
-        """letter: signed generator index."""
-        col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-        return self.table[coset][col]
-
 
 def _letters_of(word, generators):
     """Table columns of a word of signed generator indices; a letter

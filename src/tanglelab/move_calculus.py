@@ -29,7 +29,8 @@ from .exact_linear import SubspaceModP, is_prime
 from .tangle_core import (
     INF,
     Frac,
-    _builder_from_diagram,
+    _Builder,
+    _load_diagram,
     cf_eval,
     cf_vector,
     compile_expr,
@@ -180,10 +181,6 @@ class ReductionResult:
     target: Frac
     circles: int
     certificate: tuple
-
-    @property
-    def target_str(self):
-        return str(self.target)
 
 
 def _symrep(a, p):
@@ -386,7 +383,7 @@ def certificate_lines(result):
 def reduce_2algebraic(expr, p):
     """Reduce any 2-tangle expression to its horizontal-family target by
     the cross-checked boundary invariant; rational expressions also get
-    a move certificate."""
+    a move certificate, replayed on the slope before it is returned."""
     point = boundary_invariant(expr, p)
     target = target_table(p)[point]
     circles = compile_expr(expr).closed_components
@@ -401,6 +398,8 @@ def reduce_2algebraic(expr, p):
             raise CrossCheckError(
                 f"certificate target {res.target} disagrees with invariant {target}"
             )
+        if replay_certificate(s, res.certificate, p) != target:
+            raise CrossCheckError(f"the certificate of {s} does not replay to {target}")
         certificate = res.certificate
     return ReductionResult(target, circles, certificate)
 
@@ -446,19 +445,9 @@ def splice_identity_site(diagram, site, f):
     if arc_a == arc_b or arc_a not in diagram.arcs or arc_b not in diagram.arcs:
         raise InvalidSiteError(f"site {site} is not two distinct arcs")
     tangle = compile_expr(rational_expr(cf_vector(f)))
-    builder, corners = _builder_from_diagram(diagram)
-    ids = {a: i for i, a in enumerate(sorted(diagram.arcs))}
-    boundary_list = list(corners)
-    tmap = {}
-    bcount = {}
-    for x in tangle.boundary:
-        bcount[x] = bcount.get(x, 0) + 1
-    for x in sorted(tangle.arcs):
-        tmap[x] = builder.new_arc(bcount.get(x, 0))
-    for c in tangle.crossings:
-        builder.add_crossing(tmap[c.over], tmap[c.under_in], tmap[c.under_out], c.sign)
-    builder.circles += tangle.closed_components
-    nw, sw, se, ne = [tmap[x] for x in tangle.boundary]
+    builder = _Builder()
+    ids, boundary_list = _load_diagram(builder, diagram)
+    _, (nw, sw, se, ne) = _load_diagram(builder, tangle)
     la, ra = _cut_arc(builder, boundary_list, ids[arc_a])
     lb, rb = _cut_arc(builder, boundary_list, ids[arc_b])
     builder.glue(la, nw)

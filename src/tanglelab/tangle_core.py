@@ -105,9 +105,6 @@ class Frac:
     def add_int(self, k):
         return Frac.make(self.num + k * self.den, self.den)
 
-    def neg(self):
-        return Frac.make(-self.num, self.den)
-
     def rot(self):
         """Slope of the rotated tangle: s -> -1/s."""
         return Frac.make(-self.den, self.num)
@@ -118,9 +115,6 @@ class Frac:
         return Frac.make(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def __str__(self):
         if self.is_inf:
@@ -693,9 +687,6 @@ class BraidWord:
             if x == 0 or abs(x) >= self.strands:
                 raise ValueError(f"braid letter {x} out of range for {self.strands} strands")
 
-    def inverse(self):
-        return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
-
     def permutation(self):
         """Bottom position of the strand starting at each top position."""
         pos = list(range(self.strands))  # strand id at each position
@@ -750,8 +741,8 @@ def closure(diagram, kind):
     then right) closure of a 2-tangle."""
     if diagram.n != 2:
         raise ValueError("closure needs a 2-tangle")
-    b, corners = _builder_from_diagram(diagram)
-    x1, x2, x3, x4 = corners
+    b = _Builder()
+    _, (x1, x2, x3, x4) = _load_diagram(b, diagram)
     if kind in ("numerator", "num", "n"):
         b.glue(x1, x4)
         b.glue(x2, x3)
@@ -763,20 +754,18 @@ def closure(diagram, kind):
     return b.finish([])
 
 
-def _builder_from_diagram(diagram):
-    """Reload an existing diagram into a fresh builder for more gluing."""
-    b = _Builder()
-    ids = {}
+def _load_diagram(b, diagram):
+    """Add a diagram's arcs (in sorted order), crossings and closed
+    circles to the builder b for more gluing; returns the builder id of
+    each diagram arc and the ids of its corners."""
     bcount = {}
     for a in diagram.boundary:
         bcount[a] = bcount.get(a, 0) + 1
-    for a in sorted(diagram.arcs):
-        ids[a] = b.new_arc(bcount.get(a, 0))
+    ids = {a: b.new_arc(bcount.get(a, 0)) for a in sorted(diagram.arcs)}
     for c in diagram.crossings:
         b.add_crossing(ids[c.over], ids[c.under_in], ids[c.under_out], c.sign)
-    b.circles = diagram.closed_components
-    corners = [ids[a] for a in diagram.boundary]
-    return b, corners
+    b.circles += diagram.closed_components
+    return ids, [ids[a] for a in diagram.boundary]
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,15 @@ def _key(g):
 def _assert_array_step_matches_multiply(r, elements):
     keys = np.array([_key(g) for g in elements], dtype=np.int32)
     digits = bg._digits(keys, bg._dim(r))
-    for k in range(r):
+    _, steps = bg._tables(r)
+    for k, step in enumerate(steps):
         gen = generator(r, k + 1)
         want = [_key(multiply(g, gen)) for g in elements]
-        assert bg._step_keys(r, keys, digits, k).tolist() == want, k
+        v = list(digits)
+        bg._collect(v, step)
+        got = sum(v[d].astype(np.int64) * 3**d for d in range(len(v)))
+        assert got.tolist() == want, k
+        assert np.array_equal(digits, bg._digits(keys, len(v)))  # not mutated
 
 
 def test_array_step_matches_multiply_exhaustive_r3():
@@ -129,14 +134,75 @@ def test_array_step_matches_multiply_random_r4():
     _assert_array_step_matches_multiply(4, [rand_elem(4, rng) for _ in range(10**4)])
 
 
+def _unit_collect(v, step, times):
+    for _ in range(times % 3):
+        bg._collect(v, step)
+
+
+def _unit_multiply(g, h):
+    """multiply with x_k applied h.a[k] times one unit step at a time."""
+    _, steps = bg._tables(g.rank)
+    v = [*g.a, *g.b, *g.c]
+    for step, n in zip(steps, h.a):
+        _unit_collect(v, step, n)
+    for d, x in enumerate(h.b + h.c, g.rank):
+        v[d] = (v[d] + x) % 3
+    return bg._element(g.rank, v)
+
+
+def _unit_inverse(g):
+    _, steps = bg._tables(g.rank)
+    v = [0] * g.rank + [(-x) % 3 for x in g.b + g.c]
+    for k in reversed(range(g.rank)):
+        _unit_collect(v, steps[k], -g.a[k])
+    return bg._element(g.rank, v)
+
+
+def _unit_word(r, word):
+    _, steps = bg._tables(r)
+    v = [0] * bg._dim(r)
+    for x in word:
+        _unit_collect(v, steps[abs(x) - 1], 1 if x > 0 else -1)
+    return bg._element(r, v)
+
+
+def test_scaled_steps_match_unit_steps():
+    r2 = [bg._element(2, [(x // 3**d) % 3 for d in range(3)]) for x in range(27)]
+    pairs = [(g, h) for g in r2 for h in r2]
+    rng = random.Random(23)
+    for r in (3, 4):
+        pairs += [(rand_elem(r, rng), rand_elem(r, rng)) for _ in range(500)]
+    for g, h in pairs:
+        assert multiply(g, h) == _unit_multiply(g, h)
+        assert inverse(g) == _unit_inverse(g)
+    for r in (1, 2, 3, 4, 5):
+        for _ in range(100):
+            w = [rng.choice([x for x in range(-r, r + 1) if x]) for _ in range(12)]
+            assert evaluate_word(r, w) == _unit_word(r, w)
+
+
+def test_step_reading_its_own_target_is_refused(monkeypatch):
+    step = bg._step
+
+    def bad(index, r, k):
+        # x_1 writes b_12; let it also read b_12 for the c_123 digit
+        terms = step(index, r, k)
+        return terms + ((index[0, 1, 2], 1, (index[0, 1],)),) if k == 0 else terms
+
+    assert bg._tables.__wrapped__(3) == bg._tables(3)
+    monkeypatch.setattr(bg, "_step", bad)
+    with pytest.raises(CrossCheckError, match="x_1 reads one of its targets"):
+        bg._tables.__wrapped__(3)
+
+
 def test_broken_step_table_fails_the_closure_count(monkeypatch):
     tables = bg._tables
-    pairs, pidx, triples, tidx, steps = tables(3)
+    labels, steps = tables(3)
     # drop the term by which x_1 moves b_12: b_12 then never changes
-    b12 = 3 + pidx[(0, 1)]
+    b12 = labels.index((0, 1))
     step0 = tuple(t for t in steps[0] if t[0] != b12)
     assert len(step0) == len(steps[0]) - 1
-    broken = (pairs, pidx, triples, tidx, (step0,) + steps[1:])
+    broken = (labels, (step0,) + steps[1:])
     monkeypatch.setattr(bg, "_tables", lambda r: broken if r == 3 else tables(r))
     with pytest.raises(CrossCheckError, match="closure found 729 elements"):
         enumerate_group(3)

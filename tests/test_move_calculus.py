@@ -1,7 +1,10 @@
+import io
 import random
 
 import pytest
 
+import tanglelab.move_calculus as mv
+from tanglelab import cli
 from tanglelab.errors import CrossCheckError, InvalidSiteError, NotPrimeError
 from tanglelab.fox_coloring import coloring_space, reduced_boundary_image, tri
 from tanglelab.move_calculus import (
@@ -317,3 +320,36 @@ def test_line_to_point_inverts_point_to_line():
         points = [(1, b) for b in range(p)] + [(0, 1)]
         for point in points:
             assert line_to_point(point_to_line(point, p)) == point
+
+
+def test_reduce_exits_4_when_the_certificate_does_not_replay(monkeypatch):
+    honest = mv.reduce_rational
+
+    def drop_last_step(f, p):
+        res = honest(f, p)
+        assert res.certificate
+        return type(res)(res.target, res.circles, res.certificate[:-1])
+
+    argv = ["reduce", "--conway", "T(3,1,2)", "--p", "5"]
+    assert cli.run(argv, stdout=io.StringIO()) == 0
+    monkeypatch.setattr(mv, "reduce_rational", drop_last_step)
+    out = io.StringIO()
+    assert cli.run(argv, stdout=out) == 4
+    assert out.getvalue().startswith("error = ")
+
+
+def test_certificate_sites_follow_the_rational_tree():
+    # "0" steps into Rot.child or Compose.left, "1" into Compose.right
+    rng = random.Random(29)
+    for length in range(1, 7):
+        for _ in range(40):
+            v = rng.sample([x for x in range(-9, 10) if x], length)
+            node = rational_expr(v)
+            for step in filter(None, mv._innermost_path(length).split(".")):
+                if isinstance(node, Rot):
+                    assert step == "0"
+                    node = node.child
+                else:
+                    assert isinstance(node, Compose)
+                    node = node.left if step == "0" else node.right
+            assert node == Integer(v[0] if length % 2 else -v[0]), v
