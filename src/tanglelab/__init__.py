@@ -41,7 +41,6 @@ from .tangle_core import (
     slope,
 )
 from .exact_linear import (
-    SNFResult,
     SubspaceModP,
     is_prime,
     kernel_mod_p,

@@ -32,7 +32,6 @@ from .errors import BudgetExceededError, CrossCheckError
 __all__ = [
     "Presentation",
     "braid_presentation",
-    "parse_presentation",
     "CosetTable",
     "enumerate_cosets",
     "parabolic_bound",
@@ -98,20 +97,6 @@ def braid_presentation(n, k):
     return Presentation(g, tuple(relators))
 
 
-def parse_presentation(text):
-    """Read 'gens <n>' then one relator per line of signed indices."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("gens"):
-        raise ValueError("presentation file must start with 'gens <n>'")
-    g = int(lines[0].split()[1])
-    rels = tuple(tuple(int(x) for x in ln.split()) for ln in lines[1:])
-    return Presentation(g, rels)
-
-
 @dataclass(frozen=True)
 class CosetTable:
     """Complete coset table: row per coset (row 0 is the subgroup),
@@ -139,22 +124,15 @@ def _letters_of(word, generators):
     return out
 
 
-def enumerate_cosets(pres, max_cosets=10**6, strategy=0, subgroup=()):
+def enumerate_cosets(pres, max_cosets=10**6, subgroup=()):
     """Complete the coset table of the subgroup generated by the words
     `subgroup` (the trivial subgroup by default); raises
     BudgetExceededError when more than max_cosets vertices get created
-    (the index may be infinite or the budget too small).
-
-    `strategy` rotates the per-vertex relator processing order; the
-    resulting index must not depend on it.
-    """
+    (the index may be infinite or the budget too small)."""
     g = pres.generators
     width = 2 * g
     rel_letters = [_letters_of(r, g) for r in pres.relators]
     sub_letters = [_letters_of(_freely_reduce(w), g) for w in subgroup]
-    if rel_letters and strategy:
-        k = strategy % len(rel_letters)
-        rel_letters = rel_letters[k:] + rel_letters[:k]
     labels = [0]
     neighbors = [[UNDEF] * width]
     events = 0  # definitions plus coincidences, for fixpoint detection

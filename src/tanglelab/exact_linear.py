@@ -1,27 +1,28 @@
-"""Exact linear algebra: echelon forms over prime fields, Smith normal
-form and saturated kernels over the integers, canonical subspace
+"""Exact linear algebra: echelon forms over prime fields, invariant
+factors and saturated kernels over the integers, canonical subspace
 representations, and sparse unit-pivot elimination.
 
-Everything here is exact and runs on Python ints, so nothing overflows
-for any prime or integer entry: prime-field work keeps every row as a
-list of residues mod p.  The index of a lattice in its saturation needs
-no routine of its own: it is the product of the nonzero invariant
-factors of any matrix whose rows generate the lattice.
+Everything here is exact and runs on Python ints; prime-field rows are
+lists of residues mod p.  Integer work builds no transform matrix: a
+fraction-free elimination gives the rank and a nonzero minor D of rank
+size, which the nonzero invariant factors divide, so Hermite forms of
+the rows plus D Z^m are taken modulo D and stay below D, and the results
+are re-checked against the ranks over every prime below 50.
 
 Sparse relation systems (a few nonzero entries per row, such as the
 crossing relations of a diagram) first go through `eliminate_units`,
-which takes unit pivots that cause no fill (a row with one unknown
-column left, or a column that one row alone still uses) and leaves only
-a small residual matrix over the columns that stayed free for the dense
-eliminators.  Unit pivots are unimodular row and column operations, so
-the residual has the same kernel up to the `expand` map and, over the
-integers, the same nonunit invariant factors.
+which takes unit pivots that cause no fill and leaves a small residual
+over the columns that stayed free for the dense routines.  Unit pivots
+are unimodular, so the residual has the same kernel up to the `expand`
+map and, over the integers, the same nonunit invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
+from operator import mul
 
 from .errors import CrossCheckError, NotPrimeError, PrimalityBoundError
 
@@ -31,7 +32,6 @@ __all__ = [
     "kernel_mod_p",
     "eliminate_units",
     "sparse_kernel_mod_p",
-    "SNFResult",
     "snf",
     "int_kernel",
 ]
@@ -79,9 +79,9 @@ def _check_prime(p):
 
 
 def _residues(rows, p, width):
-    """The rows as lists of Python-int residues mod p, each of the given
-    width."""
-    out = [[int(x) % p for x in row] for row in rows]
+    """The rows as lists of Python-int residues mod p (Python ints when
+    p is None), each of the given width."""
+    out = [[int(x) if p is None else int(x) % p for x in row] for row in rows]
     if any(len(row) != width for row in out):
         raise ValueError(f"expected vectors of length {width}")
     return out
@@ -141,9 +141,6 @@ class SubspaceModP:
             if f:
                 v = [(x - f * y) % self.p for x, y in zip(v, row)]
         return not any(v)
-
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
 
     def vectors(self):
         """Iterate over all vectors of the subspace (small spaces only)."""
@@ -331,170 +328,143 @@ def eliminate_units(rows, ncols, p=None):
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: Smith normal form and saturated kernels.
+# Integer matrices: invariant factors and saturated kernels.
+
+_CHECK_PRIMES = _MR_BASES + (43, 47)
 
 
-def _pyint_matrix(A):
-    return [[int(x) for x in row] for row in A]
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) for a > 0, b >= 0, and
+    (a, 1, 0) whenever a divides b: a pivot row that divides its column
+    is then kept as it is, which ends the alternation of `_smith_mod`."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b % a:
+        q = b // a
+        a, b, s0, s1, t0, t1 = b - q * a, a, s1 - q * s0, s0, t1 - q * t0, t0
+    return a, s0, t0
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _bareiss(rows, m):
+    """Fraction-free Gauss-Jordan elimination of integer rows of width m.
 
-
-def _matmul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Invariant factors d1 | d2 | ... and the unimodular column
-    transform V of a Smith normal form U @ A @ V == diag(factors)."""
-
-    factors: tuple
-    V: tuple
-
-
-def _snf_inplace(A):
-    """Smith normal form of A; returns (factors, U, V).
-
-    Pivot choice: smallest absolute value in the remaining block, rows
-    scanned before columns, first occurrence wins.  Deterministic.
+    Returns (R, pivots, d): d is a nonzero minor of rank size (1 at rank
+    0) and R, one row per pivot column, is d times the reduced row
+    echelon form.  Every division is exact (Sylvester's identity).
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    U = _identity(n)
-    V = _identity(m)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        Ad, As = A[dst], A[src]
-        for j in range(m):
-            Ad[j] += q * As[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(n):
-            Ud[j] += q * Us[j]
-
-    def addmul_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    limit = min(n, m)
-    while t < limit:
-        # locate the pivot: minimal |value| over the trailing block
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    q = -(A[i][t] // A[t][t])
-                    addmul_row(i, t, q)
-                    if A[i][t]:
-                        # remainder smaller than pivot: promote it
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, m):
-                if A[t][j]:
-                    q = -(A[t][j] // A[t][t])
-                    addmul_col(j, t, q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility: pivot must divide the rest of the block
-        fixed = True
-        p0 = A[t][t]
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % p0:
-                    addmul_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+    R = [row[:] for row in rows]
+    pivots, d = [], 1
+    for c in range(m):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
             continue
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
+        R[r], R[i] = R[i], R[r]
+        pivot, a = R[r], R[r][c]
+        for j, row in enumerate(R):
+            if j != r:
+                R[j] = [(a * x - row[c] * y) // d for x, y in zip(row, pivot)]
+        pivots.append(c)
+        d = a
+    return R[: len(pivots)], pivots, d
 
-    factors = [A[i][i] for i in range(limit)]
-    return factors, U, V
+
+def _hnf_mod(rows, m, D):
+    """Hermite basis of the lattice of the integer rows (width m) plus
+    D Z^m: an upper-triangular m x m matrix with positive diagonal, each
+    entry above a pivot reduced modulo that pivot.
+
+    All arithmetic is mod D (Domich, Kannan and Trotter 1987).  In each
+    column extended gcds fold the rows into the pivot row; folding in
+    D e_c leaves D/g times the pivot row, which stays in the work.
+    """
+    work, H = [[x % D for x in row] for row in rows], []
+    for c in range(m):
+        h, rest = None, []
+        for row in work:
+            if not row[c]:
+                rest.append(row)
+            elif h is None:
+                h = row
+            else:
+                g, s, t = _xgcd(h[c], row[c])
+                a, b = h[c] // g, row[c] // g
+                rest.append([(a * y - b * x) % D for x, y in zip(h, row)])
+                h = [(s * x + t * y) % D for x, y in zip(h, row)]
+        if h is None:
+            h = [D if j == c else 0 for j in range(m)]
+        else:
+            g, s, _ = _xgcd(h[c], D)
+            rest.append([D // g * x % D for x in h])
+            h = [s * x % D for x in h]
+        H.append(h)
+        work = [row for row in rest if any(row)]
+    for c, h in enumerate(H):
+        for j in range(c):
+            q = H[j][c] // h[c]
+            H[j] = [x - q * y for x, y in zip(H[j], h)]
+    return H
 
 
-def snf(A):
-    """Smith normal form of A, with U @ A @ V = D and the divisibility
-    chain of D verified."""
-    orig = _pyint_matrix(A)
-    work = [row[:] for row in orig]
-    factors, U, V = _snf_inplace(work)
-    n = len(orig)
-    m = len(orig[0]) if n else 0
-    check = _matmul(_matmul(U, orig), V) if n and m else []
-    for i in range(n):
-        for j in range(m):
-            want = factors[i] if (i == j and i < len(factors)) else 0
-            if check[i][j] != want:
-                raise CrossCheckError(f"SNF verification failed at ({i},{j})")
-    for i in range(len(factors) - 1):
-        if factors[i] and factors[i + 1] % factors[i]:
-            raise CrossCheckError("SNF divisibility chain broken")
-        if factors[i] == 0 and factors[i + 1] != 0:
-            raise CrossCheckError("SNF zero factor precedes nonzero")
-    return SNFResult(tuple(factors), tuple(tuple(r) for r in V))
+def _smith_mod(rows, m, D):
+    """Smith diagonal, a divisibility chain of m entries, of the rows plus
+    D Z^m: row and column Hermite forms alternate until the matrix is
+    diagonal (Kannan and Bachem 1979)."""
+    H = _hnf_mod(rows, m, D)
+    while any(H[i][j] for i in range(m) for j in range(i + 1, m)):
+        H = _hnf_mod([list(col) for col in zip(*H)], m, D)
+    diag = [H[i][i] for i in range(m)]
+    for i, j in combinations(range(m), 2):
+        g = gcd(diag[i], diag[j])
+        diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
+
+def _rank_mod(rows, q, m):
+    return len(_rref_raw(_residues(rows, q, m), q, m)[1])
+
+
+def snf(A, m):
+    """Invariant factors of the integer matrix A with m columns: min(rows,
+    m) of them, a divisibility chain with the zeros last.  The nonzero
+    ones divide a minor d of rank size: they lead the Smith diagonal of
+    the rows plus |d| Z^m."""
+    rows = _residues(A, None, m)
+    _, pivots, d = _bareiss(rows, m)
+    rank = len(pivots)
+    nonzero = tuple(_smith_mod(rows, m, abs(d))[:rank])
+    if any(b % a for a, b in zip(nonzero, nonzero[1:])) or d % prod(nonzero):
+        raise CrossCheckError("invariant factors are not a chain dividing the minor d")
+    for q in _CHECK_PRIMES:
+        if sum(a % q == 0 for a in nonzero) != rank - _rank_mod(rows, q, m):
+            raise CrossCheckError(f"invariant factors disagree with the rank mod {q}")
+    return nonzero + (0,) * (min(len(rows), m) - rank)
 
 
 def int_kernel(A, m):
     """Basis (rows) of the saturated integer kernel {x in Z^m : A x = 0};
-    all of Z^m when A has no rows."""
-    if not len(A):
-        return _identity(m)
-    res = snf(A)
-    rank = sum(1 for d in res.factors if d)
-    # the columns of V past the rank span the kernel
-    return [[row[j] for row in res.V] for j in range(rank, m)]
+    all of Z^m when A has no rows.
+
+    With R = d RREF(A) and D = |d|, the free coordinates y of the kernel
+    vectors form {y : R_free y = 0 mod D} = {y : H y = 0 mod D}, H the
+    Hermite basis of the rows of R_free plus D Z^F, and the columns of
+    D H^-1 are a basis.  The pivot coordinates are -R_free y / d.
+    """
+    rows = _residues(A, None, m)
+    R, pivots, d = _bareiss(rows, m)
+    free = [c for c in range(m) if c not in pivots]
+    R_free = [[row[c] for c in free] for row in R]
+    H = _hnf_mod(R_free, len(free), abs(d))
+    basis = []
+    for j in range(len(free)):
+        y = [0] * len(free)
+        for i in range(j, -1, -1):
+            y[i] = ((i == j) * abs(d) - sum(map(mul, H[i][i + 1 :], y[i + 1 :]))) // H[i][i]
+        x = dict(zip(free, y))
+        x.update((c, -sum(map(mul, row, y)) // d) for row, c in zip(R_free, pivots))
+        basis.append([x[c] for c in range(m)])
+    if any(sum(map(mul, row, v)) for row in rows for v in basis):
+        raise CrossCheckError("kernel basis does not solve the system")
+    for q in _CHECK_PRIMES:
+        if _rank_mod(basis, q, m) != len(basis):
+            raise CrossCheckError(f"kernel basis is not saturated at {q}")
+    return basis

@@ -106,7 +106,7 @@ def coloring_space(diagram, k):
         return ColoringSpace(k, tuple(arcs), closed, count, kernel=ker)
     arcs, rows = _relation_rows(diagram)
     free, residual, _ = xl.eliminate_units(rows, len(arcs))
-    factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual).factors
+    factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
     count = 1
     for d in factors:
         count *= gcd(d, k) if d else k
@@ -375,7 +375,7 @@ def virtual_index(diagram):
             )
         if any(c):
             reduced.append(c)
-    return prod(d for d in xl.snf(reduced).factors if d) if reduced else 1
+    return prod(d for d in xl.snf(reduced, 2 * n - 2) if d)
 
 
 # ---------------------------------------------------------------------------

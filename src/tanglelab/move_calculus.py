@@ -253,12 +253,17 @@ def _innermost_path(length):
 
 
 def _normalize_vector(v):
-    """Drop exact zero innermost regions: [0, y, rest] is isotopic to
-    [rest] (kink removal); [0, y] is the infinity tangle."""
-    while len(v) >= 2 and v[0] == 0:
-        if len(v) == 2:
+    """Undo innermost regions by isotopy: [0, y, rest] is isotopic to
+    [rest] (kink removal) and [0, y] is the infinity tangle; a single
+    crossing [e, y, rest] with e = +-1 flips into the next region,
+    [y + e, rest]."""
+    while len(v) >= 2 and v[0] in (-1, 0, 1):
+        if v[0]:
+            v = [v[1] + v[0]] + v[2:]
+        elif len(v) == 2:
             return v, True
-        v = v[2:]
+        else:
+            v = v[2:]
     return v, False
 
 
@@ -305,7 +310,7 @@ def reduce_rational(f, p):
         if h1 != a1:
             emit_entry(h1 - a1)
             v = [h1] + v[1:]
-            a1 = h1
+            continue
         kprime, s = _best_kill(a1, p)
         parts = _composite_parts(a1, kprime, p) if abs(s) > 1 else ()
         steps.append(

@@ -285,16 +285,16 @@ def test_diagram_file_input(tmp_path):
 def test_failed_cross_check_exits_4(monkeypatch):
     from tanglelab import exact_linear
 
-    smith = exact_linear._snf_inplace
+    smith = exact_linear._smith_mod
 
-    def wrong_factor(A):
-        factors, U, V = smith(A)
-        return [factors[0] + 1] + factors[1:], U, V
+    def wrong_factor(rows, m, D):
+        factors = smith(rows, m, D)
+        return [factors[0] + 1] + factors[1:]
 
-    monkeypatch.setattr(exact_linear, "_snf_inplace", wrong_factor)
+    monkeypatch.setattr(exact_linear, "_smith_mod", wrong_factor)
     code, out = capture(["color", "--mod", "6", "--braid", "3: 1 -2 1 -2"])
     assert code == 4
-    assert out == "error = SNF verification failed at (0,0)\n"
+    assert out == "error = invariant factors are not a chain dividing the minor d\n"
 
 
 def test_diagram_file_with_a_dangling_arc_end_exits_2(tmp_path):

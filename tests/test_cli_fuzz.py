@@ -1,7 +1,9 @@
 """Seeded CLI fuzz: random (often malformed) Conway strings, braid lines,
 diagram files and words sent through the coloring, boundary, slope,
 reduce, obstruction, census, move-check, braid-quotient and burnside eval
-commands of `cli.run`.
+commands of `cli.run`, and wide well-formed inputs through the integer
+layer: closures of 8 to 12 strands at composite moduli and n-tangle
+diagram files under `boundary --integers`.
 
 Every input has one of three outcomes: an answer (exit 0), invalid input
 (exit 2) or an exhausted budget (exit 3).  A traceback or a failed
@@ -14,7 +16,12 @@ import random
 import pytest
 
 from tanglelab.cli import run
-from tanglelab.tangle_core import compile_expr, diagram_to_text, parse_conway
+from tanglelab.tangle_core import (
+    compile_expr,
+    diagram_to_text,
+    parse_conway,
+    random_algebraic_expr,
+)
 
 PRIMES = (-1, 0, 1, 2, 3, 4, 5, 7, 9)
 
@@ -128,6 +135,14 @@ def _word(rng, max_letter):
     return " ".join(letters)
 
 
+def _run(argv):
+    buf = io.StringIO()
+    try:
+        return run(argv, stdout=buf), buf.getvalue()
+    except Exception as exc:  # a traceback at the command line
+        return repr(exc), ""
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cli_fuzz_exits_0_2_or_3(tmp_path, seed):
     rng = random.Random(seed)
@@ -137,12 +152,28 @@ def test_cli_fuzz_exits_0_2_or_3(tmp_path, seed):
         for argv, text in _cases(rng, str(path)):
             if text is not None:
                 path.write_text(text)
-            buf = io.StringIO()
-            try:
-                code = run(argv, stdout=buf)
-            except Exception as exc:  # a traceback at the command line
-                bad.append((argv, text, repr(exc)))
-                continue
+            code, out = _run(argv)
             if code not in (0, 2, 3):
-                bad.append((argv, text, code, buf.getvalue()))
+                bad.append((argv, text, code, out))
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_integer_inputs_exit_0_2_or_3(tmp_path, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "tangle.dg"
+    bad = []
+    for _ in range(3):
+        n = rng.randint(8, 12)
+        letters = (rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randint(0, 20 * n)))
+        braid = f"{n}: " + " ".join(map(str, letters))
+        for k in (4, 6, 12, 30):
+            code, out = _run(["color", "--braid", braid, "--mod", str(k)])
+            if code not in (0, 2, 3):
+                bad.append((braid, k, code, out))
+    for n in range(2, 7):
+        path.write_text(diagram_to_text(compile_expr(random_algebraic_expr(n, rng, max_depth=4))))
+        code, out = _run(["boundary", "--diagram", str(path), "--integers"])
+        if code not in (0, 2, 3):
+            bad.append((path.read_text(), code, out))
     assert not bad, bad[:5]

@@ -12,7 +12,6 @@ from tanglelab.coset_enumeration import (
     canonical_words,
     conjugacy_classes,
     enumerate_cosets,
-    parse_presentation,
     trace,
     word_equal,
 )
@@ -85,7 +84,7 @@ def test_columns_are_permutations_and_relators_fix_rows():
             assert trace(tab, rel, c) == c
 
 
-def test_order_independent_of_relator_order_and_strategy():
+def test_order_independent_of_relator_order():
     rng = random.Random(2)
     pres = braid_presentation(3, 4)
     base = enumerate_cosets(pres).order
@@ -93,10 +92,6 @@ def test_order_independent_of_relator_order_and_strategy():
     for _ in range(4):
         rng.shuffle(rels)
         assert enumerate_cosets(Presentation(2, tuple(rels))).order == base
-    for strategy in range(4):
-        assert enumerate_cosets(pres, strategy=strategy).order == base
-        p43 = braid_presentation(4, 3)
-        assert enumerate_cosets(p43, strategy=strategy).order == 648
 
 
 def test_budget_guard():
@@ -151,14 +146,6 @@ def test_canonical_words_are_shortlex_consistent():
     assert words[0] == ()
     for c, w in enumerate(words):
         assert trace(tab, w) == c
-
-
-def test_parse_presentation():
-    p = parse_presentation("gens 2\n1 1 1\n2 2 2\n# comment\n1 2 1 -2 -1 -2\n")
-    assert p.generators == 2
-    assert len(p.relators) == 3
-    with pytest.raises(ValueError):
-        parse_presentation("1 1\n")
 
 
 def _parabolic_index(n, k):

@@ -15,6 +15,8 @@ from tanglelab.exact_linear import (
     snf,
 )
 
+import smith_oracle as oracle
+
 
 def brute_kernel(M, p):
     """All solutions of M x = 0 mod p by enumeration."""
@@ -149,7 +151,7 @@ def test_subspace_membership():
     S = SubspaceModP.from_vectors([[1, 1, 0], [0, 0, 1]], 3, 3)
     assert S.contains([2, 2, 1])
     assert not S.contains([1, 0, 0])
-    assert S.contains_subspace(SubspaceModP.from_vectors([[1, 1, 2]], 3, 3))
+    assert all(S.contains(r) for r in SubspaceModP.from_vectors([[1, 1, 2]], 3, 3).rows)
 
 
 def test_subspace_echelon_structure():
@@ -170,13 +172,11 @@ def test_subspace_echelon_structure():
 
 
 def test_snf_basics():
-    r = snf([[2, 0], [0, 3]])
-    assert r.factors == (1, 6)
-    r = snf([[0, 0], [0, 0]])
-    assert r.factors == (0, 0)
-    r = snf([[0, 5], [0, 0]])
-    assert tuple(sorted(d for d in r.factors)) == (0, 5)
-    assert r.factors == (5, 0)
+    assert snf([[2, 0], [0, 3]], 2) == (1, 6)
+    assert snf([[0, 0], [0, 0]], 2) == (0, 0)
+    assert snf([[0, 5], [0, 0]], 2) == (5, 0)
+    assert snf([[4, 6, 0]], 3) == (2,)
+    assert snf([], 3) == ()
 
 
 def test_snf_random_properties():
@@ -184,17 +184,28 @@ def test_snf_random_properties():
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        res = snf(A)  # internal verification runs on every call
-        facs = [d for d in res.factors if d]
+        factors = snf(A, m)  # the F_q rank checks run on every call
+        assert factors == oracle.snf(A, m)[0]
+        facs = [d for d in factors if d]
         for a, b in zip(facs, facs[1:]):
             assert b % a == 0
         if n == m:
             det = round(np.linalg.det(np.array(A, dtype=float)))
             if det != 0:
-                prod = 1
-                for d in res.factors:
-                    prod *= d
-                assert prod == abs(det)
+                assert math.prod(factors) == abs(det)
+
+
+def test_factors_and_kernels_match_the_oracle():
+    rng = random.Random(20)
+    for _ in range(400):
+        n, m = rng.randint(0, 7), rng.randint(1, 7)
+        bound = rng.choice((1, 2, 6, 1000))
+        A = [[rng.randint(-bound, bound) * (rng.random() < 0.7) for _ in range(m)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            A[-1] = [a + 2 * b for a, b in zip(A[0], A[1])]
+        assert snf(A, m) == oracle.snf(A, m)[0], A
+        assert oracle.same_lattice(int_kernel(A, m), oracle.int_kernel(A, m), m), A
 
 
 def test_int_kernel():
@@ -206,7 +217,7 @@ def test_int_kernel():
     # the kernel of 2y + 2z = 0 is saturated: all its invariant factors are 1
     K = int_kernel([[0, 2, 2]], 3)
     assert len(K) == 2 and all(2 * v[1] + 2 * v[2] == 0 for v in K)
-    assert snf(K).factors == (1, 1)
+    assert snf(K, 3) == (1, 1)
 
 
 def test_int_kernel_without_relations_is_everything():

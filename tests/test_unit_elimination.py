@@ -2,7 +2,8 @@
 
 The oracle builds the dense crossings x arcs relation matrix directly from
 the crossings (2 / -1 / -1 for Fox, (1-t) / t / -1 for ABF) and solves it
-with the dense eliminators: `kernel_mod_p` over F_p and `snf` over Z.
+with the dense eliminators: `kernel_mod_p` over F_p, and over Z the
+transform-building Smith form kept in `smith_oracle`.
 Virtual indices are checked against the gcd of the maximal nonzero
 minors of the reduced lattice, computed without a Smith form.
 """
@@ -41,6 +42,8 @@ from tanglelab.tangle_core import (
     trivial_link,
 )
 
+import smith_oracle as oracle
+
 
 def dense_matrix(d, t=-1, tinv=-1):
     arcs = sorted(d.arcs)
@@ -61,7 +64,7 @@ def dense_kernel(d, p, t=-1, tinv=-1):
 
 def dense_factors(d):
     _, M = dense_matrix(d)
-    return xl.snf(M.tolist()).factors if M.shape[0] else ()
+    return oracle.snf(M.tolist(), M.shape[1])[0]
 
 
 def dense_boundary_image(d, p):
@@ -108,7 +111,7 @@ def dense_virtual_index(d):
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in d.boundary]
     reduced = []
-    for v in xl.int_kernel(M.tolist(), len(arcs)):
+    for v in oracle.int_kernel(M.tolist(), len(arcs)):
         c, residual = _f_coordinates([v[i] for i in cols], d.n)
         assert residual == 0
         if any(c):
@@ -194,6 +197,29 @@ def test_invariant_factors_match_dense_snf(seed):
             assert space.invariant_factors == factors, (d, k)
 
 
+def wide_closure(rng, strands):
+    word = tuple(rng.choice((1, -1)) * rng.randrange(1, strands) for _ in range(20 * strands))
+    return braid_closure(BraidWord(strands, word))
+
+
+def test_wide_closures_obey_the_chinese_remainder_theorem():
+    # composite moduli run through the integer factors, primes through
+    # the sparse F_p path: the counts must multiply
+    for strands in (10, 14, 20):
+        d = wide_closure(random.Random(5), strands)
+        col = {k: coloring_space(d, k).count for k in (2, 3, 5, 6, 30)}
+        assert col[6] == col[2] * col[3], strands
+        assert col[30] == col[2] * col[3] * col[5], strands
+
+
+def test_factors_of_an_eight_strand_closure_match_the_oracle():
+    d = wide_closure(random.Random(5), 8)
+    arcs, rows = _relation_rows(d)
+    free, residual, _ = xl.eliminate_units(rows, len(arcs))
+    want = (1,) * (len(arcs) - len(free)) + oracle.snf(residual, len(free))[0]
+    assert coloring_space(d, 6).invariant_factors == want
+
+
 def test_boundary_images_and_virtual_index_match_dense():
     for d in tangles(5):
         for p in (3, 5, 7):
@@ -258,9 +284,11 @@ def test_eliminate_units_on_random_sparse_systems():
         free, residual, expand = xl.eliminate_units(rows, ncols)
         pivots = ncols - len(free)
         assert len(residual) == nrows - pivots
-        want = xl.snf(M.tolist()).factors if nrows else ()
-        assert (1,) * pivots + xl.snf(residual).factors == want
-        for v in xl.int_kernel(residual, len(free)):
+        want = oracle.snf(M.tolist(), ncols)[0]
+        assert (1,) * pivots + xl.snf(residual, len(free)) == want
+        kernel = xl.int_kernel(residual, len(free))
+        assert oracle.same_lattice(kernel, oracle.int_kernel(residual, len(free)), len(free))
+        for v in kernel:
             assert not (M @ np.array(expand(v))).any()
         for p in (2, 3, 5):
             free, residual, expand = xl.eliminate_units(rows, ncols, p)
