@@ -8,6 +8,7 @@ an internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -285,7 +286,9 @@ def _cmd_braid_quotient(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by `run`."""
     parser = argparse.ArgumentParser(
         prog="tanglelab",
         description="Exact tangle invariants: colorings, Lagrangian "
@@ -419,14 +422,16 @@ def _glue_fraction_argv(argv):
 
 def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     argv = _glue_fraction_argv(_reorder_burnside_argv(list(argv)))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = []
     try:
+        for flag in ("budget", "trials"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag} must not be negative")
         code = args.func(args, out)
     except BudgetExceededError as exc:
         print(f"error = {exc}", file=stdout)

@@ -142,13 +142,6 @@ def _ensure_calibrated():
             )
 
 
-def _kernel_basis_on_boundary(diagram, p):
-    arcs, basis = _kernel_mod_p(diagram, p)
-    index = {a: i for i, a in enumerate(arcs)}
-    cols = [index[a] for a in diagram.boundary]
-    return [[v[i] for i in cols] for v in basis]
-
-
 def boundary_image(diagram, p):
     """Image of the coloring space in F_p^(2n), restricted to boundary
     points in counterclockwise order."""
@@ -156,8 +149,16 @@ def boundary_image(diagram, p):
         raise NotPrimeError(f"{p} is not prime")
     if diagram.n < 1:
         raise ValueError("diagram has no boundary")
+    return _image_of_kernel(diagram, *_kernel_mod_p(diagram, p), p)
+
+
+def _image_of_kernel(diagram, arcs, basis, p):
+    """`boundary_image` read off a kernel basis from `_kernel_mod_p`,
+    with its checks, for a caller that also needs the kernel."""
     _ensure_calibrated()
-    rows = _kernel_basis_on_boundary(diagram, p)
+    index = {a: i for i, a in enumerate(arcs)}
+    cols = [index[a] for a in diagram.boundary]
+    rows = [[v[i] for i in cols] for v in basis]
     img = SubspaceModP.from_vectors(rows, p, 2 * diagram.n)
     for v in img.rows:
         _, residual = _f_coordinates(v, diagram.n)

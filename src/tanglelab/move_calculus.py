@@ -16,6 +16,7 @@ of the twist tangle T(-k, k') of fraction (k k' - 1)/k = sp/k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import fox_coloring as fox
@@ -443,13 +444,19 @@ def _cut_arc(builder, boundary_list, a):
     return a, None
 
 
+@lru_cache(maxsize=16)
+def _twist_tangle(f):
+    """The compiled twist tangle of fraction f (diagrams are immutable)."""
+    return compile_expr(rational_expr(cf_vector(f)))
+
+
 def splice_identity_site(diagram, site, f):
     """Replace the identity 2-subtangle running along the two given arcs
     by the twist tangle of fraction f."""
     arc_a, arc_b = site
     if arc_a == arc_b or arc_a not in diagram.arcs or arc_b not in diagram.arcs:
         raise InvalidSiteError(f"site {site} is not two distinct arcs")
-    tangle = compile_expr(rational_expr(cf_vector(f)))
+    tangle = _twist_tangle(f)
     builder = _Builder()
     ids, boundary_list = _load_diagram(builder, diagram)
     _, (nw, sw, se, ne) = _load_diagram(builder, tangle)
@@ -478,6 +485,17 @@ class HarnessReport:
         )
 
 
+def _coloring_data(diagram, p):
+    """The p-coloring count and the reduced boundary image (None below
+    two strands) from one elimination: `coloring_space(diagram, p).count`
+    and `reduced_boundary_image(diagram, p)`."""
+    arcs, basis = fox._kernel_mod_p(diagram, p)
+    count = p ** (len(basis) + diagram.closed_components)
+    if diagram.n < 2:
+        return count, None
+    return count, fox.reduce_image(fox._image_of_kernel(diagram, arcs, basis, p))
+
+
 def invariance_harness(diagram, site, f, p):
     """Splice the tangle of fraction f (numerator divisible by p) at the
     site and check that the p-coloring count and the reduced boundary
@@ -486,15 +504,9 @@ def invariance_harness(diagram, site, f, p):
         raise NotPrimeError(f"{p} is not an odd prime")
     if f.num % p:
         raise ValueError(f"move fraction {f} does not preserve {p}-colorings")
-    before_count = fox.coloring_space(diagram, p).count
-    before_image = (
-        fox.reduced_boundary_image(diagram, p) if diagram.n >= 2 else None
-    )
+    before_count, before_image = _coloring_data(diagram, p)
     spliced = splice_identity_site(diagram, site, f)
-    after_count = fox.coloring_space(spliced, p).count
-    after_image = (
-        fox.reduced_boundary_image(spliced, p) if spliced.n >= 2 else None
-    )
+    after_count, after_image = _coloring_data(spliced, p)
     report = HarnessReport(before_count, after_count, before_image, after_image, spliced)
     if not report.unchanged:
         raise CrossCheckError(

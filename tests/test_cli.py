@@ -1,8 +1,14 @@
+import argparse
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tanglelab
+from tanglelab import cli
 from tanglelab.cli import run
 
 
@@ -420,3 +426,82 @@ def test_diagram_file_with_odd_crossing_parity_exits_2(tmp_path):
     # crossing the open strand twice is allowed
     f.write_text("X 0 9 8\nX 0 8 9\nB 0 0\n")
     assert capture(["tri", "--diagram", str(f)]) == (0, "tri = 9\n")
+
+
+def test_negative_budget_or_trials_exits_2():
+    for argv, flag in (
+        (["lagrangians", "--p", "3", "--n", "3", "--realize", "--budget", "-1"], "budget"),
+        (["lagrangians", "--p", "3", "--n", "3", "--budget", "-1"], "budget"),
+        (["braid-quotient", "--n", "3", "--k", "3", "--budget", "-5"], "budget"),
+        (["move-check", "--p", "3", "--trials", "-3"], "trials"),
+    ):
+        assert capture(argv) == (2, f"error = --{flag} must not be negative\n"), argv
+    # zero is a valid value and keeps its meaning
+    assert capture(["move-check", "--p", "3", "--trials", "0"]) == (
+        0, "move = 3\nchecked = 0\nviolations = 0\n"
+    )
+    assert capture(["lagrangians", "--p", "3", "--n", "3", "--realize", "--budget", "0"]) == (
+        3, "error = 40 Lagrangians exceed the budget of 0\n"
+    )
+    code, out = capture(["braid-quotient", "--n", "3", "--k", "3", "--budget", "0"])
+    assert code == 3 and out.startswith("error = ")
+
+
+# Every subcommand, interleaved with parse failures and `error =` exits.
+_SEQUENCE = (
+    ["tri", "--braid", "2: 1 1 1"],
+    ["tri", "--bogus", "1"],
+    ["color", "--mod", "6", "--braid", "3: 1 -2 1 -2"],
+    ["lagrangians", "--p", "3"],
+    ["boundary", "--p", "5", "--conway", "3"],
+    ["slope", "--conway", "((("],
+    ["slope", "--conway", "T(2,3,2)"],
+    ["lagrangians", "--p", "3", "--n", "2", "--realize"],
+    ["obstruct"],
+    ["census", "--n", "3"],
+    ["reduce", "--conway", "T(3,1,2)", "--p", "5"],
+    ["move-check", "--p", "3", "--fraction", "-3/2", "--trials", "2"],
+    ["move-check", "--p", "3", "--trials", "-3"],
+    ["burnside", "eval", "-r", "3", "1", "-2", "1"],
+    ["obstruct", "--braid", "3: 1 2", "--kill", "0"],
+    ["obstruct", "--braid", "3: 1 2 1 2"],
+    ["nonsense"],
+    ["braid-quotient", "--n", "3", "--k", "3", "--word-equal", "1 2", "2 1"],
+    ["braid-quotient", "--n", "5", "--k", "3", "--budget", "100"],
+)
+
+
+def test_reused_parser_answers_like_a_fresh_process():
+    forward = [capture(argv) for argv in _SEQUENCE]
+    backward = [capture(argv) for argv in reversed(_SEQUENCE)]
+    assert forward == backward[::-1]
+    assert {code for code, _ in forward} == {0, 2, 3}
+    src = os.path.dirname(os.path.dirname(tanglelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, want in list(zip(_SEQUENCE, forward))[::2]:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tanglelab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout) == want, argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    made = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        codes = [capture(_SEQUENCE[i % len(_SEQUENCE)])[0] for i in range(50)]
+    finally:
+        cli.build_parser.cache_clear()
+    assert {0, 2, 3} <= set(codes)
+    # one top-level parser, then each subcommand parser once
+    assert made[0] == "tanglelab"
+    assert all(prog.startswith("tanglelab ") for prog in made[1:])
+    assert len(set(made[1:])) == len(made) - 1 >= 11

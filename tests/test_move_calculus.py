@@ -353,3 +353,54 @@ def test_certificate_sites_follow_the_rational_tree():
                     assert isinstance(node, Compose)
                     node = node.left if step == "0" else node.right
             assert node == Integer(v[0] if length % 2 else -v[0]), v
+
+
+def _two_route_data(diagram, p):
+    """The harness's coloring data computed the old way, as an oracle:
+    one elimination for the count and another for the boundary image."""
+    count = coloring_space(diagram, p).count
+    image = reduced_boundary_image(diagram, p) if diagram.n >= 2 else None
+    return count, image
+
+
+def test_one_kernel_harness_data_equals_two_routes():
+    rng = random.Random(12)
+    closed = 0
+    for n in (2, 3):
+        for _ in range(25):
+            d = compile_expr(random_algebraic_expr(n, rng, max_depth=3))
+            closed += d.closed_components > 0
+            for p in (3, 5, 7, 13):
+                assert mv._coloring_data(d, p) == _two_route_data(d, p)
+    assert closed >= 5  # closed components add to the count
+
+
+def test_harness_report_equals_two_routes_on_spliced_diagrams():
+    rng = random.Random(13)
+    for n in (2, 3):
+        for p in (3, 5, 7, 13):
+            frac = Frac.make(p, rng.choice((1, 2, 3)))
+            for _ in range(4):
+                d = compile_expr(random_algebraic_expr(n, rng, max_depth=3))
+                arcs = sorted(d.arcs)
+                if len(arcs) < 2:
+                    continue
+                rep = invariance_harness(d, tuple(rng.sample(arcs, 2)), frac, p)
+                assert (rep.count_before, rep.image_before) == _two_route_data(d, p)
+                assert (rep.count_after, rep.image_after) == _two_route_data(rep.spliced, p)
+
+
+def test_cached_twist_tangle_splices_like_a_fresh_one(monkeypatch):
+    rng = random.Random(14)
+    cases = []
+    for frac in (Frac.make(3, 1), Frac.make(13, 5), Frac.make(-5, 2)):
+        for _ in range(5):
+            d = compile_expr(random_algebraic_expr(2, rng, max_depth=3))
+            arcs = sorted(d.arcs)
+            if len(arcs) >= 2:
+                cases.append((d, tuple(rng.sample(arcs, 2)), frac))
+    mv._twist_tangle.cache_clear()
+    cached = [splice_identity_site(d, site, f) for d, site, f in cases]
+    assert mv._twist_tangle.cache_info().hits == len(cases) - 3
+    monkeypatch.setattr(mv, "_twist_tangle", mv._twist_tangle.__wrapped__)
+    assert cached == [splice_identity_site(d, site, f) for d, site, f in cases]
