@@ -18,7 +18,12 @@ one step per generator, and `_collect` is the only routine that reads a
 step: on one list of digits (`multiply`, `inverse`, `evaluate_word`) and
 on numpy digit columns (`enumerate_group`).  The table is certified by
 `consistency_check` (associativity, exponent 3, 2-Engel) and by the
-breadth-first closure count 3^(r + C(r,2) + C(r,3)) for r = 1..4.
+closure count 3^(r + C(r,2) + C(r,3)) for r = 1..4.  No step reads a
+central digit, so the closure is a breadth-first search over the
+3^(r + C(r,2)) elements of B(r,3) modulo its centre, and the central
+part is the F_3 span of the central holonomies of its edges (Schreier's
+lemma on a central extension; Sims, Computation with Finitely Presented
+Groups, 4.1).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceededError, CrossCheckError
+from .exact_linear import SubspaceModP
 
 __all__ = [
     "BurnsideElement",
@@ -56,9 +62,11 @@ DEFAULT_ELEMENT_BUDGET = 2 * 3**14
 
 def _element_budget():
     env = os.environ.get("TANGLELAB_MEM_GUARD")
-    if env:
-        return int(env)
-    return DEFAULT_ELEMENT_BUDGET
+    if not env:
+        return DEFAULT_ELEMENT_BUDGET
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError("TANGLELAB_MEM_GUARD must be a non-negative integer")
+    return int(env)
 
 
 def _step(index, r, k):
@@ -91,13 +99,18 @@ def _tables(r):
     adds coeff * prod(v[s] for s in sources) to v[target], mod 3.  No
     step reads one of its own targets (CrossCheckError otherwise), so the
     terms apply in place in any order and x_k^n adds n times as much.
+    No step reads a central digit either (CrossCheckError otherwise), so
+    the centre is only ever added to (see `enumerate_group`).
     """
     labels = [lab for size in (1, 2, 3) for lab in combinations(range(r), size)]
     index = {lab: d for d, lab in enumerate(labels)}
     steps = tuple(_step(index, r, k) for k in range(r))
+    nbase = r + comb(r, 2)
     for k, step in enumerate(steps):
-        targets = {t for t, _, _ in step}
-        if any(s in targets for _, _, sources in step for s in sources):
+        sources = {s for _, _, sources in step for s in sources}
+        if max(sources, default=-1) >= nbase:
+            raise CrossCheckError(f"the step of x_{k + 1} reads a central digit")
+        if sources & {t for t, _, _ in step}:
             raise CrossCheckError(f"the step of x_{k + 1} reads one of its targets")
     return tuple(labels), steps
 
@@ -209,15 +222,24 @@ def _digits(keys, dim):
 
 
 def enumerate_group(r, budget=None):
-    """Breadth-first closure of the identity under right multiplication
-    by the generators, as a certificate of the collection table.
+    """Closure of the identity under right multiplication by the
+    generators, as a certificate of the collection table, walked over
+    B(r,3) modulo its centre.
 
-    Elements are radix-3 keys of their digit vectors (int32, since
-    3^14 < 2^31).  Each level decodes the frontier keys into int8 digit
-    columns, runs every generator's step on them with `_collect`, re-keys
-    only the digits the step writes, marks the resulting keys in a bool
-    bitmap of size 3^dim and keeps the keys not visited before as the
-    next frontier.
+    A step moves the base digits a|b by a bijection of their own and adds
+    to the central digits c an amount read off a|b alone (`_tables`
+    refuses any other step).  So the breadth-first search runs over the
+    3^(r + C(r,2)) radix-3 base keys only, and label[y] keeps the central
+    digits (as a radix-3 key) of the element by which base key y was
+    first reached.  Each level decodes the frontier elements, keyed
+    base + 3^nbase * label (int32, since 3^14 < 2^31), into int8 digit
+    columns and runs every generator's step on them with `_collect`.
+    Every edge to base key y' with central digits c' has the holonomy
+    c' - label[y'], digit by digit mod 3, and the holonomies met are
+    marked in a bool bitmap of size 3^C(r,3).  By Schreier's lemma the
+    holonomies span the central digits reachable over base key 0, so the
+    closure has reached_bases * 3^rank elements, rank the F_3 rank of the
+    holonomies: exactly the count of a search over all 3^dim keys.
     The step table is consistent only if the closure reaches exactly
     3^(r + C(r,2) + C(r,3)) elements; any other count raises
     CrossCheckError.  Raises BudgetExceededError when the order exceeds
@@ -231,27 +253,37 @@ def enumerate_group(r, budget=None):
         raise BudgetExceededError(
             f"group of order {order} exceeds the element budget {budget}"
         )
-    dim = _dim(r)
+    dim, nbase = _dim(r), r + comb(r, 2)
+    m = dim - nbase
+    shift = np.int32(3**nbase)
     _, steps = _tables(r)
-    visited = np.zeros(order, dtype=bool)
-    visited[0] = True
+    label = np.full(3**nbase, -1, dtype=np.int32)
+    label[0] = 0
+    # the digits of every central key, and minus[c, l] the key of c - l
+    central = _digits(np.arange(3**m, dtype=np.int32), m)
+    diff = (central[:, :, None] - central[:, None, :]) % 3
+    minus = np.tensordot(3 ** np.arange(m), diff, 1)
+    holonomy = np.zeros(3**m, dtype=bool)
     frontier = np.zeros(1, dtype=np.int32)
-    total = 1
     while frontier.size:
         digits = _digits(frontier, dim)
-        level = np.zeros(order, dtype=bool)
+        level = np.zeros(label.size, dtype=bool)
         for step in steps:
             v = list(digits)
             _collect(v, step)
             keys = frontier.copy()
             for d in {target for target, _, _ in step}:
                 keys += (v[d] - digits[d]) * np.int32(3**d)
-            level[keys] = True
-            del v, keys  # else they outlive the step and raise the peak
-        level &= ~visited
-        visited |= level
+            centre, base = np.divmod(keys, shift)
+            fresh = label[base] < 0
+            label[base[fresh]] = centre[fresh]
+            level[base[fresh]] = True
+            holonomy[minus[centre, label[base]]] = True
         frontier = np.flatnonzero(level).astype(np.int32)
-        total += frontier.size
+        frontier += shift * label[frontier]
+    holonomies = central[:, holonomy].T.tolist()
+    rank = SubspaceModP.from_vectors(holonomies, 3, m).dim
+    total = np.count_nonzero(label >= 0) * 3**rank
     if total != order:
         raise CrossCheckError(
             f"closure found {total} elements, expected {order}: the "

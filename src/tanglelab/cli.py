@@ -8,6 +8,7 @@ an internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import random
 import sys
@@ -424,7 +425,8 @@ def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     argv = _glue_fraction_argv(_reorder_burnside_argv(list(argv)))
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # argparse prints help there
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = []

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import burnside_oracle as oracle
 import tanglelab.burnside3 as bg
 from tanglelab import cli
 from tanglelab.burnside3 import (
@@ -85,9 +86,8 @@ def test_orders_and_enumeration_small():
     assert group_order(2) == 27
     assert group_order(3) == 3**7
     assert group_order(4) == 3**14
-    assert enumerate_group(1) == 3
-    assert enumerate_group(2) == 27
-    assert enumerate_group(3) == 2187
+    for r in (1, 2, 3):
+        assert enumerate_group(r) == oracle.closure_count(r) == group_order(r)
 
 
 def test_consistency_check_exhaustive_r2():
@@ -213,6 +213,45 @@ def test_broken_step_table_fails_the_closure_count(monkeypatch):
     assert out.getvalue().startswith("error = closure found 729")
 
 
+def test_step_reading_a_central_digit_is_refused(monkeypatch):
+    step = bg._step
+
+    def bad(index, r, k):
+        # x_3 also moves a by the central digit c_123
+        terms = step(index, r, k)
+        return terms + ((0, 1, (index[0, 1, 2],)),) if k == 2 else terms
+
+    monkeypatch.setattr(bg, "_step", bad)
+    monkeypatch.setattr(bg, "_tables", bg._tables.__wrapped__)
+    with pytest.raises(CrossCheckError, match="x_3 reads a central digit"):
+        enumerate_group(3)
+    out = io.StringIO()
+    assert cli.run(["burnside", "enumerate", "-r", "3"], stdout=out) == 4
+    assert out.getvalue() == "error = the step of x_3 reads a central digit\n"
+
+
+def test_closure_count_matches_the_oracle_with_one_term_dropped(monkeypatch):
+    tables = bg._tables
+    labels, steps = tables(3)
+    broken = []
+    for k, step in enumerate(steps):
+        for i in range(len(step)):
+            table = steps[:k] + (step[:i] + step[i + 1 :],) + steps[k + 1 :]
+            broken.append((labels, table))
+    assert len(broken) == sum(map(len, steps)) == 10
+    counts = []
+    for table in broken:
+        monkeypatch.setattr(bg, "_tables", lambda r: table if r == 3 else tables(r))
+        want = oracle.closure_count(3, table[1])
+        if want == group_order(3):
+            assert enumerate_group(3) == want
+        else:
+            with pytest.raises(CrossCheckError, match=f"closure found {want} elements"):
+                enumerate_group(3)
+        counts.append(want)
+    assert group_order(3) in counts and 729 in counts
+
+
 def test_enumerate_group_4_peak_memory():
     tracemalloc.start()
     try:
@@ -220,7 +259,7 @@ def test_enumerate_group_4_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_P_word_nontrivial_with_trivial_abelianization():

@@ -505,3 +505,31 @@ def test_parser_is_built_once_per_process(monkeypatch):
     assert made[0] == "tanglelab"
     assert all(prog.startswith("tanglelab ") for prog in made[1:])
     assert len(set(made[1:])) == len(made) - 1 >= 11
+
+
+def test_help_goes_to_the_given_stream(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = capture(["tri", "-h"])
+    assert code == 0
+    assert out.startswith("usage: tanglelab tri [-h]")
+    src = os.path.dirname(os.path.dirname(tanglelab.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "tanglelab.cli", "tri", "-h"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+def test_invalid_mem_guard_exits_2(monkeypatch):
+    want = (2, "error = TANGLELAB_MEM_GUARD must be a non-negative integer\n")
+    for argv in (["burnside", "enumerate", "-r", "2"], ["obstruct", "--braid", "3: 1 2"]):
+        for value in ("abc", "1e3", "-5"):
+            monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
+            assert capture(argv) == want, (argv, value)
+        # zero is a valid budget that no group fits in
+        monkeypatch.setenv("TANGLELAB_MEM_GUARD", "0")
+        code, out = capture(argv)
+        assert code == 3 and out.startswith("error = "), argv
+        monkeypatch.setenv("TANGLELAB_MEM_GUARD", "27")
+        assert capture(argv)[0] == 0, argv
