@@ -247,7 +247,8 @@ def enumerate_group(r, budget=None):
     """
     if r > 4:
         raise BudgetExceededError("enumeration supported for r <= 4")
-    budget = budget or _element_budget()
+    if budget is None:
+        budget = _element_budget()
     order = group_order(r)
     if order > budget:
         raise BudgetExceededError(
@@ -306,10 +307,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
     checks = 0
 
     def rand():
-        a = tuple(rng.randrange(3) for _ in range(r))
-        b = tuple(rng.randrange(3) for _ in range(comb(r, 2)))
-        c = tuple(rng.randrange(3) for _ in range(comb(r, 3)))
-        return BurnsideElement(r, a, b, c)
+        return _element(r, [rng.randrange(3) for _ in range(_dim(r))])
 
     gens = [generator(r, i + 1) for i in range(r)]
     one = identity(r)
@@ -323,12 +321,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
                     raise CrossCheckError("generator overlap failed")
                 checks += 1
     if exhaustive:
-        space = [
-            BurnsideElement(r, a, b, c)
-            for a in product(range(3), repeat=r)
-            for b in product(range(3), repeat=comb(r, 2))
-            for c in product(range(3), repeat=comb(r, 3))
-        ]
+        space = [_element(r, v) for v in product(range(3), repeat=_dim(r))]
         for g in space:
             for h in space:
                 gh = multiply(g, h)
@@ -354,10 +347,8 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
             raise CrossCheckError("inverse failed")
         checks += 3
     # weight-3 part is central
-    for s in range(comb(r, 3)):
-        c = [0] * comb(r, 3)
-        c[s] = 1
-        z = BurnsideElement(r, (0,) * r, (0,) * comb(r, 2), tuple(c))
+    for d in range(r + comb(r, 2), _dim(r)):
+        z = _element(r, [int(e == d) for e in range(_dim(r))])
         for g in gens:
             if multiply(z, g) != multiply(g, z):
                 raise CrossCheckError("weight-3 generator is not central")
@@ -457,7 +448,8 @@ def quotient_order(relators, r, budget=None):
 
 
 def quotient_order_elements(images, r, budget=None):
-    budget = budget or _element_budget()
+    if budget is None:
+        budget = _element_budget()
     order = group_order(r)
     if order > budget:
         raise BudgetExceededError(

@@ -3,12 +3,14 @@ braid-quotient presentations, certified braid-quotient orders, word
 equality, and conjugacy classes.
 
 The enumerator builds the Schreier graph of a subgroup with a union-find
-over vertices: the subgroup generators are scanned at coset 0, every
-live vertex is scanned against every relator (defining new vertices as
-needed) and the endpoint is unified with the start; missing edges are
-then filled by definition.  For a finite index this terminates with the
-coset table, which is re-verified before it is returned.  Over the
-trivial subgroup the table is the regular representation.
+over vertices in one HLT pass: the subgroup generators are scanned at
+coset 0, then every live vertex in turn is scanned against every
+relator (defining new vertices as needed, the endpoint unified with the
+start) and its missing edges are filled by definition.  For a finite
+index this terminates with the coset table, which is re-verified before
+it is returned.  Over the trivial subgroup the table is the regular
+representation; canonical words and conjugacy classes are read off one
+breadth-first spanning tree of it.
 
 The order of B_n/(s_i^k) is certified by two bounds that must agree
 (Coxeter, *Factor groups of the braid group*, 1957, gives the finite
@@ -135,7 +137,6 @@ def enumerate_cosets(pres, max_cosets=10**6, subgroup=()):
     sub_letters = [_letters_of(_freely_reduce(w), g) for w in subgroup]
     labels = [0]
     neighbors = [[UNDEF] * width]
-    events = 0  # definitions plus coincidences, for fixpoint detection
 
     def find(c):
         while labels[c] != c:
@@ -144,26 +145,22 @@ def enumerate_cosets(pres, max_cosets=10**6, subgroup=()):
         return c
 
     def new_vertex():
-        nonlocal events
         if len(labels) >= max_cosets:
             raise BudgetExceededError(
                 f"coset enumeration exceeded {max_cosets} vertices"
             )
-        events += 1
         v = len(labels)
         labels.append(v)
         neighbors.append([UNDEF] * width)
         return v
 
     def unify(a, b):
-        nonlocal events
         stack = [(a, b)]
         while stack:
             a, b = stack.pop()
             a, b = find(a), find(b)
             if a == b:
                 continue
-            events += 1
             if b < a:
                 a, b = b, a
             labels[b] = a
@@ -218,44 +215,34 @@ def enumerate_cosets(pres, max_cosets=10**6, subgroup=()):
             f = d
             i += 1
 
-    # repeat full passes until a pass makes no definition and finds no
-    # coincidence: a collapse can hand an already-processed vertex new
-    # edges whose relator cycles still need scanning.  Each pass first
-    # closes the subgroup generators at coset 0 (HLT); coset 0 stays
-    # live because a coincidence keeps the smaller label.
-    while True:
-        before = events
-        for letters in sub_letters:
-            scan_and_fill(0, letters)
-        idx = 0
-        while idx < len(labels):
-            if labels[idx] == idx:
-                for letters in rel_letters:
-                    scan_and_fill(find(idx), letters)
-                    if labels[idx] != idx:
-                        break  # collapsed into an earlier vertex
-                else:
-                    c = find(idx)
-                    for x in range(width):
-                        if neighbors[c][x] == UNDEF:
-                            d = new_vertex()
-                            neighbors[c][x] = d
-                            neighbors[d][x ^ 1] = c
-            idx += 1
-        if events == before:
-            break
-
+    # one HLT pass: close the subgroup generators at coset 0, then scan
+    # every relator at each live vertex in turn and fill its row.  A
+    # closed relator cycle stays closed when vertices merge, and coset 0
+    # stays live (a coincidence keeps the smaller label), so the pass
+    # completes the table; `_verify` checks that it did.
+    for letters in sub_letters:
+        scan_and_fill(0, letters)
+    idx = 0
+    while idx < len(labels):
+        if labels[idx] == idx:
+            for letters in rel_letters:
+                scan_and_fill(idx, letters)
+                if labels[idx] != idx:
+                    break  # collapsed into an earlier vertex
+            else:
+                for x in range(width):
+                    if neighbors[idx][x] == UNDEF:
+                        d = new_vertex()
+                        neighbors[idx][x] = d
+                        neighbors[d][x ^ 1] = idx
+        idx += 1
     live = [i for i in range(len(labels)) if labels[i] == i]
     rank = {v: i for i, v in enumerate(live)}
     table = []
     for v in live:
-        row = neighbors[v]
-        out = []
-        for x in range(width):
-            if row[x] == UNDEF:
-                raise CrossCheckError("incomplete table after enumeration")
-            out.append(rank[find(row[x])])
-        table.append(tuple(out))
+        if UNDEF in neighbors[v]:
+            raise CrossCheckError("incomplete table after enumeration")
+        table.append(tuple(rank[find(d)] for d in neighbors[v]))
     result = CosetTable(g, tuple(table))
     _verify(result, pres, subgroup)
     return result
@@ -435,57 +422,67 @@ def certify_braid_quotient(n, k, budget=10**6):
     return quotient
 
 
-def canonical_words(table):
-    """Shortlex-least word reaching each coset from the identity; the
-    letter order is g1 < g1^-1 < g2 < ..."""
-    n = table.order
-    width = 2 * table.generators
-    words = [None] * n
-    words[0] = ()
+def _spanning_tree(table):
+    """(coset, parent, column) for every coset but 0, in the order the
+    breadth-first search from coset 0 reaches them, trying the columns
+    in table order."""
+    seen = bytearray(table.order)
+    seen[0] = 1
+    tree = []
     queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for x in range(width):
-            d = table.table[c][x]
-            if words[d] is None:
-                letter = (x // 2 + 1) * (1 if x % 2 == 0 else -1)
-                words[d] = words[c] + (letter,)
+    for c in queue:  # the queue grows while it is read
+        for x, d in enumerate(table.table[c]):
+            if not seen[d]:
+                seen[d] = 1
+                tree.append((d, c, x))
                 queue.append(d)
+    return tree
+
+
+def _tree_words(tree, n):
+    words = [()] * n
+    for d, c, x in tree:
+        words[d] = words[c] + ((x // 2 + 1) * (-1 if x & 1 else 1),)
     return words
+
+
+def canonical_words(table):
+    """Shortlex-least word reaching each coset from the identity, read
+    off `_spanning_tree`; the letter order is g1 < g1^-1 < g2 < ..."""
+    return _tree_words(_spanning_tree(table), table.order)
 
 
 def conjugacy_classes(table):
     """Partition of the group elements (cosets of the regular action)
-    into conjugacy classes; returns (count, classes, representatives)
-    with one shortlex-least representative word per class."""
+    into conjugacy classes, listed by least element; returns (count,
+    classes, representatives) with one shortlex-least representative
+    word per class.  Conjugation by generator a permutes the cosets as
+    c -> T[left[c]][a], where left[c], the coset of a^-1 * elt(c), is
+    filled along the spanning tree from left[0] = T[0][a^-1] (left
+    multiplication commutes with the right action)."""
     n = table.order
-    words = canonical_words(table)
-    gens = list(range(1, table.generators + 1))
-    seen = [False] * n
+    rows = table.table
+    tree = _spanning_tree(table)
+    perms = []
+    for col in range(0, 2 * table.generators, 2):
+        left = [0] * n
+        left[0] = rows[0][col + 1]
+        for d, c, x in tree:
+            left[d] = rows[left[c]][x]
+        perms.append([rows[c][col] for c in left])
+    seen = bytearray(n)
     classes = []
     for i in range(n):
         if seen[i]:
             continue
-        orbit = {i}
-        queue = [i]
-        while queue:
-            c = queue.pop()
-            for a in gens:
-                # index of a^-1 * elt(c) * a
-                start = trace(table, (-a,))
-                mid = trace(table, words[c], start)
-                d = trace(table, (a,), mid)
-                if d not in orbit:
-                    orbit.add(d)
-                    queue.append(d)
-        for c in orbit:
-            seen[c] = True
+        seen[i] = 1
+        orbit = [i]
+        for c in orbit:  # the orbit grows while it is read
+            for perm in perms:
+                if not seen[perm[c]]:
+                    seen[perm[c]] = 1
+                    orbit.append(perm[c])
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0])
-    reps = []
-    for cls in classes:
-        best = min((len(words[c]), words[c]) for c in cls)
-        reps.append(best[1])
+    words = _tree_words(tree, n)
+    reps = [min((len(words[c]), words[c]) for c in cls)[1] for cls in classes]
     return len(classes), classes, reps

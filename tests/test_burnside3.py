@@ -104,6 +104,16 @@ def test_enumeration_budget_guard():
         enumerate_group(4, budget=100)
 
 
+def test_explicit_zero_budget_is_a_budget(monkeypatch):
+    # budget=0 admits no group, as TANGLELAB_MEM_GUARD=0 does; it is not
+    # read as "the default"
+    monkeypatch.delenv("TANGLELAB_MEM_GUARD", raising=False)
+    with pytest.raises(BudgetExceededError, match="element budget 0$"):
+        enumerate_group(3, budget=0)
+    with pytest.raises(BudgetExceededError, match="element budget 0$"):
+        quotient_order([[1, 2, -1]], 2, budget=0)
+
+
 def _key(g):
     return sum(x * 3**d for d, x in enumerate(g.a + g.b + g.c))
 

@@ -391,6 +391,95 @@ def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
     )
 
 
+# the class lines follow the coset numbering of the regular table and its
+# shortlex spanning tree
+CLASS_LINES = {
+    (4, 3): (
+        "order = 648\n"
+        "classes = 24\n"
+        "class e : size = 1\n"
+        "class 1 : size = 12\n"
+        "class 1 2 : size = 36\n"
+        "class -3 2 : size = 54\n"
+        "class 1 3 : size = 12\n"
+        "class -3 : size = 12\n"
+        "class 1 2 3 : size = 54\n"
+        "class -3 2 1 : size = 72\n"
+        "class -1 3 : size = 24\n"
+        "class -3 -2 : size = 36\n"
+        "class -2 1 3 : size = 36\n"
+        "class 1 -2 1 -2 : size = 9\n"
+        "class -2 1 -2 3 : size = 9\n"
+        "class -3 2 -1 : size = 36\n"
+        "class -1 -3 : size = 12\n"
+        "class -3 -2 1 : size = 72\n"
+        "class -3 2 1 -3 2 : size = 36\n"
+        "class -3 -2 -1 : size = 54\n"
+        "class -3 2 -1 2 : size = 9\n"
+        "class -3 2 -1 -3 2 : size = 36\n"
+        "class -3 2 -1 -3 2 -1 : size = 12\n"
+        "class -2 1 3 -2 1 3 : size = 12\n"
+        "class 1 -2 3 -2 1 -2 3 -2 : size = 1\n"
+        "class -1 2 -3 2 -1 2 -3 2 : size = 1\n"
+    ),
+    (3, 5): (
+        "order = 600\n"
+        "classes = 45\n"
+        "class e : size = 1\n"
+        "class 1 : size = 12\n"
+        "class 1 2 : size = 20\n"
+        "class 1 1 2 : size = 30\n"
+        "class 1 1 : size = 12\n"
+        "class -2 -2 : size = 12\n"
+        "class -2 : size = 12\n"
+        "class -2 -2 1 : size = 20\n"
+        "class -2 1 : size = 12\n"
+        "class 1 1 2 2 : size = 12\n"
+        "class 1 1 2 1 1 2 : size = 1\n"
+        "class -2 1 1 : size = 20\n"
+        "class -2 -2 -1 : size = 30\n"
+        "class -2 -1 : size = 20\n"
+        "class -2 -2 1 1 : size = 20\n"
+        "class -1 -1 2 1 1 2 : size = 12\n"
+        "class -2 -2 1 -2 -2 1 : size = 20\n"
+        "class -1 2 1 1 2 : size = 12\n"
+        "class -2 -2 1 -2 1 : size = 30\n"
+        "class -2 -2 -1 -1 : size = 12\n"
+        "class -2 1 -2 1 : size = 12\n"
+        "class -2 1 -2 1 1 : size = 30\n"
+        "class -2 1 -2 -1 -1 : size = 12\n"
+        "class -2 1 -2 -2 1 1 -2 : size = 12\n"
+        "class -2 1 -2 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 1 2 -1 2 1 1 2 2 : size = 1\n"
+        "class -2 1 1 -2 1 1 : size = 20\n"
+        "class -2 1 1 -2 -1 -1 : size = 12\n"
+        "class -1 -1 -2 -1 -1 -2 : size = 1\n"
+        "class -2 -2 1 1 -2 1 : size = 30\n"
+        "class -2 -2 1 -2 1 -2 1 : size = 20\n"
+        "class -2 1 1 -2 1 1 -2 : size = 12\n"
+        "class -2 1 -2 1 -2 1 1 -2 : size = 20\n"
+        "class -2 1 -2 1 -2 1 : size = 12\n"
+        "class -2 1 -2 1 -2 1 1 : size = 20\n"
+        "class -1 2 2 -1 2 -1 2 2 : size = 12\n"
+        "class -2 1 -2 1 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 -2 1 -2 -2 1 -2 1 -2 -2 : size = 1\n"
+        "class 1 1 -2 1 1 -2 1 1 -2 : size = 1\n"
+        "class -1 2 -1 2 2 -1 -1 2 2 : size = 12\n"
+        "class -2 1 -2 1 -2 1 -2 1 : size = 12\n"
+        "class 1 1 -2 -2 1 -2 1 -2 1 -2 -2 : size = 1\n"
+        "class 1 1 -2 1 -2 1 1 -2 1 -2 : size = 1\n"
+        "class 1 -2 1 -2 1 -2 1 -2 1 -2 : size = 1\n"
+        "class 1 1 -2 1 -2 1 -2 1 1 -2 -2 : size = 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(CLASS_LINES))
+def test_braid_quotient_class_lines(n, k):
+    code, out = capture(["braid-quotient", "--n", str(n), "--k", str(k), "--classes"])
+    assert (code, out) == (0, CLASS_LINES[n, k])
+
+
 
 def test_compile_budget_exits_3_without_building():
     # one crossing per twist: 2^31 - 1 of them would exhaust memory

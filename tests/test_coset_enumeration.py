@@ -1,6 +1,8 @@
+import hashlib
 import io
 import random
 
+import coset_oracle as oracle
 import pytest
 
 from tanglelab import coset_enumeration as ce
@@ -253,3 +255,85 @@ def test_certified_order_budget():
     for n, k in ((6, 3), (3, 6), (4, 4)):
         with pytest.raises(BudgetExceededError):
             ce.certify_braid_quotient(n, k, budget=10**4)
+
+
+def _digest(tab):
+    return hashlib.sha256(str(tab.table).encode()).hexdigest()
+
+
+# sha256 of str(table.table), recorded from the fixpoint enumerator that
+# repeated whole HLT passes until one changed nothing: one pass numbers
+# the cosets the same way
+REGULAR_DIGESTS = {
+    (3, 3): "4cbdd7f4de44df5e911cce6f19b1de10a434887abd82918d209d307a9a521219",
+    (3, 4): "378bacb1846c1a64d8e0478fce5f7c91f53144839fc22d27093932cb03c21cfd",
+    (4, 3): "4abf2be96e63fe01d3a1bae6d2f70cc788b0ae799c223b3b5cbc4523f1863299",
+    (3, 5): "a17766e87c1489158b41cb96f558a5763a98a77362a797c4081c655efe8db067",
+}
+# <s_1..s_{m-2}> in B_m/(s_i^3), m = 3, 4, 5: the tables of parabolic_bound(5, 3)
+PARABOLIC_DIGESTS = {
+    3: (8, "fcdc329e2da70eb51c680e278eb4966caa417d7f63f83a773fbecdf396dafa42"),
+    4: (27, "a25a13c834b35a8000506dd4f86e6e85f6aacbd849d8ed9fcc7186b23010e760"),
+    5: (240, "951d46eb0b81186ba08b2d5165b53f58196d3f7a9259acbd30d52e28fea09922"),
+}
+CORPUS_DIGEST = "b636ff000798c65fc63e4f4432dc8b83740af4a83fd69d0cee50c8897f3ef5fa"
+
+
+def _finite_corpus(seed=0, count=40):
+    """Seeded finite presentations with subgroups: spherical triangle
+    groups <x, y | x^a, y^b, (xy)^c> and rank-3 Coxeter groups, under
+    random relator order, rotation and inversion, sometimes with one more
+    random relator and up to two random subgroup words."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            a, b, c = rng.choice(
+                [(2, 2, 3), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5), (3, 3, 2)]
+            )
+            g, rels = 2, [(1,) * a, (2,) * b, (1, 2) * c]
+        else:
+            p, q = rng.choice([(3, 3), (3, 4), (3, 5), (4, 3), (2, 5)])
+            g = 3
+            rels = [(1, 1), (2, 2), (3, 3), (1, 2) * p, (2, 3) * q, (1, 3) * 2]
+        rels = [r[i:] + r[:i] for r in rels for i in [rng.randrange(len(r))]]
+        rels = [
+            tuple(-x for x in reversed(r)) if rng.random() < 0.3 else r
+            for r in rels
+        ]
+        rng.shuffle(rels)
+        if rng.random() < 0.3:
+            rels.append(tuple(rng.choice((1, -1)) * rng.randint(1, g)
+                              for _ in range(rng.randint(2, 6))))
+        sub = [tuple(rng.choice((1, -1)) * rng.randint(1, g)
+                     for _ in range(rng.randint(1, 3)))
+               for _ in range(rng.choice((0, 0, 1, 2)))]
+        out.append((Presentation(g, tuple(rels)), sub))
+    return out
+
+
+def test_one_pass_tables_match_the_fixpoint_digests():
+    for (n, k), want in REGULAR_DIGESTS.items():
+        assert _digest(enumerate_cosets(braid_presentation(n, k))) == want, (n, k)
+    for m, (index, want) in PARABOLIC_DIGESTS.items():
+        sub = [(i,) for i in range(1, m - 1)]
+        tab = enumerate_cosets(braid_presentation(m, 3), subgroup=sub)
+        assert (tab.order, _digest(tab)) == (index, want), m
+    h = hashlib.sha256()
+    orders = []
+    for pres, sub in _finite_corpus():
+        tab = enumerate_cosets(pres, subgroup=sub)
+        orders.append(tab.order)
+        h.update(f"{tab.order}:{tab.table};".encode())
+    assert h.hexdigest() == CORPUS_DIGEST, orders
+    # not a corpus of trivial groups: A3, B3 and dihedral orders occur
+    assert {24, 48, 20} <= set(orders)
+
+
+def test_classes_and_words_match_the_word_tracing_oracle():
+    tables = [enumerate_cosets(braid_presentation(n, k)) for n, k in REGULAR_DIGESTS]
+    tables += [enumerate_cosets(pres) for pres, sub in _finite_corpus() if not sub]
+    for tab in tables:
+        assert canonical_words(tab) == oracle.canonical_words(tab)
+        assert conjugacy_classes(tab) == oracle.conjugacy_classes(tab)
+
