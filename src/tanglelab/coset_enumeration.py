@@ -484,5 +484,6 @@ def conjugacy_classes(table):
                     orbit.append(perm[c])
         classes.append(tuple(sorted(orbit)))
     words = _tree_words(tree, n)
-    reps = [min((len(words[c]), words[c]) for c in cls)[1] for cls in classes]
+    rank = {d: r for r, (d, _, _) in enumerate(tree, 1)}  # shortlex order of words
+    reps = [words[min(cls, key=lambda c: rank.get(c, 0))] for cls in classes]
     return len(classes), classes, reps

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 
 from . import exact_linear as xl
 from .errors import (
@@ -44,6 +45,7 @@ __all__ = [
     "boundary_image",
     "reduced_boundary_image",
     "expr_boundary_image",
+    "ImageTable",
     "reduce_image",
     "reduce_to_f_basis",
     "virtual_index",
@@ -264,85 +266,110 @@ def _sigma_rows(n, level, sign):
     return rows + [v, w]
 
 
-def _leaf_image(expr, p, memo):
+def _leaf_rows(expr):
+    """Spanning rows of the boundary image of a leaf, and their length."""
     if isinstance(expr, Integer):
-        rows, n = _integer_rows(expr.k), 2
-    elif isinstance(expr, Infinity):
-        rows, n = _pair_rows(((1, 2), (3, 4)), 2), 2
-    elif isinstance(expr, Planar):
-        rows, n = _pair_rows(expr.pairs, len(expr.pairs)), len(expr.pairs)
-    elif isinstance(expr, Sigma):
-        rows, n = _sigma_rows(expr.n, expr.i, expr.sign), expr.n
-    elif isinstance(expr, Rational):
-        return _expr_image(rational_expr(expr.entries), p, memo)
-    else:
-        raise TypeError(f"not a tangle expression: {expr!r}")
-    return SubspaceModP.from_vectors(rows, p, 2 * n)
+        return _integer_rows(expr.k), 4
+    if isinstance(expr, Infinity):
+        return _pair_rows(((1, 2), (3, 4)), 2), 4
+    if isinstance(expr, Planar):
+        return _pair_rows(expr.pairs, len(expr.pairs)), 2 * len(expr.pairs)
+    if isinstance(expr, Sigma):
+        return _sigma_rows(expr.n, expr.i, expr.sign), 2 * expr.n
+    raise TypeError(f"not a tangle expression: {expr!r}")
 
 
 def _fiber_product(left, right, p):
-    """Image of the composition: pairs of vectors of the two images that
-    agree on the glued points (left[2n-1-k] = right[k], as in
-    `_glue_compose`), projected to left[:n] + right[n:]."""
-    n = left.ambient // 2
-    a = len(left.rows)
+    """Spanning vectors of the image of the composition: pairs of vectors
+    of the two images that agree on the glued points (left[2n-1-k] =
+    right[k], as in `_glue_compose`), projected to left[:n] + right[n:]."""
+    n, a = left.ambient // 2, len(left.rows)
     system = [
         [u[2 * n - 1 - k] for u in left.rows] + [-w[k] % p for w in right.rows]
         for k in range(n)
     ]
-    vectors = []
-    for c in xl._kernel_basis(system, p, a + len(right.rows)):
-        v = [0] * (2 * n)
-        for x, u in zip(c[:a], left.rows):
-            for j in range(n):
-                v[j] += x * u[j]
-        for y, w in zip(c[a:], right.rows):
-            for j in range(n, 2 * n):
-                v[j] += y * w[j]
-        vectors.append(v)
-    return SubspaceModP.from_vectors(vectors, p, 2 * n)
+    kept = list(zip(*left.rows))[:n], list(zip(*right.rows))[n:]
+    return [
+        [sum(map(mul, c, col)) for col in kept[0]]
+        + [sum(map(mul, c[a:], col)) for col in kept[1]]
+        for c in xl._kernel_basis(system, p, a + len(right.rows))
+    ]
 
 
-def _expr_image(expr, p, memo):
-    if isinstance(expr, Rot):
-        child = _expr_image(expr.child, p, memo)
-        key = ("rot", child.rows)
-        img = memo.get(key)
-        if img is None:
-            # the corner shift of `_build`: position 0 takes the last corner
-            shifted = [r[-1:] + r[:-1] for r in child.rows]
-            img = memo[key] = SubspaceModP.from_vectors(shifted, p, child.ambient)
-        return img
-    if isinstance(expr, Compose):
-        left = _expr_image(expr.left, p, memo)
-        right = _expr_image(expr.right, p, memo)
-        if left.ambient != right.ambient:
-            raise ValueError("composed tangles must have equal widths")
-        key = ("compose", left.rows, right.rows)
-        img = memo.get(key)
-        if img is None:
-            img = memo[key] = _fiber_product(left, right, p)
-        return img
-    img = memo.get(expr)
-    if img is None:
-        img = memo[expr] = _leaf_image(expr, p, memo)
-    return img
+class ImageTable:
+    """Boundary images mod p, interned: id i names the image `images[i]`.
+
+    The structural rules run on ids: `leaf(expr)` memoized by the
+    expression, `rot(i, k)` (`Rot` applied k times) as one corner shift
+    memoized by (i, k mod 2n), and `compose(i, j)` as one
+    `_fiber_product` memoized by (i, j); `expr` walks a tree through them.
+    """
+
+    def __init__(self, p):
+        self.p, self.images = p, []
+        self._ids, self._leaves, self._rots, self._composes = {}, {}, {}, {}
+
+    def _intern(self, vectors, width):
+        img = SubspaceModP.from_vectors(vectors, self.p, width)
+        i = self._ids.setdefault((width, img.rows), len(self.images))
+        if i == len(self.images):
+            self.images.append(img)
+        return i
+
+    def leaf(self, expr):
+        i = self._leaves.get(expr)
+        if i is None:
+            if isinstance(expr, Rational):
+                i = self.expr(rational_expr(expr.entries))
+            else:
+                i = self._intern(*_leaf_rows(expr))
+            self._leaves[expr] = i
+        return i
+
+    def rot(self, i, k):
+        # the corner shift of `_build`, k steps: position k takes corner 0
+        width = self.images[i].ambient
+        k %= width or 1
+        j = self._rots.get((i, k)) if k else i
+        if j is None:
+            shifted = [r[-k:] + r[:-k] for r in self.images[i].rows]
+            j = self._rots[i, k] = self._intern(shifted, width)
+            self._rots[j, width - k] = i
+        return j
+
+    def compose(self, i, j):
+        c = self._composes.get((i, j))
+        if c is None:
+            left, right = self.images[i], self.images[j]
+            if left.ambient != right.ambient:
+                raise ValueError("composed tangles must have equal widths")
+            vectors = _fiber_product(left, right, self.p)
+            c = self._composes[i, j] = self._intern(vectors, left.ambient)
+        return c
+
+    def expr(self, expr):
+        k = 0
+        while isinstance(expr, Rot):
+            expr, k = expr.child, k + 1
+        if isinstance(expr, Compose):
+            i = self.compose(self.expr(expr.left), self.expr(expr.right))
+        else:
+            i = self.leaf(expr)
+        return self.rot(i, k)
 
 
-def expr_boundary_image(expr, p, memo=None):
+def expr_boundary_image(expr, p):
     """The boundary image of `compile_expr(expr)` (as `boundary_image`
     gives it) computed from the expression tree without compiling.
 
     Leaves have closed forms; `Rot` shifts the corners and `Compose` is
-    the fiber product of the two images over the glued points.  A
-    caller that scores many trees over one prime p may pass the same
-    dict as `memo` to every call: it keeps leaf images by expression
-    and rotations and compositions by the images they act on, and must
-    not be shared between primes.
+    the fiber product of the two images over the glued points, both by
+    the rules of a fresh `ImageTable(p)`.
     """
     if not xl.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    img = _expr_image(expr, p, {} if memo is None else memo)
+    table = ImageTable(p)
+    img = table.images[table.expr(expr)]
     if not img.ambient:
         raise ValueError("diagram has no boundary")
     return img

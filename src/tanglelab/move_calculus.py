@@ -35,7 +35,6 @@ from .tangle_core import (
     cf_eval,
     cf_vector,
     compile_expr,
-    expr_width,
     rational_expr,
     slope,
 )
@@ -120,9 +119,10 @@ def boundary_invariant(expr, p):
     diagram."""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
-    if expr_width(expr) != 2:
+    image = fox.expr_boundary_image(expr, p)
+    if image.ambient != 4:
         raise ValueError("boundary invariant is defined for 2-tangles")
-    line = fox.reduce_image(fox.expr_boundary_image(expr, p))
+    line = fox.reduce_image(image)
     direct = fox.reduced_boundary_image(compile_expr(expr), p)
     if direct != line or line.dim != 1:
         raise CrossCheckError(

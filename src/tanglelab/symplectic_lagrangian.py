@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -15,24 +15,23 @@ from . import exact_linear as xl
 from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
 from .exact_linear import SubspaceModP
 from .fox_coloring import (
+    ImageTable,
     _pair_rows,
-    expr_boundary_image,
     reduce_image,
     reduce_to_f_basis,
     reduced_boundary_image,
 )
 from .move_calculus import horizontal_family
 from .tangle_core import (
-    Compose,
     Infinity,
     Integer,
     Rational,
-    Rot,
     Sigma,
     compile_expr,
     noncrossing_matchings,
     print_conway,
     random_algebraic_expr,
+    rotated_compose,
 )
 
 __all__ = [
@@ -212,77 +211,70 @@ def matching_census(n):
 # Realization search.
 
 
-def _rational_candidates(p, max_len, values):
-    for L in range(1, max_len + 1):
-        for entries in product(values, repeat=L):
-            yield Rational(*entries)
-
-
 def realize_lagrangians(p, n, generator_budget=20000, seed=0):
     """Search tangle expressions whose reduced boundary image hits every
     Lagrangian.  Returns (witness map, unrealized list).
 
-    Rational tangles come first (for n = 2 the horizontal family and
-    bounded twist vectors; for larger n twisted planar leaves), then
+    Rational tangles come first: for n = 2 the horizontal family and
+    bounded twist vectors, for larger n the noncrossing matchings, the
+    `Sigma` crossings and their pairwise products r^i(A) * B.  Then
     seeded random algebraic trees fill the gaps.  `generator_budget`
     bounds both the number of candidates tried and the enumeration of
     the targets (BudgetExceededError when there are more Lagrangians).
 
-    Candidates are scored by their structural boundary images
-    (`expr_boundary_image`, sharing one memo for the whole search), and
-    the first candidate to hit a Lagrangian is its witness.  Every
-    witness is then compiled once and its reduced boundary image
-    compared with the structural one (CrossCheckError on a mismatch).
+    Each candidate is a node (image id, shape) of one `ImageTable` kept
+    for this call only: a random tree is scored as it is drawn, and its
+    shape, a leaf or (node, ka, node, kb), is turned into an expression
+    only when it is the first to hit a Lagrangian.  Every witness is
+    then compiled once and its reduced boundary image compared with the
+    structural one (CrossCheckError on a mismatch).
     """
     targets = enumerate_lagrangians(p, n, budget=generator_budget)
     remaining = {s.rows: s for s in targets}
-    witnesses = {}
+    found = {}
+    table = ImageTable(p)
+    rot, compose = table.rot, table.compose
+    reduced = {}
     rng = random.Random(seed)
-    memo = {}
 
-    def try_expr(expr):
-        img = expr_boundary_image(expr, p, memo)
-        key = ("reduce", img.rows)
-        reduced = memo.get(key)
-        if reduced is None:
-            reduced = memo[key] = reduce_image(img)
-        if reduced.rows in remaining:
-            del remaining[reduced.rows]
-            witnesses[reduced] = expr
+    def leaf(expr):
+        return table.leaf(expr), expr
+
+    def join(a, ka, b, kb):
+        return compose(rot(a[0], ka), rot(b[0], kb)), (a, ka, b, kb)
+
+    def try_node(node):
+        red = reduced.get(node[0])
+        if red is None:
+            red = reduced[node[0]] = reduce_image(table.images[node[0]])
+        if red.rows in remaining:
+            del remaining[red.rows]
+            found[red] = node
 
     budget = generator_budget
     if n == 2:
         for s in horizontal_family(p):
-            try_expr(Infinity() if s.is_inf else Integer(s.num))
+            try_node(leaf(Infinity() if s.is_inf else Integer(s.num)))
             budget -= 1
-    systematic = []
-    if n == 2:
         half = (p - 1) // 2
         vals = [v for v in range(-half, half + 1) if v] or [1, -1]
-        systematic = _rational_candidates(p, 3, vals)
+        systematic = (leaf(Rational(*e)) for k in (1, 2, 3) for e in product(vals, repeat=k))
     else:
-        # crossingless leaves and their small twisted products
-        leaves = noncrossing_matchings(n)
         sigmas = [Sigma(n, i, s) for i in range(1, n) for s in (1, -1)]
-        pool = list(leaves) + sigmas
-        systematic = list(pool)
-        two = []
-        for a in pool:
-            for b in pool:
-                for i in range(2 * n):
-                    e = Compose(_rot_k(a, i), b)
-                    two.append(e)
-        systematic += two
-    for expr in systematic:
+        pool = [leaf(e) for e in noncrossing_matchings(n) + tuple(sigmas)]
+        two = (join(a, i, b, 0) for a in pool for b in pool for i in range(2 * n))
+        systematic = chain(pool, two)
+    for node in systematic:
         if not remaining or budget <= 0:
             break
-        try_expr(expr)
+        try_node(node)
         budget -= 1
     while remaining and budget > 0:
-        expr = random_algebraic_expr(n, rng, max_depth=4)
-        try_expr(expr)
+        try_node(random_algebraic_expr(n, rng, 4, leaf, join))
         budget -= 1
-    for img, expr in witnesses.items():
+    witnesses = {}
+    for img, node in found.items():
+        expr = witnesses[img] = _node_expr(node)
         direct = reduced_boundary_image(compile_expr(expr), p)
         if direct != img:
             raise CrossCheckError(
@@ -292,7 +284,10 @@ def realize_lagrangians(p, n, generator_budget=20000, seed=0):
     return witnesses, sorted(remaining.values(), key=lambda s: s.rows)
 
 
-def _rot_k(expr, k):
-    for _ in range(k):
-        expr = Rot(expr)
-    return expr
+def _node_expr(node):
+    """The expression of a search node: the leaf itself, or a join
+    built as `random_algebraic_expr` builds it."""
+    if isinstance(node[1], tuple):
+        a, ka, b, kb = node[1]
+        return rotated_compose(_node_expr(a), ka, _node_expr(b), kb)
+    return node[1]

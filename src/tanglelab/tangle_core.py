@@ -59,6 +59,7 @@ __all__ = [
     "diagram_to_text",
     "noncrossing_matchings",
     "random_algebraic_expr",
+    "rotated_compose",
     "pretzel",
     "trefoil",
     "figure_eight",
@@ -252,30 +253,14 @@ class Sigma:
             raise ValueError("sign must be +1 or -1")
 
 
-def rotate(expr):
-    return Rot(expr)
+def rotate(expr, k=1):
+    for _ in range(k):
+        expr = Rot(expr)
+    return expr
 
 
 def compose(a, b):
     return Compose(a, b)
-
-
-def expr_width(expr):
-    """Number of strands n of the compiled tangle (2 for Conway forms)."""
-    if isinstance(expr, (Integer, Infinity, Rational)):
-        return 2
-    if isinstance(expr, Planar):
-        return len(expr.pairs)
-    if isinstance(expr, Sigma):
-        return expr.n
-    if isinstance(expr, Rot):
-        return expr_width(expr.child)
-    if isinstance(expr, Compose):
-        nl, nr = expr_width(expr.left), expr_width(expr.right)
-        if nl != nr:
-            raise ValueError("composed tangles must have equal widths")
-        return nl
-    raise TypeError(f"not a tangle expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -893,22 +878,29 @@ def noncrossing_matchings(n):
     return tuple(Planar(m) for m in rec(tuple(range(1, 2 * n + 1))))
 
 
-def random_algebraic_expr(n, rng, max_depth=4):
+def rotated_compose(a, ka, b, kb):
+    """r^ka(a) * r^kb(b), a node of `random_algebraic_expr`."""
+    return Compose(rotate(a, ka), rotate(b, kb))
+
+
+def random_algebraic_expr(n, rng, max_depth=4, leaf=lambda e: e, join=rotated_compose):
     """Random algebraic n-tangle expression: leaves have at most one
-    crossing, nodes are r^i(A) * r^j(B)."""
+    crossing, nodes are r^ka(A) * r^kb(B) with ka, kb < 2n.
+
+    The draw is a fold: every leaf goes through leaf(expr) and every
+    node through join(a, ka, b, kb) on its folded subtrees, so a caller
+    that only scores trees builds none.  By default a leaf is kept and
+    a join is `rotated_compose`.
+    """
     if max_depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return rng.choice(noncrossing_matchings(n))
+            return leaf(rng.choice(noncrossing_matchings(n)))
         if n == 2:
-            return Integer(rng.choice((-1, 1)))
-        return Sigma(n, rng.randrange(1, n), rng.choice((-1, 1)))
-    a = random_algebraic_expr(n, rng, max_depth - 1)
-    b = random_algebraic_expr(n, rng, max_depth - 1)
-    for _ in range(rng.randrange(0, 2 * n)):
-        a = Rot(a)
-    for _ in range(rng.randrange(0, 2 * n)):
-        b = Rot(b)
-    return Compose(a, b)
+            return leaf(Integer(rng.choice((-1, 1))))
+        return leaf(Sigma(n, rng.randrange(1, n), rng.choice((-1, 1))))
+    a = random_algebraic_expr(n, rng, max_depth - 1, leaf, join)
+    b = random_algebraic_expr(n, rng, max_depth - 1, leaf, join)
+    return join(a, rng.randrange(0, 2 * n), b, rng.randrange(0, 2 * n))
 
 
 def pretzel(a, b_):

@@ -59,8 +59,11 @@ def conjugacy_classes(table):
             seen[c] = True
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cls: cls[0])
-    reps = []
-    for cls in classes:
-        best = min((len(words[c]), words[c]) for c in cls)
-        reps.append(best[1])
+    reps = [min((words[c] for c in cls), key=shortlex) for cls in classes]
     return len(classes), classes, reps
+
+
+def shortlex(word):
+    """Sort key of a word: length first, then letters in the order
+    g1 < g1^-1 < g2 < g2^-1 < ..."""
+    return len(word), [2 * abs(x) - (x > 0) for x in word]

@@ -391,8 +391,9 @@ def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
     )
 
 
-# the class lines follow the coset numbering of the regular table and its
-# shortlex spanning tree
+# the class lines follow the coset numbering of the regular table; each
+# representative is the shortlex-least word of its class, with letters
+# ordered g1 < g1^-1 < g2 < ...
 CLASS_LINES = {
     (4, 3): (
         "order = 648\n"
@@ -400,25 +401,25 @@ CLASS_LINES = {
         "class e : size = 1\n"
         "class 1 : size = 12\n"
         "class 1 2 : size = 36\n"
-        "class -3 2 : size = 54\n"
+        "class 1 -2 : size = 54\n"
         "class 1 3 : size = 12\n"
-        "class -3 : size = 12\n"
+        "class -1 : size = 12\n"
         "class 1 2 3 : size = 54\n"
-        "class -3 2 1 : size = 72\n"
-        "class -1 3 : size = 24\n"
-        "class -3 -2 : size = 36\n"
-        "class -2 1 3 : size = 36\n"
+        "class 1 2 -3 : size = 72\n"
+        "class 1 -3 : size = 24\n"
+        "class -1 -2 : size = 36\n"
+        "class 1 -2 3 : size = 36\n"
         "class 1 -2 1 -2 : size = 9\n"
-        "class -2 1 -2 3 : size = 9\n"
-        "class -3 2 -1 : size = 36\n"
+        "class 1 -2 3 -2 : size = 9\n"
+        "class -1 2 -3 : size = 36\n"
         "class -1 -3 : size = 12\n"
-        "class -3 -2 1 : size = 72\n"
-        "class -3 2 1 -3 2 : size = 36\n"
-        "class -3 -2 -1 : size = 54\n"
-        "class -3 2 -1 2 : size = 9\n"
-        "class -3 2 -1 -3 2 : size = 36\n"
-        "class -3 2 -1 -3 2 -1 : size = 12\n"
-        "class -2 1 3 -2 1 3 : size = 12\n"
+        "class 1 -2 -3 : size = 72\n"
+        "class 1 2 -3 2 -3 : size = 36\n"
+        "class -1 -2 -3 : size = 54\n"
+        "class -1 2 -3 2 : size = 9\n"
+        "class 1 -2 1 -2 -3 : size = 36\n"
+        "class -1 2 -1 -3 2 -3 : size = 12\n"
+        "class 1 -2 1 3 -2 3 : size = 12\n"
         "class 1 -2 3 -2 1 -2 3 -2 : size = 1\n"
         "class -1 2 -3 2 -1 2 -3 2 : size = 1\n"
     ),
@@ -430,42 +431,42 @@ CLASS_LINES = {
         "class 1 2 : size = 20\n"
         "class 1 1 2 : size = 30\n"
         "class 1 1 : size = 12\n"
-        "class -2 -2 : size = 12\n"
-        "class -2 : size = 12\n"
-        "class -2 -2 1 : size = 20\n"
-        "class -2 1 : size = 12\n"
+        "class -1 -1 : size = 12\n"
+        "class -1 : size = 12\n"
+        "class 1 -2 -2 : size = 20\n"
+        "class 1 -2 : size = 12\n"
         "class 1 1 2 2 : size = 12\n"
         "class 1 1 2 1 1 2 : size = 1\n"
-        "class -2 1 1 : size = 20\n"
-        "class -2 -2 -1 : size = 30\n"
-        "class -2 -1 : size = 20\n"
-        "class -2 -2 1 1 : size = 20\n"
-        "class -1 -1 2 1 1 2 : size = 12\n"
-        "class -2 -2 1 -2 -2 1 : size = 20\n"
-        "class -1 2 1 1 2 : size = 12\n"
-        "class -2 -2 1 -2 1 : size = 30\n"
-        "class -2 -2 -1 -1 : size = 12\n"
-        "class -2 1 -2 1 : size = 12\n"
-        "class -2 1 -2 1 1 : size = 30\n"
-        "class -2 1 -2 -1 -1 : size = 12\n"
-        "class -2 1 -2 -2 1 1 -2 : size = 12\n"
-        "class -2 1 -2 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 1 -2 : size = 20\n"
+        "class -1 -1 -2 : size = 30\n"
+        "class -1 -2 : size = 20\n"
+        "class 1 1 -2 -2 : size = 20\n"
+        "class 1 1 2 -1 -1 2 : size = 12\n"
+        "class 1 -2 -2 1 -2 -2 : size = 20\n"
+        "class 1 1 2 -1 2 : size = 12\n"
+        "class 1 -2 1 -2 -2 : size = 30\n"
+        "class -1 -1 -2 -2 : size = 12\n"
+        "class 1 -2 1 -2 : size = 12\n"
+        "class 1 1 -2 1 -2 : size = 30\n"
+        "class 1 -2 -1 -1 -2 : size = 12\n"
+        "class 1 1 -2 -2 1 -2 -2 : size = 12\n"
+        "class 1 1 2 2 1 1 2 2 : size = 12\n"
         "class 1 1 2 -1 2 1 1 2 2 : size = 1\n"
-        "class -2 1 1 -2 1 1 : size = 20\n"
-        "class -2 1 1 -2 -1 -1 : size = 12\n"
+        "class 1 1 -2 1 1 -2 : size = 20\n"
+        "class 1 1 -2 -1 -1 -2 : size = 12\n"
         "class -1 -1 -2 -1 -1 -2 : size = 1\n"
-        "class -2 -2 1 1 -2 1 : size = 30\n"
-        "class -2 -2 1 -2 1 -2 1 : size = 20\n"
-        "class -2 1 1 -2 1 1 -2 : size = 12\n"
-        "class -2 1 -2 1 -2 1 1 -2 : size = 20\n"
-        "class -2 1 -2 1 -2 1 : size = 12\n"
-        "class -2 1 -2 1 -2 1 1 : size = 20\n"
-        "class -1 2 2 -1 2 -1 2 2 : size = 12\n"
-        "class -2 1 -2 1 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 1 -2 1 -2 -2 : size = 30\n"
+        "class 1 -2 1 -2 1 -2 -2 : size = 20\n"
+        "class 1 1 -2 1 1 -2 -2 : size = 12\n"
+        "class 1 1 -2 1 -2 1 -2 -2 : size = 20\n"
+        "class 1 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 1 -2 1 -2 1 -2 : size = 20\n"
+        "class 1 1 -2 1 1 -2 1 -2 : size = 12\n"
+        "class 1 1 -2 -2 1 -2 1 -2 -2 : size = 12\n"
         "class 1 -2 1 -2 -2 1 -2 1 -2 -2 : size = 1\n"
         "class 1 1 -2 1 1 -2 1 1 -2 : size = 1\n"
-        "class -1 2 -1 2 2 -1 -1 2 2 : size = 12\n"
-        "class -2 1 -2 1 -2 1 -2 1 : size = 12\n"
+        "class 1 1 -2 1 -2 1 1 -2 -2 : size = 12\n"
+        "class 1 -2 1 -2 1 -2 1 -2 : size = 12\n"
         "class 1 1 -2 -2 1 -2 1 -2 1 -2 -2 : size = 1\n"
         "class 1 1 -2 1 -2 1 1 -2 1 -2 : size = 1\n"
         "class 1 -2 1 -2 1 -2 1 -2 1 -2 : size = 1\n"

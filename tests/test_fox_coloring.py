@@ -8,6 +8,7 @@ import pytest
 from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
+    ImageTable,
     _relation_rows,
     abf_space,
     boundary_image,
@@ -327,15 +328,15 @@ def test_structural_image_matches_criterion_2_corpus():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_structural_image_matches_compiled_random_trees(n):
     rng = random.Random(900 + n)
-    memo = {p: {} for p in (2, 3, 5, 7)}
+    tables = {p: ImageTable(p) for p in (2, 3, 5, 7)}
     for _ in range(60):
         e = random_algebraic_expr(n, rng, max_depth=4)
         d = compile_expr(e)
-        for p in memo:
+        for p, table in tables.items():
             want = boundary_image(d, p)
             assert expr_boundary_image(e, p) == want, (e, p)
-            # a memo kept across the trees of one prime gives the same images
-            assert expr_boundary_image(e, p, memo[p]) == want, (e, p)
+            # a table kept across the trees of one prime gives the same images
+            assert table.images[table.expr(e)] == want, (e, p)
 
 
 def test_structural_image_of_twist_tangles():
@@ -378,3 +379,20 @@ def test_structural_image_rejects_bad_input():
         expr_boundary_image(Planar(()), 3)
     with pytest.raises(TypeError):
         expr_boundary_image(Rot("1"), 3)
+
+
+def test_structural_image_of_long_rotation_chains():
+    # k quarter turns are one corner shift by k mod 2n: chains of 2n and
+    # more turns wrap around, on leaves and inside compositions
+    rng = random.Random(77)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            e = random_algebraic_expr(n, rng, max_depth=2)
+            k = rng.randrange(2 * n, 6 * n)
+            chain = e
+            for _ in range(k):
+                chain = Rot(chain)
+            for e2 in (chain, Compose(chain, Rot(Rot(chain)))):
+                for p in (3, 5):
+                    want = boundary_image(compile_expr(e2), p)
+                    assert expr_boundary_image(e2, p) == want, (e2, p)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from itertools import product
@@ -9,7 +10,7 @@ from tanglelab import cli
 from tanglelab import symplectic_lagrangian as sl
 from tanglelab.errors import BudgetExceededError, CrossCheckError
 from tanglelab.exact_linear import SubspaceModP
-from tanglelab.fox_coloring import reduced_boundary_image
+from tanglelab.fox_coloring import ImageTable, reduced_boundary_image
 from tanglelab.symplectic_lagrangian import (
     all_matchings,
     build_form,
@@ -282,17 +283,41 @@ def test_realize_matches_the_compile_per_candidate_search(p, n, seed, budget):
     assert [s.rows for s in missing] == want_missing
 
 
+# sha256 of the `lagrangians --realize` stdout, recorded before the
+# random phase scored its trees as they were drawn
+REALIZE_STDOUT_SHA256 = {
+    (3, 3, 0, None): "954b3bb1f8db581a875e7e7ecef8728cc711261292fd2b0fd3f153841c08e74b",
+    (3, 3, 1, None): "cae524cb17c235f4000b1c0276c548225d6753f5e1fab87c0e6819ce776b7180",
+    (3, 3, 2, None): "c4bfdd214867eeefd200c3178a70194528ab6c44d505d1c2cb1d9a7beaa89c4f",
+    (3, 3, 3, None): "5d4d70f63d11e4a268bc3a66036f65f6c764064ce5af6464cc25933ff8b1d852",
+    (5, 3, 0, None): "522ea5141e9379814b630bdebc25c414d2e1c60217821dd88b3107781afafead",
+    (3, 4, 0, 3000): "e996fa4df5c9d65cf748dd56cceb1c63d2ffb0822a609efcf4e7b6096a473c29",
+    (3, 2, 0, None): "01c23e5e8ede4e98ca3319431fa7e9980e2783e82824db3e3e8323cf29eede03",
+    (3, 2, 1, None): "01c23e5e8ede4e98ca3319431fa7e9980e2783e82824db3e3e8323cf29eede03",
+    (5, 2, 0, None): "f563f6b757f0273a3d0a269b47e094534657f3987d0cf741b712e9d18db293fd",
+    (5, 2, 1, None): "f563f6b757f0273a3d0a269b47e094534657f3987d0cf741b712e9d18db293fd",
+}
+
+
+@pytest.mark.parametrize("p,n,seed,budget", sorted(REALIZE_STDOUT_SHA256, key=str))
+def test_realize_stdout_is_pinned(p, n, seed, budget):
+    argv = ["lagrangians", "--p", str(p), "--n", str(n), "--realize", "--seed", str(seed)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    out = io.StringIO()
+    assert cli.run(argv, stdout=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == REALIZE_STDOUT_SHA256[p, n, seed, budget]
+
+
 def test_realize_cross_checks_structural_images(monkeypatch):
-    # a structural rule that rotates every image once too often: the
-    # witnesses it finds disagree with their compiled diagrams
-    right = sl.expr_boundary_image
-
-    def wrong(expr, p, memo=None):
-        return right(Rot(expr), p, memo)
-
-    monkeypatch.setattr(sl, "expr_boundary_image", wrong)
+    # a rotation rule that shifts every image once too often: the
+    # witnesses it finds disagree with their compiled diagrams.  At n = 2
+    # the horizontal family alone hits every Lagrangian, with no rotation.
+    right = ImageTable.rot
+    monkeypatch.setattr(ImageTable, "rot", lambda table, i, k: right(table, i, k + 1))
     with pytest.raises(CrossCheckError, match="disagrees with the compiled"):
-        realize_lagrangians(3, 2)
+        realize_lagrangians(3, 3, seed=2)
     out = io.StringIO()
     argv = ["lagrangians", "--p", "3", "--n", "3", "--realize"]
     assert cli.run(argv, stdout=out) == 4

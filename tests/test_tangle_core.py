@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -5,6 +6,8 @@ import pytest
 
 from tanglelab import tangle_core
 from tanglelab.errors import BudgetExceededError, ConwaySyntaxError, NotRationalError
+from tanglelab.fox_coloring import expr_boundary_image
+from tanglelab.move_calculus import boundary_invariant
 from tanglelab.tangle_core import (
     INF,
     BraidWord,
@@ -24,7 +27,6 @@ from tanglelab.tangle_core import (
     compile_expr,
     compose,
     diagram_to_text,
-    expr_width,
     figure_eight,
     noncrossing_matchings,
     parse_braid,
@@ -35,6 +37,7 @@ from tanglelab.tangle_core import (
     random_algebraic_expr,
     rational_expr,
     rotate,
+    rotated_compose,
     slope,
     trefoil,
     trivial_link,
@@ -124,6 +127,40 @@ def test_arc_and_crossing_wellformedness_random():
         d = compile_expr(e)
         d.validate()
         assert d.n == n
+
+
+# sha256 of the printed draws of n in {2, 3, 4}, depth in {3, 4} and
+# seeds 0..199, one line each, recorded before the draw became a fold:
+# `move-check` and the realization search see these same trees
+DRAWS_SHA256 = "37426e4f39d7d0b6599ad691d8879659236bf1f13887b20ed02c3470d51e3750"
+
+
+def test_random_draws_are_pinned():
+    h = hashlib.sha256()
+    for n in (2, 3, 4):
+        for depth in (3, 4):
+            for seed in range(200):
+                e = random_algebraic_expr(n, random.Random(seed), depth)
+                h.update(print_conway(e).encode() + b"\n")
+    assert h.hexdigest() == DRAWS_SHA256
+
+
+def test_random_draw_folds_in_one_pass():
+    # a fold that records the shape draws the same random numbers as the
+    # default, and its shape joined by rotated_compose is the tree
+    def shape_to_expr(t):
+        if isinstance(t, tuple):
+            a, ka, b, kb = t
+            return rotated_compose(shape_to_expr(a), ka, shape_to_expr(b), kb)
+        return t
+
+    for n in (2, 3, 5):
+        for seed in range(30):
+            rng, fold_rng = random.Random(seed), random.Random(seed)
+            want = random_algebraic_expr(n, rng, 4)
+            shape = random_algebraic_expr(n, fold_rng, 4, lambda e: e, lambda *t: t)
+            assert shape_to_expr(shape) == want
+            assert rng.getstate() == fold_rng.getstate()
 
 
 def test_slope_values():
@@ -260,10 +297,13 @@ def test_noncrossing_matchings_are_catalan():
 
 
 def test_expr_width_checks():
-    assert expr_width(Rational(2, 2)) == 2
-    assert expr_width(Sigma(3, 2, -1)) == 3
-    with pytest.raises(ValueError):
-        expr_width(Compose(Integer(1), Sigma(3, 1, 1)))
+    # the width of an expression is read off its structural image
+    assert expr_boundary_image(Rational(2, 2), 3).ambient == 4
+    assert expr_boundary_image(Sigma(3, 2, -1), 3).ambient == 6
+    with pytest.raises(ValueError, match="equal widths"):
+        expr_boundary_image(Compose(Integer(1), Sigma(3, 1, 1)), 3)
+    with pytest.raises(ValueError, match="defined for 2-tangles"):
+        boundary_invariant(Sigma(3, 2, -1), 5)
 
 
 def test_crossing_count_is_the_compiled_count():
