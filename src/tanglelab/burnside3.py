@@ -15,24 +15,27 @@ collection rules are
 Full alternation of the triple bracket and triviality on repeated
 indices follow from the 2-Engel law.  `_tables` compiles the rules into
 one step per generator, and `_collect` is the only routine that reads a
-step: on one list of digits (`multiply`, `inverse`, `evaluate_word`) and
-on numpy digit columns (`enumerate_group`).  The table is certified by
-`consistency_check` (associativity, exponent 3, 2-Engel) and by the
-closure count 3^(r + C(r,2) + C(r,3)) for r = 1..4.  No step reads a
-central digit, so the closure is a breadth-first search over the
-3^(r + C(r,2)) elements of B(r,3) modulo its centre, and the central
-part is the F_3 span of the central holonomies of its edges (Schreier's
-lemma on a central extension; Sims, Computation with Finitely Presented
-Groups, 4.1).
+step, on lists of int digits and of numpy digit columns alike: through
+`_product` and `_inverse` (which `multiply` and `inverse` wrap),
+`evaluate_word` and `enumerate_group`.  The table is certified by
+`consistency_check`, as whole-column products through `_product` and
+`_inverse`, and by the closure count 3^(r + C(r,2) + C(r,3)) for
+r = 1..4.  No step reads a central digit, so the closure is a
+breadth-first search over the 3^(r + C(r,2)) elements of B(r,3) modulo
+its centre, and the central part is the F_3 span of the central
+holonomies of its edges (Schreier's lemma on a central extension; Sims,
+Computation with Finitely Presented Groups, 4.1).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, product
-from math import comb
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations
+from math import comb, prod
+from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,15 +61,22 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_BUDGET = 2 * 3**14
+_CELLS = 1 << 16  # digits (dim x columns) per chunk of `consistency_check`
 
 
-def _element_budget():
-    env = os.environ.get("TANGLELAB_MEM_GUARD")
-    if not env:
-        return DEFAULT_ELEMENT_BUDGET
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError("TANGLELAB_MEM_GUARD must be a non-negative integer")
-    return int(env)
+def _element_budget(order, budget=None):
+    """The element budget (default: `TANGLELAB_MEM_GUARD`, else
+    DEFAULT_ELEMENT_BUDGET); BudgetExceededError if order exceeds it."""
+    if budget is None:
+        env = os.environ.get("TANGLELAB_MEM_GUARD")
+        if env and not (env.isascii() and env.isdigit()):
+            raise ValueError("TANGLELAB_MEM_GUARD must be a non-negative integer")
+        budget = int(env) if env else DEFAULT_ELEMENT_BUDGET
+    if order > budget:
+        raise BudgetExceededError(
+            f"group of order {order} exceeds the element budget {budget}"
+        )
+    return budget
 
 
 def _step(index, r, k):
@@ -115,8 +125,7 @@ def _tables(r):
     return tuple(labels), steps
 
 
-@dataclass(frozen=True)
-class BurnsideElement:
+class BurnsideElement(NamedTuple):
     """Collected normal form in B(rank, 3)."""
 
     rank: int
@@ -130,10 +139,8 @@ class BurnsideElement:
 
 def _element(rank, v):
     """The element with flat digit vector v (see `_tables`)."""
-    nb = comb(rank, 2)
-    return BurnsideElement(
-        rank, tuple(v[:rank]), tuple(v[rank : rank + nb]), tuple(v[rank + nb :])
-    )
+    nb, v = rank + rank * (rank - 1) // 2, tuple(v)
+    return BurnsideElement(rank, v[:rank], v[rank:nb], v[nb:])
 
 
 def identity(rank):
@@ -159,30 +166,38 @@ def _collect(v, step, n=1):
         v[target] = (v[target] + inc) % 3
 
 
+def _product(v, w, r):
+    """Right-multiply the digits v by the digits w in place, collecting
+    w's normal-form word onto v, and return v.  Entries are ints or numpy
+    digit columns (see `_collect`); zero int exponents are skipped."""
+    _, steps = _tables(r)
+    for step, n in zip(steps, w):
+        if not isinstance(n, int) or n:
+            _collect(v, step, n)
+    for d, x in enumerate(w[r:], r):
+        v[d] = (v[d] + x) % 3
+    return v
+
+
+def _inverse(v, r):
+    """The digits of v^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
+    _, steps = _tables(r)
+    w = [0] * r + [-x % 3 for x in v[r:]]
+    for k in range(r - 1, -1, -1):
+        if not isinstance(v[k], int) or v[k]:
+            _collect(w, steps[k], -v[k])
+    return w
+
+
 def multiply(g, h):
-    """Product in B(r,3) by collecting h's normal-form word onto g."""
+    """Product in B(r,3) (`_product`)."""
     if g.rank != h.rank:
         raise ValueError("rank mismatch")
-    rank = g.rank
-    _, steps = _tables(rank)
-    v = [*g.a, *g.b, *g.c]
-    for step, n in zip(steps, h.a):
-        if n:
-            _collect(v, step, n)
-    for d, x in enumerate(h.b + h.c, rank):
-        v[d] = (v[d] + x) % 3
-    return _element(rank, v)
+    return _element(g.rank, _product([*g.a, *g.b, *g.c], h.a + h.b + h.c, g.rank))
 
 
 def inverse(g):
-    """g^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
-    rank = g.rank
-    _, steps = _tables(rank)
-    v = [0] * rank + [(-x) % 3 for x in g.b + g.c]
-    for k in range(rank - 1, -1, -1):
-        if g.a[k]:
-            _collect(v, steps[k], -g.a[k])
-    return _element(rank, v)
+    return _element(g.rank, _inverse(g.a + g.b + g.c, g.rank))
 
 
 def conjugate(g, by):
@@ -247,13 +262,8 @@ def enumerate_group(r, budget=None):
     """
     if r > 4:
         raise BudgetExceededError("enumeration supported for r <= 4")
-    if budget is None:
-        budget = _element_budget()
     order = group_order(r)
-    if order > budget:
-        raise BudgetExceededError(
-            f"group of order {order} exceeds the element budget {budget}"
-        )
+    _element_budget(order, budget)
     dim, nbase = _dim(r), r + comb(r, 2)
     m = dim - nbase
     shift = np.int32(3**nbase)
@@ -294,66 +304,71 @@ def enumerate_group(r, budget=None):
 
 
 def consistency_check(r, seed=0, triples=None, exhaustive=None):
-    """Guard the collection table: associativity on random (or all, for
-    r = 2) triples, exponent 3 and the 2-Engel law on random elements,
-    and the generator-pair overlap identities.  Raises on any failure;
-    returns the number of checks performed.
+    """Guard the collection table: the generator overlaps
+    (x_i^+-1 x_j) x_k = x_i^+-1 (x_j x_k), associativity on random (or
+    all, for r = 2) triples, exponent 3, the 2-Engel law and inverses on
+    random elements, and centrality of the weight-3 digits.  Each check
+    runs on digit columns through `_product` and `_inverse`, the code of
+    `multiply` and `inverse`, in chunks of at most _CELLS digits.  Raises
+    CrossCheckError on any failure; returns the number of checks.
     """
-    import random as _random
+    rng, dim = Random(seed), _dim(r)
+    n, width = 2000 if triples is None else triples, max(1, _CELLS // (dim or 1))
 
-    rng = _random.Random(seed)
-    if exhaustive is None:
-        exhaustive = r == 2
-    checks = 0
+    def mul(*vs):
+        return reduce(lambda v, w: _product(v, w, r), vs[1:], list(vs[0]))
 
-    def rand():
-        return _element(r, [rng.randrange(3) for _ in range(_dim(r))])
+    def comm(g, h):
+        return mul(_inverse(g, r), _inverse(h, r), g, h)
 
-    gens = [generator(r, i + 1) for i in range(r)]
-    one = identity(r)
-    # generator-pair overlaps: (x_i x_j) x_k == x_i (x_j x_k)
-    for gi in gens + [inverse(g) for g in gens]:
-        for gj in gens:
-            for gk in gens:
-                lhs = multiply(multiply(gi, gj), gk)
-                rhs = multiply(gi, multiply(gj, gk))
-                if lhs != rhs:
-                    raise CrossCheckError("generator overlap failed")
-                checks += 1
-    if exhaustive:
-        space = [_element(r, v) for v in product(range(3), repeat=_dim(r))]
-        for g in space:
-            for h in space:
-                gh = multiply(g, h)
-                for k in space:
-                    if multiply(gh, k) != multiply(g, multiply(h, k)):
-                        raise CrossCheckError("associativity failed")
-                    checks += 1
+    def assoc(g, h, k):
+        return mul(g, h, k), mul(g, mul(h, k))
+
+    def drawn(k):  # k random operands per check, digits uniform mod 3
+        def draw(lo, hi):
+            size, cells = k * dim * (hi - lo), np.empty(0, np.uint8)
+            while cells.size < size:  # bytes 255 are drawn again: 3 | 255
+                more = np.frombuffer(rng.randbytes(size - cells.size), np.uint8)
+                cells = np.concatenate((cells, more[more < 255]))
+            digits = (cells % 3).astype(np.int8).reshape(k, dim, hi - lo)
+            return [list(x) for x in digits]
+
+        return n, draw
+
+    def picked(bases, shape):  # operand j: column i[j] of bases[j], i over shape
+        return prod(shape), lambda lo, hi: [
+            [x[i] for x in base]
+            for base, i in zip(bases, np.unravel_index(np.arange(lo, hi), shape))
+        ]
+
+    def check(failure, total, draw, law):
+        for lo in range(0, total, width):
+            lhs, rhs = law(*draw(lo, min(lo + width, total)))
+            if np.any(reduce(np.logical_or, map(np.not_equal, lhs, rhs), False)):
+                raise CrossCheckError(failure)
+        return total
+
+    one, units = [0] * dim, np.eye(dim, dtype=np.int8)
+    gens, central = list(units[:, :r]), list(units[:, r + comb(r, 2) :])
+    letters = [np.concatenate((x, 2 * x)) for x in gens]  # x_i, x_i^-1 = x_i^2
+    overlaps = picked((letters, gens, gens), (2 * r, r, r))
+    if exhaustive or (exhaustive is None and r == 2):
+        space = list(_digits(np.arange(3**dim), dim))
+        samples = picked((space,) * 3, (3**dim,) * 3)
     else:
-        n = triples if triples is not None else 2000
-        for _ in range(n):
-            g, h, k = rand(), rand(), rand()
-            if multiply(multiply(g, h), k) != multiply(g, multiply(h, k)):
-                raise CrossCheckError("associativity failed")
-            checks += 1
-    n = triples if triples is not None else 2000
-    for _ in range(n):
-        g, h = rand(), rand()
-        if multiply(multiply(g, g), g) != one:
-            raise CrossCheckError("exponent 3 failed")
-        if not commutator(commutator(g, h), h).is_identity():
-            raise CrossCheckError("2-Engel failed")
-        if multiply(g, inverse(g)) != one:
-            raise CrossCheckError("inverse failed")
-        checks += 3
-    # weight-3 part is central
-    for d in range(r + comb(r, 2), _dim(r)):
-        z = _element(r, [int(e == d) for e in range(_dim(r))])
-        for g in gens:
-            if multiply(z, g) != multiply(g, z):
-                raise CrossCheckError("weight-3 generator is not central")
-            checks += 1
-    return checks
+        samples = drawn(3)
+    return (
+        check("generator overlap failed", *overlaps, assoc)
+        + check("associativity failed", *samples, assoc)
+        + check("exponent 3 failed", *drawn(1), lambda g: (mul(g, g, g), one))
+        + check("2-Engel failed", *drawn(2), lambda g, h: (comm(comm(g, h), h), one))
+        + check("inverse failed", *drawn(1), lambda g: (mul(g, _inverse(g, r)), one))
+        + check(
+            "weight-3 generator is not central",
+            *picked((central, gens), (comb(r, 3), r)),
+            lambda z, g: (mul(z, g), mul(g, z)),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +463,8 @@ def quotient_order(relators, r, budget=None):
 
 
 def quotient_order_elements(images, r, budget=None):
-    if budget is None:
-        budget = _element_budget()
     order = group_order(r)
-    if order > budget:
-        raise BudgetExceededError(
-            f"group of order {order} exceeds the element budget {budget}"
-        )
+    budget = _element_budget(order, budget)
     gens = [generator(r, i + 1) for i in range(r)]
     seeds = [e for e in images if not e.is_identity()]
     if not seeds:

@@ -431,9 +431,9 @@ def run(argv, stdout=None):
         return 2 if exc.code else 0
     out = []
     try:
-        for flag in ("budget", "trials"):
-            if getattr(args, flag, 0) < 0:
-                raise ValueError(f"--{flag} must not be negative")
+        for flag in ("--budget", "--trials", "-r"):
+            if getattr(args, flag.lstrip("-"), 0) < 0:
+                raise ValueError(f"{flag} must not be negative")
         code = args.func(args, out)
     except BudgetExceededError as exc:
         print(f"error = {exc}", file=stdout)

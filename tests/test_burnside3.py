@@ -1,5 +1,8 @@
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 
@@ -97,6 +100,74 @@ def test_consistency_check_exhaustive_r2():
 def test_consistency_check_randomized():
     consistency_check(3, seed=1, triples=300)
     consistency_check(4, seed=2, triples=150)
+
+
+def test_consistency_check_counts_like_the_oracle():
+    for r in range(6):
+        for seed, triples in ((0, None), (3, 40)):
+            want = oracle.consistency_check(r, seed=seed, triples=triples)
+            assert consistency_check(r, seed=seed, triples=triples) == want, (r, seed)
+    assert consistency_check(2, exhaustive=False) == oracle.consistency_check(
+        2, exhaustive=False
+    )
+
+
+def _columns(rows):
+    return [np.array(x, dtype=np.int8) for x in zip(*rows)]
+
+
+def test_column_products_match_multiply_and_inverse():
+    # v in normal form, w with exponents (and b, c digits) in -2..2
+    rng = random.Random(29)
+    for r in range(1, 7):
+        dim = bg._dim(r)
+        vs = [[rng.randrange(3) for _ in range(dim)] for _ in range(150)]
+        ws = [[rng.randrange(-2, 3) for _ in range(dim)] for _ in range(150)]
+        prod = bg._product(_columns(vs), _columns(ws), r)
+        inv = bg._inverse(_columns(ws), r)
+        for i, (v, w) in enumerate(zip(vs, ws)):
+            g, h = bg._element(r, v), bg._element(r, w)
+            assert bg._element(r, [int(x[i]) for x in prod]) == multiply(g, h)
+            assert bg._element(r, [int(x[i]) for x in inv]) == inverse(h)
+
+
+def _mutated_tables(r):
+    """Every step table of `_tables(r)` with one term deleted or with the
+    sign of one term flipped."""
+    labels, steps = bg._tables(r)
+    for k, step in enumerate(steps):
+        for i, (target, coeff, sources) in enumerate(step):
+            for terms in ((), ((target, -coeff, sources),)):
+                step_k = step[:i] + terms + step[i + 1 :]
+                yield labels, steps[:k] + (step_k,) + steps[k + 1 :]
+
+
+def test_column_check_rejects_every_mutation_the_oracle_rejects(monkeypatch):
+    tables = bg._tables
+    rejected = 0
+    for table in _mutated_tables(3):
+        monkeypatch.setattr(bg, "_tables", lambda r: table if r == 3 else tables(r))
+        try:
+            oracle.consistency_check(3, triples=200)
+        except CrossCheckError as exc:
+            rejected += 1
+            with pytest.raises(CrossCheckError, match=f"^{exc}$"):
+                consistency_check(3)
+    assert rejected == 2 * sum(map(len, tables(3)[1])) == 20
+
+
+def test_consistency_check_leaves_numpy_random_unimported():
+    # importing numpy.random costs about 6 MB of resident memory
+    code = (
+        "import sys; from tanglelab.burnside3 import consistency_check; "
+        "consistency_check(4); print('numpy.random' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(bg.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_enumeration_budget_guard():

@@ -114,6 +114,21 @@ def test_burnside_order():
     assert out == f"order = {3**14}\n"
 
 
+def test_burnside_check():
+    # the counts do not depend on the seed, which picks the random triples
+    for seed in ("0", "7"):
+        for r, checks in enumerate((8000, 8002, 25699, 8057, 8144, 8300)):
+            argv = ["burnside", "check", "-r", str(r), "--seed", seed]
+            assert capture(argv) == (0, f"checks = {checks}\nconsistent = True\n"), argv
+
+
+def test_burnside_negative_rank_exits_2():
+    for action in (["order"], ["enumerate"], ["check"], ["eval", "1"]):
+        argv = ["burnside", *action, "-r", "-1"]
+        assert capture(argv) == (2, "error = -r must not be negative\n"), argv
+    assert capture(["burnside", "order", "-r", "0"]) == (0, "order = 1\n")
+
+
 def test_burnside_eval_positional_word():
     code, out = capture(["burnside", "eval", "-r", "2", "1 1 1"])
     assert code == 0
