@@ -7,7 +7,7 @@ group obstructions to 3-move reducibility, and braid quotients certified
 by Todd-Coxeter coset enumeration and the Burau representation.
 
 All types are immutable values and all operations are pure functions;
-randomized searches and property suites take explicit seeds.
+randomized checks and property suites take explicit seeds.
 """
 
 from .tangle_core import (

@@ -34,6 +34,7 @@ from .tangle_core import (
     parse_conway,
     parse_diagram_text,
     braid_closure,
+    print_conway,
     random_algebraic_expr,
     slope,
 )
@@ -126,14 +127,10 @@ def _cmd_lagrangians(args, out):
         out.append(str(sym.lagrangian_count(args.p, args.n)))
         return 0
     if args.realize:
-        witnesses, missing = sym.realize_lagrangians(
-            args.p, args.n, generator_budget=args.budget, seed=args.seed
-        )
+        witnesses, missing = sym.realize_lagrangians(args.p, args.n, generator_budget=args.budget)
         out.append(f"lagrangians = {sym.lagrangian_count(args.p, args.n)}")
         out.append(f"realized = {len(witnesses)}")
         out.append(f"unrealized = {len(missing)}")
-        from .tangle_core import print_conway
-
         for s in sorted(witnesses, key=lambda s: s.rows):
             rows = ";".join(" ".join(str(x) for x in r) for r in s.rows)
             out.append(f"witness {rows} = {print_conway(witnesses[s])}")
@@ -320,7 +317,8 @@ def build_parser():
     s.add_argument("--count-only", action="store_true", dest="count_only")
     s.add_argument("--realize", action="store_true")
     s.add_argument("--budget", type=int, default=20000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: --realize is an exact closure")
     s.set_defaults(func=_cmd_lagrangians)
 
     s = subs.add_parser("census", help="mod-2 matching census")

@@ -1,13 +1,13 @@
 """The symplectic structure on reduced boundary colorings: the form on
 F_p^(2n-2) in the f-basis, Lagrangian tests, counting and enumeration,
-the mod-2 matching census, and the search for tangle realizations.
+the mod-2 matching census, and the realization of Lagrangians by
+algebraic tangles.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -23,15 +23,14 @@ from .fox_coloring import (
 )
 from .move_calculus import horizontal_family
 from .tangle_core import (
+    Compose,
     Infinity,
     Integer,
-    Rational,
     Sigma,
     compile_expr,
     noncrossing_matchings,
     print_conway,
-    random_algebraic_expr,
-    rotated_compose,
+    rotate,
 )
 
 __all__ = [
@@ -208,86 +207,79 @@ def matching_census(n):
 
 
 # ---------------------------------------------------------------------------
-# Realization search.
+# Realization by algebraic tangles.
 
 
-def realize_lagrangians(p, n, generator_budget=20000, seed=0):
-    """Search tangle expressions whose reduced boundary image hits every
-    Lagrangian.  Returns (witness map, unrealized list).
+def realize_lagrangians(p, n, generator_budget=20000):
+    """Algebraic tangles whose reduced boundary images are Lagrangians,
+    one per Lagrangian reached.  Returns (witness map, unrealized list).
 
-    Rational tangles come first: for n = 2 the horizontal family and
-    bounded twist vectors, for larger n the noncrossing matchings, the
-    `Sigma` crossings and their pairwise products r^i(A) * B.  Then
-    seeded random algebraic trees fill the gaps.  `generator_budget`
-    bounds both the number of candidates tried and the enumeration of
-    the targets (BudgetExceededError when there are more Lagrangians).
+    One breadth-first closure over the ids of an `ImageTable`.  The
+    leaves are the horizontal family and the crossings +-1 for n = 2,
+    and the noncrossing matchings and `Sigma` crossings for n >= 3.
+    Each image reached adds its 2n - 1 rotations and its products on
+    the right with every rotated leaf (a product on the left is the pi
+    rotation of one on the right).  The first tree to reach a
+    Lagrangian, a shallowest one, is its witness.  `generator_budget`
+    bounds the enumeration of the targets (BudgetExceededError when
+    there are more Lagrangians).
 
-    Each candidate is a node (image id, shape) of one `ImageTable` kept
-    for this call only: a random tree is scored as it is drawn, and its
-    shape, a leaf or (node, ka, node, kb), is turned into an expression
-    only when it is the first to hit a Lagrangian.  Every witness is
-    then compiled once and its reduced boundary image compared with the
-    structural one (CrossCheckError on a mismatch).
+    Every witness is compiled once and its reduced boundary image
+    compared with the structural one.  The unrealized list is exact:
+    either the closure reached every Lagrangian, or p = 2 and it
+    reached exactly the images of all matchings, which contain every
+    mod-2 image (`matching_image`).  Anything else is a CrossCheckError.
     """
     targets = enumerate_lagrangians(p, n, budget=generator_budget)
     remaining = {s.rows: s for s in targets}
-    found = {}
     table = ImageTable(p)
-    rot, compose = table.rot, table.compose
-    reduced = {}
-    rng = random.Random(seed)
-
-    def leaf(expr):
-        return table.leaf(expr), expr
-
-    def join(a, ka, b, kb):
-        return compose(rot(a[0], ka), rot(b[0], kb)), (a, ka, b, kb)
-
-    def try_node(node):
-        red = reduced.get(node[0])
-        if red is None:
-            red = reduced[node[0]] = reduce_image(table.images[node[0]])
-        if red.rows in remaining:
-            del remaining[red.rows]
-            found[red] = node
-
-    budget = generator_budget
     if n == 2:
-        for s in horizontal_family(p):
-            try_node(leaf(Infinity() if s.is_inf else Integer(s.num)))
-            budget -= 1
-        half = (p - 1) // 2
-        vals = [v for v in range(-half, half + 1) if v] or [1, -1]
-        systematic = (leaf(Rational(*e)) for k in (1, 2, 3) for e in product(vals, repeat=k))
+        leaves = [Infinity() if s.is_inf else Integer(s.num) for s in horizontal_family(p)]
+        leaves += [e for e in (Integer(1), Integer(-1)) if e not in leaves]
     else:
         sigmas = [Sigma(n, i, s) for i in range(1, n) for s in (1, -1)]
-        pool = [leaf(e) for e in noncrossing_matchings(n) + tuple(sigmas)]
-        two = (join(a, i, b, 0) for a in pool for b in pool for i in range(2 * n))
-        systematic = chain(pool, two)
-    for node in systematic:
-        if not remaining or budget <= 0:
-            break
-        try_node(node)
-        budget -= 1
-    while remaining and budget > 0:
-        try_node(random_algebraic_expr(n, rng, 4, leaf, join))
-        budget -= 1
-    witnesses = {}
-    for img, node in found.items():
-        expr = witnesses[img] = _node_expr(node)
+        leaves = [*noncrossing_matchings(n), *sigmas]
+    order, exprs, reached, found = [], {}, set(), {}
+
+    def trees():
+        # (id, expression) in breadth-first order; `order` grows as the
+        # loop below reaches new ids.  Every rotated leaf has its own
+        # tree before any product could claim its id.
+        for e in leaves:
+            yield table.leaf(e), e
+        for e in leaves:
+            for k in range(1, 2 * n):
+                yield table.rot(table.leaf(e), k), rotate(e, k)
+        right = list(order)
+        for i in order:
+            for k in range(1, 2 * n):
+                yield table.rot(i, k), rotate(exprs[i], k)
+            for j in right:
+                yield table.compose(i, j), Compose(exprs[i], exprs[j])
+
+    for i, expr in trees():
+        if i in exprs:
+            continue
+        exprs[i] = expr
+        order.append(i)
+        red = reduce_image(table.images[i])
+        reached.add(red.rows)
+        if remaining.pop(red.rows, None) is not None:
+            found[red] = expr
+            if not remaining:
+                break
+    for img, expr in found.items():
         direct = reduced_boundary_image(compile_expr(expr), p)
         if direct != img:
             raise CrossCheckError(
                 f"structural image {img.rows} of {print_conway(expr)} disagrees "
                 f"with the compiled diagram image {direct.rows} mod {p}"
             )
-    return witnesses, sorted(remaining.values(), key=lambda s: s.rows)
-
-
-def _node_expr(node):
-    """The expression of a search node: the leaf itself, or a join
-    built as `random_algebraic_expr` builds it."""
-    if isinstance(node[1], tuple):
-        a, ka, b, kb = node[1]
-        return rotated_compose(_node_expr(a), ka, _node_expr(b), kb)
-    return node[1]
+    if remaining and not (
+        p == 2 and reached == {matching_image(m, n).rows for m in all_matchings(n)}
+    ):
+        raise CrossCheckError(
+            f"the closure reached {len(found)} of {len(targets)} Lagrangians "
+            f"mod {p} and no certificate bounds the rest"
+        )
+    return found, sorted(remaining.values(), key=lambda s: s.rows)

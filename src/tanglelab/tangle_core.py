@@ -59,7 +59,6 @@ __all__ = [
     "diagram_to_text",
     "noncrossing_matchings",
     "random_algebraic_expr",
-    "rotated_compose",
     "pretzel",
     "trefoil",
     "figure_eight",
@@ -855,7 +854,8 @@ def diagram_to_text(diagram):
 
 
 # ---------------------------------------------------------------------------
-# Generators used by the property suites and the realization search.
+# Generators used by the property suites, `move-check` and the
+# realization closure.
 
 
 @lru_cache(maxsize=None)
@@ -878,29 +878,18 @@ def noncrossing_matchings(n):
     return tuple(Planar(m) for m in rec(tuple(range(1, 2 * n + 1))))
 
 
-def rotated_compose(a, ka, b, kb):
-    """r^ka(a) * r^kb(b), a node of `random_algebraic_expr`."""
-    return Compose(rotate(a, ka), rotate(b, kb))
-
-
-def random_algebraic_expr(n, rng, max_depth=4, leaf=lambda e: e, join=rotated_compose):
+def random_algebraic_expr(n, rng, max_depth=4):
     """Random algebraic n-tangle expression: leaves have at most one
-    crossing, nodes are r^ka(A) * r^kb(B) with ka, kb < 2n.
-
-    The draw is a fold: every leaf goes through leaf(expr) and every
-    node through join(a, ka, b, kb) on its folded subtrees, so a caller
-    that only scores trees builds none.  By default a leaf is kept and
-    a join is `rotated_compose`.
-    """
+    crossing, nodes are r^ka(A) * r^kb(B) with ka, kb < 2n."""
     if max_depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return leaf(rng.choice(noncrossing_matchings(n)))
+            return rng.choice(noncrossing_matchings(n))
         if n == 2:
-            return leaf(Integer(rng.choice((-1, 1))))
-        return leaf(Sigma(n, rng.randrange(1, n), rng.choice((-1, 1))))
-    a = random_algebraic_expr(n, rng, max_depth - 1, leaf, join)
-    b = random_algebraic_expr(n, rng, max_depth - 1, leaf, join)
-    return join(a, rng.randrange(0, 2 * n), b, rng.randrange(0, 2 * n))
+            return Integer(rng.choice((-1, 1)))
+        return Sigma(n, rng.randrange(1, n), rng.choice((-1, 1)))
+    a = random_algebraic_expr(n, rng, max_depth - 1)
+    b = random_algebraic_expr(n, rng, max_depth - 1)
+    return Compose(rotate(a, rng.randrange(0, 2 * n)), rotate(b, rng.randrange(0, 2 * n)))
 
 
 def pretzel(a, b_):

@@ -156,6 +156,22 @@ def test_column_check_rejects_every_mutation_the_oracle_rejects(monkeypatch):
     assert rejected == 2 * sum(map(len, tables(3)[1])) == 20
 
 
+def test_column_check_catches_an_inverse_fault_past_the_overlaps(monkeypatch):
+    # the generator overlaps, associativity and exponent-3 checks never
+    # call `_inverse`, so one wrong digit in it passes them and first
+    # fails the 2-Engel law
+    right = bg._inverse
+
+    def wrong(v, r):
+        w = right(v, r)
+        w[0] = (w[0] + 1) % 3
+        return w
+
+    monkeypatch.setattr(bg, "_inverse", wrong)
+    with pytest.raises(CrossCheckError, match="^2-Engel failed$"):
+        consistency_check(4)
+
+
 def test_consistency_check_leaves_numpy_random_unimported():
     # importing numpy.random costs about 6 MB of resident memory
     code = (

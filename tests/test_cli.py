@@ -209,6 +209,15 @@ def test_realize_budget_bounds_the_enumeration():
     assert out.startswith("lagrangians = 4\nrealized = 4\n")
 
 
+def test_realize_seed_is_accepted_and_ignored():
+    outs = {capture(["lagrangians", "--p", "3", "--n", "3", "--realize", "--seed", s])
+            for s in ("0", "1", "7")}
+    assert len(outs) == 1
+    code, out = outs.pop()
+    assert code == 0
+    assert out.startswith("lagrangians = 40\nrealized = 40\nunrealized = 0\n")
+
+
 def test_conway_nesting_cap():
     from tanglelab.tangle_core import _MAX_DEPTH
 

@@ -22,14 +22,9 @@ from tanglelab.symplectic_lagrangian import (
     realize_lagrangians,
 )
 from tanglelab.tangle_core import (
-    Compose,
     Infinity,
     Integer,
-    Rational,
-    Rot,
-    Sigma,
     compile_expr,
-    noncrossing_matchings,
     random_algebraic_expr,
 )
 
@@ -202,7 +197,7 @@ def test_realize_52():
 
 
 def test_realize_33():
-    witnesses, missing = realize_lagrangians(3, 3, generator_budget=20000, seed=0)
+    witnesses, missing = realize_lagrangians(3, 3, generator_budget=20000)
     assert not missing
     assert len(witnesses) == 40
 
@@ -219,79 +214,45 @@ def test_realize_propagates_cross_checks(monkeypatch):
     assert cli.run(argv, stdout=out) == 4
 
 
-def _realize_by_compiling(p, n, budget=20000, seed=0):
-    """The realization search that compiles every candidate and reduces
-    its boundary image: same candidate order, seeded draws, budget and
-    first-hit rule as `realize_lagrangians`, used here as its oracle."""
-    remaining = {s.rows for s in enumerate_lagrangians(p, n, budget=budget)}
-    witnesses = {}
-    rng = random.Random(seed)
-
-    def rot(e, k):
-        for _ in range(k):
-            e = Rot(e)
-        return e
-
-    def try_expr(e):
-        img = reduced_boundary_image(compile_expr(e), p)
-        if img.rows in remaining:
-            remaining.discard(img.rows)
-            witnesses[img] = e
-
-    if n == 2:
-        for s in sl.horizontal_family(p):
-            try_expr(Infinity() if s.is_inf else Integer(s.num))
-            budget -= 1
-        half = (p - 1) // 2
-        vals = [v for v in range(-half, half + 1) if v] or [1, -1]
-        systematic = (
-            Rational(*entries)
-            for length in range(1, 4)
-            for entries in product(vals, repeat=length)
-        )
-    else:
-        pool = list(noncrossing_matchings(n)) + [
-            Sigma(n, i, s) for i in range(1, n) for s in (1, -1)
-        ]
-        systematic = pool + [
-            Compose(rot(a, i), b) for a in pool for b in pool for i in range(2 * n)
-        ]
-    for e in systematic:
-        if not remaining or budget <= 0:
-            break
-        try_expr(e)
-        budget -= 1
-    while remaining and budget > 0:
-        try_expr(random_algebraic_expr(n, rng, max_depth=4))
-        budget -= 1
-    return witnesses, sorted(remaining)
-
-
-# (3, 3) at seed 1 finds 39 of the 40 in the default budget of 20000
-# tries; a budget of 4000 cuts it short sooner and still compares the
-# witnesses and the unrealized list
+# realized / unrealized: every odd-p Lagrangian is reached, and mod 2
+# the closure stops at the images of all matchings (matching_census)
 @pytest.mark.parametrize(
-    "p,n,seed,budget",
-    [(3, 2, 0, 20000), (3, 2, 1, 20000), (5, 2, 0, 20000), (5, 2, 1, 20000),
-     (3, 3, 0, 20000), (3, 3, 1, 4000)],
+    "p,n,realized,unrealized",
+    [(3, 3, 40, 0), (5, 3, 156, 0), (2, 2, 3, 0), (2, 3, 15, 0), (2, 4, 105, 30)],
 )
-def test_realize_matches_the_compile_per_candidate_search(p, n, seed, budget):
-    witnesses, missing = realize_lagrangians(p, n, generator_budget=budget, seed=seed)
-    want, want_missing = _realize_by_compiling(p, n, budget=budget, seed=seed)
-    # the same witnesses, found in the same order
-    assert list(witnesses.items()) == list(want.items())
-    assert [s.rows for s in missing] == want_missing
+def test_realize_counts_are_exact(p, n, realized, unrealized):
+    witnesses, missing = realize_lagrangians(p, n)
+    assert (len(witnesses), len(missing)) == (realized, unrealized)
+    if p == 2:
+        assert realized == matching_census(n)
 
 
-# sha256 of the `lagrangians --realize` stdout, recorded before the
-# random phase scored its trees as they were drawn
+def test_realize_without_a_certificate_exits_4(monkeypatch):
+    # one matching image fewer: the 105 images the closure reaches at
+    # (2, 4) no longer equal the certified bound, and 30 Lagrangians
+    # stay unreached
+    every = sl.all_matchings
+    monkeypatch.setattr(sl, "all_matchings", lambda n: every(n)[:-1])
+    with pytest.raises(CrossCheckError, match="no certificate"):
+        realize_lagrangians(2, 4)
+    out = io.StringIO()
+    argv = ["lagrangians", "--p", "2", "--n", "4", "--realize"]
+    assert cli.run(argv, stdout=out) == 4
+    assert out.getvalue() == (
+        "error = the closure reached 105 of 135 Lagrangians mod 2 "
+        "and no certificate bounds the rest\n"
+    )
+
+
+# sha256 of the `lagrangians --realize` stdout; --seed is accepted and
+# ignored, so every seed prints the same
 REALIZE_STDOUT_SHA256 = {
-    (3, 3, 0, None): "954b3bb1f8db581a875e7e7ecef8728cc711261292fd2b0fd3f153841c08e74b",
-    (3, 3, 1, None): "cae524cb17c235f4000b1c0276c548225d6753f5e1fab87c0e6819ce776b7180",
-    (3, 3, 2, None): "c4bfdd214867eeefd200c3178a70194528ab6c44d505d1c2cb1d9a7beaa89c4f",
-    (3, 3, 3, None): "5d4d70f63d11e4a268bc3a66036f65f6c764064ce5af6464cc25933ff8b1d852",
-    (5, 3, 0, None): "522ea5141e9379814b630bdebc25c414d2e1c60217821dd88b3107781afafead",
-    (3, 4, 0, 3000): "e996fa4df5c9d65cf748dd56cceb1c63d2ffb0822a609efcf4e7b6096a473c29",
+    (3, 3, 0, None): "a3a51de53a996e6239d0a1b77db015f149c3fe215e459bdf833a9cac979e7a5a",
+    (3, 3, 1, None): "a3a51de53a996e6239d0a1b77db015f149c3fe215e459bdf833a9cac979e7a5a",
+    (3, 3, 2, None): "a3a51de53a996e6239d0a1b77db015f149c3fe215e459bdf833a9cac979e7a5a",
+    (3, 3, 3, None): "a3a51de53a996e6239d0a1b77db015f149c3fe215e459bdf833a9cac979e7a5a",
+    (5, 3, 0, None): "33eb5f8332bcf58afe09c3e6e9f7c7e13ec6ccde406cab3a4cda945c51ed3d4a",
+    (2, 4, 0, None): "fa9ea50cc7582566063448a082d99500e825c2760ad276fda09404970edf53b5",
     (3, 2, 0, None): "01c23e5e8ede4e98ca3319431fa7e9980e2783e82824db3e3e8323cf29eede03",
     (3, 2, 1, None): "01c23e5e8ede4e98ca3319431fa7e9980e2783e82824db3e3e8323cf29eede03",
     (5, 2, 0, None): "f563f6b757f0273a3d0a269b47e094534657f3987d0cf741b712e9d18db293fd",
@@ -317,7 +278,7 @@ def test_realize_cross_checks_structural_images(monkeypatch):
     right = ImageTable.rot
     monkeypatch.setattr(ImageTable, "rot", lambda table, i, k: right(table, i, k + 1))
     with pytest.raises(CrossCheckError, match="disagrees with the compiled"):
-        realize_lagrangians(3, 3, seed=2)
+        realize_lagrangians(3, 3)
     out = io.StringIO()
     argv = ["lagrangians", "--p", "3", "--n", "3", "--realize"]
     assert cli.run(argv, stdout=out) == 4

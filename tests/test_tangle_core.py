@@ -37,7 +37,6 @@ from tanglelab.tangle_core import (
     random_algebraic_expr,
     rational_expr,
     rotate,
-    rotated_compose,
     slope,
     trefoil,
     trivial_link,
@@ -130,8 +129,7 @@ def test_arc_and_crossing_wellformedness_random():
 
 
 # sha256 of the printed draws of n in {2, 3, 4}, depth in {3, 4} and
-# seeds 0..199, one line each, recorded before the draw became a fold:
-# `move-check` and the realization search see these same trees
+# seeds 0..199, one line each: `move-check` sees these same trees
 DRAWS_SHA256 = "37426e4f39d7d0b6599ad691d8879659236bf1f13887b20ed02c3470d51e3750"
 
 
@@ -143,24 +141,6 @@ def test_random_draws_are_pinned():
                 e = random_algebraic_expr(n, random.Random(seed), depth)
                 h.update(print_conway(e).encode() + b"\n")
     assert h.hexdigest() == DRAWS_SHA256
-
-
-def test_random_draw_folds_in_one_pass():
-    # a fold that records the shape draws the same random numbers as the
-    # default, and its shape joined by rotated_compose is the tree
-    def shape_to_expr(t):
-        if isinstance(t, tuple):
-            a, ka, b, kb = t
-            return rotated_compose(shape_to_expr(a), ka, shape_to_expr(b), kb)
-        return t
-
-    for n in (2, 3, 5):
-        for seed in range(30):
-            rng, fold_rng = random.Random(seed), random.Random(seed)
-            want = random_algebraic_expr(n, rng, 4)
-            shape = random_algebraic_expr(n, fold_rng, 4, lambda e: e, lambda *t: t)
-            assert shape_to_expr(shape) == want
-            assert rng.getstate() == fold_rng.getstate()
 
 
 def test_slope_values():
