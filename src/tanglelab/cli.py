@@ -264,19 +264,11 @@ def _cmd_braid_quotient(args, out):
         return 0
     out.append(f"order = {quotient.order}")
     if args.classes:
-        # class lines follow the coset order of the regular table
-        pres = ce.braid_presentation(args.n, args.k)
-        table = ce.enumerate_cosets(pres, max_cosets=args.budget)
-        if table.order != quotient.order:
-            raise CrossCheckError(
-                f"regular coset table has {table.order} cosets, "
-                f"certified order is {quotient.order}"
-            )
-        count, classes, reps = ce.conjugacy_classes(table)
+        count, sizes, reps = ce.conjugacy_classes(quotient)
         out.append(f"classes = {count}")
-        for rep_word, cls in zip(reps, classes):
+        for rep_word, size in zip(reps, sizes):
             word = " ".join(str(x) for x in rep_word) if rep_word else "e"
-            out.append(f"class {word} : size = {len(cls)}")
+            out.append(f"class {word} : size = {size}")
     if args.word_equal:
         w1 = tuple(int(x) for x in args.word_equal[0].split())
         w2 = tuple(int(x) for x in args.word_equal[1].split())
@@ -376,32 +368,6 @@ def build_parser():
     return parser
 
 
-_VALUED_OPTIONS = {"-r", "--word", "--word-file", "--seed"}
-
-
-def _reorder_burnside_argv(argv):
-    """argparse cannot match positionals that follow options inside a
-    subcommand, so hoist the loose word tokens of `burnside <action>
-    -r N '1 -2 ...'` to the front of the option list."""
-    if len(argv) < 2 or argv[0] != "burnside":
-        return argv
-    head, rest = argv[:2], argv[2:]
-    opts, loose = [], []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok in _VALUED_OPTIONS:
-            opts.extend(rest[i : i + 2])
-            i += 2
-        elif tok.startswith("--") or tok == "-h":
-            opts.append(tok)
-            i += 1
-        else:
-            loose.append(tok)
-            i += 1
-    return head + loose + opts
-
-
 def _glue_fraction_argv(argv):
     """argparse reads a separate value such as `-1/2` as an option, so
     hoist the token after `move-check --fraction` into `--fraction=`."""
@@ -421,10 +387,18 @@ def _glue_fraction_argv(argv):
 
 def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
-    argv = _glue_fraction_argv(_reorder_burnside_argv(list(argv)))
+    parser = build_parser()
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints help there
-            args = build_parser().parse_args(argv)
+            args, extra = parser.parse_known_args(_glue_fraction_argv(list(argv)))
+            if args.command == "burnside":
+                # argparse leaves the word tokens after an option unmatched
+                word = [x for x in extra
+                        if all(y.removeprefix("-").isdigit() for y in x.split())]
+                args.letters = [*args.letters, *word]
+                extra = [x for x in extra if x not in word]
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = []

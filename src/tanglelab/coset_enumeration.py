@@ -8,9 +8,7 @@ coset 0, then every live vertex in turn is scanned against every
 relator (defining new vertices as needed, the endpoint unified with the
 start) and its missing edges are filled by definition.  For a finite
 index this terminates with the coset table, which is re-verified before
-it is returned.  Over the trivial subgroup the table is the regular
-representation; canonical words and conjugacy classes are read off one
-breadth-first spanning tree of it.
+it is returned.
 
 The order of B_n/(s_i^k) is certified by two bounds that must agree
 (Coxeter, *Factor groups of the braid group*, 1957, gives the finite
@@ -20,7 +18,8 @@ the image of that subgroup is a quotient of B_{m-1}/(s_i^k).  The lower
 bound is the order of the unreduced Burau image over F_p at a t whose
 negative is a primitive k-th root of unity: the matrices satisfy every
 relator, so they form a quotient of the group.  Equal bounds make the
-Burau map an isomorphism, so words compare as matrix products.
+Burau map an isomorphism, so words compare as matrix products and
+conjugacy classes are orbits on the Burau matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "trace",
     "word_equal",
     "conjugacy_classes",
-    "canonical_words",
 ]
 
 UNDEF = -1
@@ -322,19 +320,10 @@ def _burau_right(mats, code, p, t):
     return out
 
 
-def burau_image_order(n, p, t, limit):
-    """Order of the group generated by the Burau matrices of s_1..s_{n-1}
-    over F_p (p < 256), by breadth-first search over right
-    multiplications; once it passes `limit` the search stops and returns
-    the count so far.
-
-    Every row of a Burau matrix sums to 1, so the first n-1 columns
-    identify it; they are packed as radix-p digits into int64 words.
-    Each level is deduplicated with np.unique and searched against the
-    sorted keys already visited.
-    """
-    if not 1 < p < 256:
-        raise ValueError(f"Burau entries are bytes: need 1 < p < 256, got {p}")
+def _burau_keys(n, p):
+    """Sortable keys of batches of Burau matrices over F_p.  Every row of
+    a Burau matrix sums to 1, so the first n-1 columns identify it; they
+    are packed as radix-p digits into int64 words."""
     digits = n * (n - 1)
     per_word = 1
     while p ** (per_word + 1) < 2**63:
@@ -351,6 +340,21 @@ def burau_image_order(n, p, t, limit):
         # several words sort and compare as one byte string
         return np.ascontiguousarray(w).view(np.dtype((np.void, 8 * words)))[:, 0]
 
+    return keys
+
+
+def burau_image_order(n, p, t, limit):
+    """Order of the group generated by the Burau matrices of s_1..s_{n-1}
+    over F_p (p < 256), by breadth-first search over right
+    multiplications; once it passes `limit` the search stops and returns
+    the count so far.
+
+    Matrices are compared by `_burau_keys`.  Each level is deduplicated
+    with np.unique and searched against the sorted keys already visited.
+    """
+    if not 1 < p < 256:
+        raise ValueError(f"Burau entries are bytes: need 1 < p < 256, got {p}")
+    keys = _burau_keys(n, p)
     frontier = np.eye(n, dtype=np.uint8)[None]
     visited = keys(frontier)
     while len(frontier) and len(visited) <= limit:
@@ -422,68 +426,70 @@ def certify_braid_quotient(n, k, budget=10**6):
     return quotient
 
 
-def _spanning_tree(table):
-    """(coset, parent, column) for every coset but 0, in the order the
-    breadth-first search from coset 0 reaches them, trying the columns
-    in table order."""
-    seen = bytearray(table.order)
-    seen[0] = 1
-    tree = []
-    queue = [0]
-    for c in queue:  # the queue grows while it is read
-        for x, d in enumerate(table.table[c]):
-            if not seen[d]:
-                seen[d] = 1
-                tree.append((d, c, x))
-                queue.append(d)
-    return tree
+def conjugacy_classes(quotient):
+    """Conjugacy classes of a certified `BraidQuotient`: (count, sizes,
+    representatives), each representative the shortlex-least word of its
+    class (letters g1 < g1^-1 < g2 < ...), in increasing order.
 
-
-def _tree_words(tree, n):
-    words = [()] * n
-    for d, c, x in tree:
-        words[d] = words[c] + ((x // 2 + 1) * (-1 if x & 1 else 1),)
-    return words
-
-
-def canonical_words(table):
-    """Shortlex-least word reaching each coset from the identity, read
-    off `_spanning_tree`; the letter order is g1 < g1^-1 < g2 < ..."""
-    return _tree_words(_spanning_tree(table), table.order)
-
-
-def conjugacy_classes(table):
-    """Partition of the group elements (cosets of the regular action)
-    into conjugacy classes, listed by least element; returns (count,
-    classes, representatives) with one shortlex-least representative
-    word per class.  Conjugation by generator a permutes the cosets as
-    c -> T[left[c]][a], where left[c], the coset of a^-1 * elt(c), is
-    filled along the spanning tree from left[0] = T[0][a^-1] (left
-    multiplication commutes with the right action)."""
-    n = table.order
-    rows = table.table
-    tree = _spanning_tree(table)
-    perms = []
-    for col in range(0, 2 * table.generators, 2):
-        left = [0] * n
-        left[0] = rows[0][col + 1]
-        for d, c, x in tree:
-            left[d] = rows[left[c]][x]
-        perms.append([rows[c][col] for c in left])
-    seen = bytearray(n)
-    classes = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        seen[i] = 1
-        orbit = [i]
-        for c in orbit:  # the orbit grows while it is read
-            for perm in perms:
-                if not seen[perm[c]]:
-                    seen[perm[c]] = 1
-                    orbit.append(perm[c])
-        classes.append(tuple(sorted(orbit)))
-    words = _tree_words(tree, n)
-    rank = {d: r for r, (d, _, _) in enumerate(tree, 1)}  # shortlex order of words
-    reps = [words[min(cls, key=lambda c: rank.get(c, 0))] for cls in classes]
-    return len(classes), classes, reps
+    A breadth-first search from the identity multiplies every element on
+    the right by all 2(n-1) letters, candidates laid out parent by parent
+    and then letter by letter, so the Burau matrices are numbered in the
+    shortlex order of their least words.  Conjugation by s_i permutes
+    them (looked up by the keys of S_i^-1 M S_i); a class is an orbit,
+    represented by its least element.  A count other than the certified
+    order is a CrossCheckError.  B_2/(s^k) is Z_k, one class per element.
+    """
+    n, k, p, t = quotient.n, quotient.k, quotient.p, quotient.t
+    if n == 2:
+        words = [(), *((s,) * j for j in range(1, k // 2 + 1) for s in (1, -1))]
+        return k, [1] * k, words[:k]
+    keys = _burau_keys(n, p)
+    width = 2 * (n - 1)
+    levels = [np.eye(n, dtype=np.uint8)[None]]
+    parent, letter = [np.array([-1])], [np.array([-1])]
+    visited = keys(levels[0])
+    while len(levels[-1]) and len(visited) <= quotient.order:
+        frontier = levels[-1]
+        cands = np.stack(
+            [_burau_right(frontier, x, p, t) for x in range(width)], axis=1
+        ).reshape(-1, n, n)
+        fresh, first = np.unique(keys(cands), return_index=True)
+        pos = np.minimum(np.searchsorted(visited, fresh), len(visited) - 1)
+        new = visited[pos] != fresh
+        first = np.sort(first[new])  # first occurrences, in shortlex order
+        levels.append(cands[first])
+        parent.append(len(visited) - len(frontier) + first // width)
+        letter.append((first % width // 2 + 1) * (1 - 2 * (first & 1)))
+        visited = np.sort(np.concatenate([visited, fresh[new]]), kind="stable")
+    if len(visited) != quotient.order:
+        raise CrossCheckError(
+            f"the Burau search reached {len(visited)} elements, "
+            f"certified order is {quotient.order}"
+        )
+    mats = np.concatenate(levels)
+    number = np.argsort(keys(mats))  # element numbers in key order
+    conjugations = []
+    for i in range(1, n):
+        conj = quotient.matrix((-i,)).astype(np.int16) @ mats.astype(np.int16) % p
+        conj = (conj @ quotient.matrix((i,)).astype(np.int16) % p).astype(np.uint8)
+        conjugations.append(number[np.searchsorted(visited, keys(conj))])
+    # each label falls to the least element of its orbit: labels only
+    # decrease within the orbit, and a fixed point is constant along every
+    # cycle of every conjugation, hence on the orbit
+    label = np.arange(len(mats))
+    while True:
+        low = label[label]
+        for perm in conjugations:
+            np.minimum(low, label[perm], out=low)
+        if np.array_equal(low, label):
+            break
+        label = low
+    least, sizes = np.unique(label, return_counts=True)
+    parent, letter = np.concatenate(parent).tolist(), np.concatenate(letter).tolist()
+    reps = []
+    for e in least.tolist():
+        word = ()
+        while e:
+            word, e = (letter[e], *word), parent[e]
+        reps.append(word)
+    return len(reps), sizes.tolist(), reps

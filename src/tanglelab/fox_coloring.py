@@ -300,20 +300,26 @@ class ImageTable:
     """Boundary images mod p, interned: id i names the image `images[i]`.
 
     The structural rules run on ids: `leaf(expr)` memoized by the
-    expression, `rot(i, k)` (`Rot` applied k times) as one corner shift
-    memoized by (i, k mod 2n), and `compose(i, j)` as one
-    `_fiber_product` memoized by (i, j); `expr` walks a tree through them.
+    expression, `rot(i, k)` (`Rot` applied k times) as one corner shift,
+    and `compose(i, j)` as one `_fiber_product` memoized by (i, j); `expr`
+    walks a tree through them.  Each id records its origin (root,
+    offset): the id it was first interned by rotating, and by how much
+    (itself and 0 if it was not).  `rot` is memoized by (root, offset + k
+    mod 2n), so a rotation of a rotated id is computed at most once; when
+    a rotation returns an id interned before with another root, that root
+    is re-rooted, so the two rotation orbits share one memo.
     """
 
     def __init__(self, p):
-        self.p, self.images = p, []
+        self.p, self.images, self._origins = p, [], []
         self._ids, self._leaves, self._rots, self._composes = {}, {}, {}, {}
 
-    def _intern(self, vectors, width):
+    def _intern(self, vectors, width, origin=None):
         img = SubspaceModP.from_vectors(vectors, self.p, width)
         i = self._ids.setdefault((width, img.rows), len(self.images))
         if i == len(self.images):
             self.images.append(img)
+            self._origins.append(origin or (i, 0))
         return i
 
     def leaf(self, expr):
@@ -326,15 +332,26 @@ class ImageTable:
             self._leaves[expr] = i
         return i
 
+    def _origin(self, i):
+        # (root, offset) of i, through the roots merged since it was interned
+        root, offset = self._origins[i]
+        while self._origins[root][0] != root:
+            root, shift = self._origins[root]
+            offset += shift
+        return root, offset
+
     def rot(self, i, k):
         # the corner shift of `_build`, k steps: position k takes corner 0
         width = self.images[i].ambient
-        k %= width or 1
-        j = self._rots.get((i, k)) if k else i
+        root, offset = self._origin(i)
+        k = (offset + k) % (width or 1)
+        j = self._rots.get((root, k)) if k else root
         if j is None:
-            shifted = [r[-k:] + r[:-k] for r in self.images[i].rows]
-            j = self._rots[i, k] = self._intern(shifted, width)
-            self._rots[j, width - k] = i
+            shifted = [r[-k:] + r[:-k] for r in self.images[root].rows]
+            j = self._rots[root, k] = self._intern(shifted, width, (root, k))
+            top, above = self._origin(j)
+            if top != root:  # j was held already: one orbit, one root
+                self._origins[top] = root, k - above
         return j
 
     def compose(self, i, j):

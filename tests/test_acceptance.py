@@ -10,6 +10,7 @@ import time
 from itertools import product
 from math import comb
 
+import coset_oracle as oracle
 import pytest
 
 from tanglelab import burnside3 as bg
@@ -265,9 +266,11 @@ def test_criterion_10_pipeline_sanity():
 
 def test_criterion_11_braid_quotients():
     with _criterion(11, 300):
+        count, sizes, _ = ce.conjugacy_classes(ce.certify_braid_quotient(3, 4))
+        assert (count, sum(sizes)) == (16, 96)
         tab34 = ce.enumerate_cosets(ce.braid_presentation(3, 4))
         assert tab34.order == 96
-        count, classes, _ = ce.conjugacy_classes(tab34)
+        count, classes, _ = oracle.conjugacy_classes(tab34)
         assert count == 16
         from test_coset_enumeration import B3_MOD4_CLASS_WORDS
 

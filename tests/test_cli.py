@@ -411,39 +411,46 @@ def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
     )
     code, out = capture(["braid-quotient", "--n", "3", "--k", "3", "--classes"])
     assert (code, out) == (
-        4, "error = regular coset table has 24 cosets, certified order is 25\n"
+        4, "error = the Burau search reached 24 elements, certified order is 25\n"
     )
 
 
-# the class lines follow the coset numbering of the regular table; each
-# representative is the shortlex-least word of its class, with letters
-# ordered g1 < g1^-1 < g2 < ...
+def test_braid_quotient_classes_budget_bounds_only_the_certificate():
+    # the order 648 fits in the budget; the classes build no coset table
+    argv = ["braid-quotient", "--n", "4", "--k", "3", "--classes", "--budget", "700"]
+    code, out = capture(argv)
+    assert (code, out.splitlines()[:2]) == (0, ["order = 648", "classes = 24"])
+
+
+# the class lines are in shortlex order of their representatives, each
+# the shortlex-least word of its class, with letters ordered
+# g1 < g1^-1 < g2 < ...
 CLASS_LINES = {
     (4, 3): (
         "order = 648\n"
         "classes = 24\n"
         "class e : size = 1\n"
         "class 1 : size = 12\n"
+        "class -1 : size = 12\n"
         "class 1 2 : size = 36\n"
         "class 1 -2 : size = 54\n"
         "class 1 3 : size = 12\n"
-        "class -1 : size = 12\n"
-        "class 1 2 3 : size = 54\n"
-        "class 1 2 -3 : size = 72\n"
         "class 1 -3 : size = 24\n"
         "class -1 -2 : size = 36\n"
+        "class -1 -3 : size = 12\n"
+        "class 1 2 3 : size = 54\n"
+        "class 1 2 -3 : size = 72\n"
         "class 1 -2 3 : size = 36\n"
+        "class 1 -2 -3 : size = 72\n"
+        "class -1 2 -3 : size = 36\n"
+        "class -1 -2 -3 : size = 54\n"
         "class 1 -2 1 -2 : size = 9\n"
         "class 1 -2 3 -2 : size = 9\n"
-        "class -1 2 -3 : size = 36\n"
-        "class -1 -3 : size = 12\n"
-        "class 1 -2 -3 : size = 72\n"
-        "class 1 2 -3 2 -3 : size = 36\n"
-        "class -1 -2 -3 : size = 54\n"
         "class -1 2 -3 2 : size = 9\n"
+        "class 1 2 -3 2 -3 : size = 36\n"
         "class 1 -2 1 -2 -3 : size = 36\n"
-        "class -1 2 -1 -3 2 -3 : size = 12\n"
         "class 1 -2 1 3 -2 3 : size = 12\n"
+        "class -1 2 -1 -3 2 -3 : size = 12\n"
         "class 1 -2 3 -2 1 -2 3 -2 : size = 1\n"
         "class -1 2 -3 2 -1 2 -3 2 : size = 1\n"
     ),
@@ -452,49 +459,49 @@ CLASS_LINES = {
         "classes = 45\n"
         "class e : size = 1\n"
         "class 1 : size = 12\n"
-        "class 1 2 : size = 20\n"
-        "class 1 1 2 : size = 30\n"
-        "class 1 1 : size = 12\n"
-        "class -1 -1 : size = 12\n"
         "class -1 : size = 12\n"
-        "class 1 -2 -2 : size = 20\n"
+        "class 1 1 : size = 12\n"
+        "class 1 2 : size = 20\n"
         "class 1 -2 : size = 12\n"
-        "class 1 1 2 2 : size = 12\n"
-        "class 1 1 2 1 1 2 : size = 1\n"
-        "class 1 1 -2 : size = 20\n"
-        "class -1 -1 -2 : size = 30\n"
+        "class -1 -1 : size = 12\n"
         "class -1 -2 : size = 20\n"
+        "class 1 1 2 : size = 30\n"
+        "class 1 1 -2 : size = 20\n"
+        "class 1 -2 -2 : size = 20\n"
+        "class -1 -1 -2 : size = 30\n"
+        "class 1 1 2 2 : size = 12\n"
         "class 1 1 -2 -2 : size = 20\n"
-        "class 1 1 2 -1 -1 2 : size = 12\n"
-        "class 1 -2 -2 1 -2 -2 : size = 20\n"
-        "class 1 1 2 -1 2 : size = 12\n"
-        "class 1 -2 1 -2 -2 : size = 30\n"
-        "class -1 -1 -2 -2 : size = 12\n"
         "class 1 -2 1 -2 : size = 12\n"
+        "class -1 -1 -2 -2 : size = 12\n"
+        "class 1 1 2 -1 2 : size = 12\n"
         "class 1 1 -2 1 -2 : size = 30\n"
+        "class 1 -2 1 -2 -2 : size = 30\n"
         "class 1 -2 -1 -1 -2 : size = 12\n"
-        "class 1 1 -2 -2 1 -2 -2 : size = 12\n"
-        "class 1 1 2 2 1 1 2 2 : size = 12\n"
-        "class 1 1 2 -1 2 1 1 2 2 : size = 1\n"
+        "class 1 1 2 1 1 2 : size = 1\n"
+        "class 1 1 2 -1 -1 2 : size = 12\n"
         "class 1 1 -2 1 1 -2 : size = 20\n"
-        "class 1 1 -2 -1 -1 -2 : size = 12\n"
-        "class -1 -1 -2 -1 -1 -2 : size = 1\n"
         "class 1 1 -2 1 -2 -2 : size = 30\n"
-        "class 1 -2 1 -2 1 -2 -2 : size = 20\n"
-        "class 1 1 -2 1 1 -2 -2 : size = 12\n"
-        "class 1 1 -2 1 -2 1 -2 -2 : size = 20\n"
+        "class 1 1 -2 -1 -1 -2 : size = 12\n"
         "class 1 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 -2 -2 1 -2 -2 : size = 20\n"
+        "class -1 -1 -2 -1 -1 -2 : size = 1\n"
+        "class 1 1 -2 1 1 -2 -2 : size = 12\n"
         "class 1 1 -2 1 -2 1 -2 : size = 20\n"
+        "class 1 1 -2 -2 1 -2 -2 : size = 12\n"
+        "class 1 -2 1 -2 1 -2 -2 : size = 20\n"
+        "class 1 1 2 2 1 1 2 2 : size = 12\n"
         "class 1 1 -2 1 1 -2 1 -2 : size = 12\n"
-        "class 1 1 -2 -2 1 -2 1 -2 -2 : size = 12\n"
-        "class 1 -2 1 -2 -2 1 -2 1 -2 -2 : size = 1\n"
+        "class 1 1 -2 1 -2 1 -2 -2 : size = 20\n"
+        "class 1 -2 1 -2 1 -2 1 -2 : size = 12\n"
+        "class 1 1 2 -1 2 1 1 2 2 : size = 1\n"
         "class 1 1 -2 1 1 -2 1 1 -2 : size = 1\n"
         "class 1 1 -2 1 -2 1 1 -2 -2 : size = 12\n"
-        "class 1 -2 1 -2 1 -2 1 -2 : size = 12\n"
-        "class 1 1 -2 -2 1 -2 1 -2 1 -2 -2 : size = 1\n"
+        "class 1 1 -2 -2 1 -2 1 -2 -2 : size = 12\n"
         "class 1 1 -2 1 -2 1 1 -2 1 -2 : size = 1\n"
         "class 1 -2 1 -2 1 -2 1 -2 1 -2 : size = 1\n"
+        "class 1 -2 1 -2 -2 1 -2 1 -2 -2 : size = 1\n"
         "class 1 1 -2 1 -2 1 -2 1 1 -2 -2 : size = 1\n"
+        "class 1 1 -2 -2 1 -2 1 -2 1 -2 -2 : size = 1\n"
     ),
 }
 

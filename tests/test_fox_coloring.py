@@ -339,6 +339,26 @@ def test_structural_image_matches_compiled_random_trees(n):
             assert table.images[table.expr(e)] == want, (e, p)
 
 
+def test_rotating_a_rotated_id_interns_nothing_new(monkeypatch):
+    # rotations are memoized by the root of the rotation orbit, also
+    # once an image interned on its own turns out to be in that orbit
+    table = ImageTable(3)
+    leaf = table.leaf(Sigma(3, 1, 1))
+    other = ImageTable(3)
+    twin_image = other.images[other.rot(other.leaf(Sigma(3, 1, 1)), 2)]
+    twin = table._intern(twin_image.rows, 6)
+    orbit = [table.rot(leaf, k) for k in range(6)]
+    assert orbit[2] == twin
+    calls = []
+    intern = table._intern
+    monkeypatch.setattr(table, "_intern", lambda *a: calls.append(a) or intern(*a))
+    held = len(table.images)
+    for start, j in [*enumerate(orbit), (2, twin)]:
+        for k in range(-7, 8):
+            assert table.rot(j, k) == orbit[(start + k) % 6], (start, k)
+    assert (calls, len(table.images)) == ([], held)
+
+
 def test_structural_image_of_twist_tangles():
     for k in range(-40, 41):
         for p in (2, 3, 5, 7):
