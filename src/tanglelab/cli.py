@@ -264,7 +264,7 @@ def _cmd_braid_quotient(args, out):
         return 0
     out.append(f"order = {quotient.order}")
     if args.classes:
-        count, sizes, reps = ce.conjugacy_classes(quotient)
+        count, sizes, reps = ce.conjugacy_classes(quotient, args.budget)
         out.append(f"classes = {count}")
         for rep_word, size in zip(reps, sizes):
             word = " ".join(str(x) for x in rep_word) if rep_word else "e"

@@ -15,15 +15,16 @@ The order of B_n/(s_i^k) is certified by two bounds that must agree
 cases).  The upper bound multiplies the indices of the parabolic
 subgroups <s_1..s_{m-2}> in B_m/(s_i^k) for m = 3..n; it holds because
 the image of that subgroup is a quotient of B_{m-1}/(s_i^k).  The lower
-bound is the order of the unreduced Burau image over F_p at a t whose
-negative is a primitive k-th root of unity: the matrices satisfy every
-relator, so they form a quotient of the group.  Equal bounds make the
-Burau map an isomorphism, so words compare as matrix products and
-conjugacy classes are orbits on the Burau matrices.
+bound multiplies the sizes of the orbits of e_m, m = 2..n, under the
+unreduced Burau matrices of s_1..s_{m-1} over F_p at a t whose negative
+is a primitive k-th root of unity (see `certify_braid_quotient`).  Equal
+bounds make the Burau map an isomorphism, so words compare as
+matrix products and conjugacy classes are orbits on the Burau matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "CosetTable",
     "enumerate_cosets",
     "parabolic_bound",
-    "burau_image_order",
     "BraidQuotient",
     "certify_braid_quotient",
     "trace",
@@ -343,30 +343,21 @@ def _burau_keys(n, p):
     return keys
 
 
-def burau_image_order(n, p, t, limit):
-    """Order of the group generated by the Burau matrices of s_1..s_{n-1}
-    over F_p (p < 256), by breadth-first search over right
-    multiplications; once it passes `limit` the search stops and returns
-    the count so far.
-
-    Matrices are compared by `_burau_keys`.  Each level is deduplicated
-    with np.unique and searched against the sorted keys already visited.
-    """
-    if not 1 < p < 256:
-        raise ValueError(f"Burau entries are bytes: need 1 < p < 256, got {p}")
-    keys = _burau_keys(n, p)
-    frontier = np.eye(n, dtype=np.uint8)[None]
-    visited = keys(frontier)
-    while len(frontier) and len(visited) <= limit:
-        cands = np.concatenate(
-            [_burau_right(frontier, 2 * i, p, t) for i in range(n - 1)]
-        )
-        fresh, first = np.unique(keys(cands), return_index=True)
-        pos = np.minimum(np.searchsorted(visited, fresh), len(visited) - 1)
-        new = visited[pos] != fresh
-        frontier = cands[first[new]]
-        visited = np.sort(np.concatenate([visited, fresh[new]]), kind="stable")
-    return len(visited)
+def _burau_orbit(m, n, p, t):
+    """Size of the orbit of the unit row vector e_m of F_p^n under the
+    Burau matrices of s_1..s_{m-1}, by breadth-first search: v -> v S_i
+    rewrites coordinates i and i+1 as (a, b) -> ((1-t)a + b, ta).  The
+    matrices have finite order, so the positive letters close the orbit."""
+    start = tuple(int(j == m - 1) for j in range(n))
+    orbit, seen = [start], {start}
+    for v in orbit:
+        for i in range(m - 1):
+            a, b = v[i], v[i + 1]
+            w = v[:i] + (((1 - t) * a + b) % p, t * a % p) + v[i + 2 :]
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
+    return len(orbit)
 
 
 @dataclass(frozen=True)
@@ -396,11 +387,22 @@ class BraidQuotient:
 
 
 def certify_braid_quotient(n, k, budget=10**6):
-    """B_n/(s_i^k) with its order certified as parabolic_bound = Burau
-    image order.  Raises BudgetExceededError when a parabolic index or
-    the bound exceeds `budget` (an infinite quotient does), and
-    CrossCheckError when the matrices fail a relator or the bounds
-    differ."""
+    """B_n/(s_i^k) with its order certified as parabolic_bound = the
+    product of Burau orbit sizes.  Raises BudgetExceededError when a
+    parabolic index or the bound exceeds `budget` (an infinite quotient
+    does), and CrossCheckError when the matrices fail a relator or the
+    bounds differ.
+
+    Let G_m be the group generated by the Burau matrices S_1..S_{m-1},
+    acting on row vectors.  S_i rewrites only coordinates i and i+1, so
+    G_{m-1} fixes e_m, and by orbit-stabilizer |G_m| >= |e_m G_m| |G_{m-1}|
+    (Sims, *Computation with Finitely Presented Groups*); hence |G_n| >=
+    the product of |e_m G_m| over m = 2..n.  The relator
+    check makes G_n a quotient of B_n/(s_i^k), so |G_n| <= parabolic_bound,
+    and product = bound certifies the order and that the Burau map is
+    faithful.  Each orbit is at most [G_m : G_{m-1}], itself at most the
+    Todd-Coxeter index, so the bounds agree exactly when every level does.
+    """
     pres = braid_presentation(n, k)
     upper = parabolic_bound(n, k, budget)
     if upper > budget:
@@ -417,7 +419,7 @@ def certify_braid_quotient(n, k, budget=10**6):
             raise CrossCheckError(
                 f"Burau matrices over F_{p} at t = {t} fail the relator {rel}"
             )
-    image = burau_image_order(n, p, t, upper)
+    image = math.prod(_burau_orbit(m, n, p, t) for m in range(2, n + 1))
     if image != upper:
         raise CrossCheckError(
             f"parabolic coset bound {upper} differs from the Burau image "
@@ -426,7 +428,7 @@ def certify_braid_quotient(n, k, budget=10**6):
     return quotient
 
 
-def conjugacy_classes(quotient):
+def conjugacy_classes(quotient, budget=10**6):
     """Conjugacy classes of a certified `BraidQuotient`: (count, sizes,
     representatives), each representative the shortlex-least word of its
     class (letters g1 < g1^-1 < g2 < ...), in increasing order.
@@ -437,10 +439,18 @@ def conjugacy_classes(quotient):
     shortlex order of their least words.  Conjugation by s_i permutes
     them (looked up by the keys of S_i^-1 M S_i); a class is an orbit,
     represented by its least element.  A count other than the certified
-    order is a CrossCheckError.  B_2/(s^k) is Z_k, one class per element.
+    order is a CrossCheckError.  B_2/(s^k) is Z_k, one class per element:
+    e, 1, -1, 1 1, -1 -1, ... with floor(k^2/4) letters in all, more than
+    `budget` of them a BudgetExceededError.
     """
     n, k, p, t = quotient.n, quotient.k, quotient.p, quotient.t
     if n == 2:
+        letters = (k // 2) * ((k + 1) // 2)
+        if letters > budget:
+            raise BudgetExceededError(
+                f"the {k} class representatives have {letters} letters, "
+                f"more than the budget of {budget}"
+            )
         words = [(), *((s,) * j for j in range(1, k // 2 + 1) for s in (1, -1))]
         return k, [1] * k, words[:k]
     keys = _burau_keys(n, p)

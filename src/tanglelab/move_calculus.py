@@ -98,16 +98,9 @@ def _proj_of_frac(f, p):
     return _proj(f.num, f.den, p)
 
 
-def point_to_line(point, p):
-    """The reduced boundary image line matching a projective point:
-    [a : b] corresponds to span{(-a, b)} in the f-basis coordinates."""
-    a, b = point
-    return SubspaceModP.from_vectors([[(-a) % p, b % p]], p, 2)
-
-
 def line_to_point(line):
-    """The projective point of a reduced boundary image line, the inverse
-    of `point_to_line`: span{(x, y)} is [-x : y]."""
+    """The projective point [-x : y] of a reduced boundary image line
+    span{(x, y)}."""
     ((x, y),) = line.rows
     return _proj(-x, y, line.p)
 

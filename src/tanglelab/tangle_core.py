@@ -60,10 +60,6 @@ __all__ = [
     "noncrossing_matchings",
     "random_algebraic_expr",
     "pretzel",
-    "trefoil",
-    "figure_eight",
-    "borromean_rings",
-    "trivial_link",
 ]
 
 
@@ -895,19 +891,3 @@ def random_algebraic_expr(n, rng, max_depth=4):
 def pretzel(a, b_):
     """Two vertical twist columns side by side (the (a,b) pretzel tangle)."""
     return Compose(Rot(Integer(-a)), Rot(Integer(-b_)))
-
-
-def trefoil():
-    return braid_closure(BraidWord(2, (1, 1, 1)))
-
-
-def figure_eight():
-    return braid_closure(BraidWord(3, (1, -2, 1, -2)))
-
-
-def borromean_rings():
-    return braid_closure(BraidWord(3, (1, -2, 1, -2, 1, -2)))
-
-
-def trivial_link(n):
-    return braid_closure(BraidWord(n, ()))

@@ -1,5 +1,6 @@
 """Canonical words and conjugacy classes by tracing words through the
-coset table, kept as a test oracle.
+coset table, and the order of the Burau image by a search over the whole
+group, kept as test oracles.
 
 Every coset gets its shortlex-least word from a breadth-first search,
 and each conjugate a^-1 * elt(c) * a is found by tracing a^-1, the word
@@ -7,7 +8,9 @@ of c and a from coset 0: one walk along a word per element and
 generator.
 """
 
-from tanglelab.coset_enumeration import trace
+import numpy as np
+
+from tanglelab.coset_enumeration import _burau_keys, _burau_right, trace
 
 
 def canonical_words(table):
@@ -67,3 +70,29 @@ def shortlex(word):
     """Sort key of a word: length first, then letters in the order
     g1 < g1^-1 < g2 < g2^-1 < ..."""
     return len(word), [2 * abs(x) - (x > 0) for x in word]
+
+
+def burau_image_order(n, p, t, limit):
+    """Order of the group generated by the Burau matrices of s_1..s_{n-1}
+    over F_p (p < 256), by breadth-first search over right
+    multiplications; once it passes `limit` the search stops and returns
+    the count so far.
+
+    Matrices are compared by `_burau_keys`.  Each level is deduplicated
+    with np.unique and searched against the sorted keys already visited.
+    """
+    if not 1 < p < 256:
+        raise ValueError(f"Burau entries are bytes: need 1 < p < 256, got {p}")
+    keys = _burau_keys(n, p)
+    frontier = np.eye(n, dtype=np.uint8)[None]
+    visited = keys(frontier)
+    while len(frontier) and len(visited) <= limit:
+        cands = np.concatenate(
+            [_burau_right(frontier, 2 * i, p, t) for i in range(n - 1)]
+        )
+        fresh, first = np.unique(keys(cands), return_index=True)
+        pos = np.minimum(np.searchsorted(visited, fresh), len(visited) - 1)
+        new = visited[pos] != fresh
+        frontier = cands[first[new]]
+        visited = np.sort(np.concatenate([visited, fresh[new]]), kind="stable")
+    return len(visited)

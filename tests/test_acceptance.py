@@ -12,6 +12,7 @@ from math import comb
 
 import coset_oracle as oracle
 import pytest
+from example_links import figure_eight, trefoil, trivial_link
 
 from tanglelab import burnside3 as bg
 from tanglelab import coset_enumeration as ce
@@ -26,11 +27,8 @@ from tanglelab.tangle_core import (
     Integer,
     braid_closure,
     compile_expr,
-    figure_eight,
     pretzel,
     random_algebraic_expr,
-    trefoil,
-    trivial_link,
 )
 
 CHEN = BraidWord(5, (-1, 2, 3, -4, 3) * 4)

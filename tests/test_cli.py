@@ -422,6 +422,25 @@ def test_braid_quotient_classes_budget_bounds_only_the_certificate():
     assert (code, out.splitlines()[:2]) == (0, ["order = 648", "classes = 24"])
 
 
+def test_braid_quotient_cyclic_classes_budget_bounds_their_letters():
+    # B_2/(s^k) prints k words of floor(k^2/4) letters in all
+    argv = ["braid-quotient", "--n", "2", "--k", "4000", "--classes"]
+    code, out = capture(argv)
+    assert (code, out) == (
+        3,
+        "error = the 4000 class representatives have 4000000 letters, "
+        "more than the budget of 1000000\n",
+    )
+    argv = ["braid-quotient", "--n", "2", "--k", "5", "--classes", "--budget"]
+    assert capture(argv + ["5"])[0] == 3
+    code, out = capture(argv + ["6"])
+    assert (code, out) == (
+        0,
+        "order = 5\nclasses = 5\nclass e : size = 1\nclass 1 : size = 1\n"
+        "class -1 : size = 1\nclass 1 1 : size = 1\nclass -1 -1 : size = 1\n",
+    )
+
+
 # the class lines are in shortlex order of their representatives, each
 # the shortlex-least word of its class, with letters ordered
 # g1 < g1^-1 < g2 < ...

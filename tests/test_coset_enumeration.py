@@ -249,6 +249,31 @@ def test_inflated_upper_bound_fails_the_certificate(monkeypatch):
     )
 
 
+def test_deflated_upper_bound_fails_the_certificate_above(monkeypatch):
+    real = ce.parabolic_bound
+    monkeypatch.setattr(ce, "parabolic_bound", lambda *a: real(*a) - 1)
+    with pytest.raises(CrossCheckError, match="order above 96"):
+        ce.certify_braid_quotient(3, 4)
+    code, out = _cli(["braid-quotient", "--n", "3", "--k", "4"])
+    assert (code, out) == (
+        4,
+        "error = parabolic coset bound 95 differs from the Burau image "
+        "order above 96\n",
+    )
+
+
+def test_orbit_product_matches_the_whole_group_search():
+    cases = [(n, 2) for n in range(3, 8)]
+    cases += [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
+    for n, k in cases:
+        p, t = ce._BURAU_FIELDS[k]
+        order = ce.certify_braid_quotient(n, k).order
+        assert oracle.burau_image_order(n, p, t, order) == order, (n, k)
+        assert ce._burau_orbit(2, n, p, t) == k
+        for m in range(3, n + 1):
+            assert ce._burau_orbit(m, n, p, t) == _parabolic_index(m, k), (n, k, m)
+
+
 def test_certified_order_budget():
     with pytest.raises(BudgetExceededError, match="order 155520 exceeds"):
         ce.certify_braid_quotient(5, 3, budget=150000)

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from example_links import borromean_rings, figure_eight, trefoil, trivial_link
 
 from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
@@ -27,16 +28,12 @@ from tanglelab.tangle_core import (
     Rational,
     Rot,
     Sigma,
-    borromean_rings,
     braid_closure,
     compile_expr,
-    figure_eight,
     pretzel,
     random_algebraic_expr,
     rational_expr,
     slope,
-    trefoil,
-    trivial_link,
 )
 
 

@@ -2,6 +2,7 @@ import io
 import random
 
 import pytest
+from example_links import point_to_line, trefoil
 
 import tanglelab.move_calculus as mv
 from tanglelab import cli
@@ -15,7 +16,6 @@ from tanglelab.move_calculus import (
     invariance_harness,
     line_to_point,
     mq_to_fraction,
-    point_to_line,
     reduce_2algebraic,
     reduce_rational,
     replay_certificate,
@@ -39,7 +39,6 @@ from tanglelab.tangle_core import (
     random_algebraic_expr,
     rational_expr,
     rotate,
-    trefoil,
 )
 
 

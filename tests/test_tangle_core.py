@@ -3,6 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
+from example_links import figure_eight, trefoil, trivial_link
 
 from tanglelab import tangle_core
 from tanglelab.errors import BudgetExceededError, ConwaySyntaxError, NotRationalError
@@ -27,7 +28,6 @@ from tanglelab.tangle_core import (
     compile_expr,
     compose,
     diagram_to_text,
-    figure_eight,
     noncrossing_matchings,
     parse_braid,
     parse_conway,
@@ -38,8 +38,6 @@ from tanglelab.tangle_core import (
     rational_expr,
     rotate,
     slope,
-    trefoil,
-    trivial_link,
 )
 
 

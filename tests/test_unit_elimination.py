@@ -15,6 +15,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from example_links import trivial_link
 
 from tanglelab import exact_linear as xl
 from tanglelab.fox_coloring import (
@@ -39,7 +40,6 @@ from tanglelab.tangle_core import (
     pretzel,
     random_algebraic_expr,
     rational_expr,
-    trivial_link,
 )
 
 import smith_oracle as oracle
