@@ -37,8 +37,6 @@ from math import comb, prod
 from random import Random
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BudgetExceededError, CrossCheckError
 from .exact_linear import SubspaceModP
 
@@ -61,7 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_BUDGET = 2 * 3**14
-_CELLS = 1 << 16  # digits (dim x columns) per chunk of `consistency_check`
+_CELLS = 1 << 20  # digits (dim x columns) per chunk of `consistency_check`
 
 
 def _element_budget(order, budget=None):
@@ -229,6 +227,7 @@ def _dim(r):
 
 def _digits(keys, dim):
     """Digit columns (dim x n, int8) of radix-3 keys sum(v[d] * 3^d)."""
+    import numpy as np
     digits = np.empty((dim, keys.size), dtype=np.int8)
     q = keys
     for d in range(dim):
@@ -260,6 +259,7 @@ def enumerate_group(r, budget=None):
     CrossCheckError.  Raises BudgetExceededError when the order exceeds
     `budget` (default: `TANGLELAB_MEM_GUARD`, else 2 * 3^14).
     """
+    import numpy as np
     if r > 4:
         raise BudgetExceededError("enumeration supported for r <= 4")
     order = group_order(r)
@@ -312,6 +312,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
     `multiply` and `inverse`, in chunks of at most _CELLS digits.  Raises
     CrossCheckError on any failure; returns the number of checks.
     """
+    import numpy as np
     rng, dim = Random(seed), _dim(r)
     n, width = 2000 if triples is None else triples, max(1, _CELLS // (dim or 1))
 

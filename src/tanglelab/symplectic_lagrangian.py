@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import exact_linear as xl
 from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
 from .exact_linear import SubspaceModP
@@ -61,6 +59,7 @@ class SymplecticSpace:
         return 2 * self.n - 2
 
     def gram_matrix(self):
+        import numpy as np
         return np.array(self.gram, dtype=np.int64)
 
 
@@ -152,6 +151,7 @@ def enumerate_lagrangians(p, n, budget=ENUMERATION_BUDGET):
 def _schubert_cell(pivots, G, p):
     """Row matrices, stacked (k, len(pivots), d), of the isotropic
     subspaces whose RREF has exactly these pivot columns."""
+    import numpy as np
     d = G.shape[0]
     cell = np.zeros((1, 0, d), dtype=np.int64)
     for c in pivots:

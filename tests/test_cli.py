@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 import tanglelab
 from tanglelab import cli
 from tanglelab.cli import run
+
+_CHEN = "5: " + " ".join(str(x) for x in (-1, 2, 3, -4, 3) * 4)
 
 
 def capture(argv):
@@ -146,8 +149,7 @@ def test_obstruct_trefoil():
 
 
 def test_obstruct_chen():
-    word = "5: " + " ".join(str(x) for x in (-1, 2, 3, -4, 3) * 4)
-    code, out = capture(["obstruct", "--braid", word])
+    code, out = capture(["obstruct", "--braid", _CHEN])
     assert code == 0
     assert "verdict = OBSTRUCTED" in out
     for j in range(1, 6):
@@ -624,6 +626,63 @@ def test_reused_parser_answers_like_a_fresh_process():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (fresh.returncode, fresh.stdout) == want, argv
+
+
+_NUMPY_FREE = (
+    ["tri", "--braid", "2: 1 1 1"],
+    ["color", "--mod", "6", "--braid", "3: 1 -2 1 -2"],
+    ["color", "--abf-t", "3", "--p", "7", "--braid", "2: 1 1 1"],
+    ["boundary", "--p", "5", "--conway", "T(3,2,4)"],
+    ["boundary", "--integers", "--conway", "T(3,2,4)"],
+    ["reduce", "--conway", "T(2,3,2)", "--p", "3"],
+    ["slope", "--conway", "T(2,3,2)"],
+    ["move-check", "--p", "5", "--fraction", "5/2"],
+    ["burnside", "eval", "-r", "4", "--word", "1 2"],
+    ["obstruct", "--braid", _CHEN],
+    ["census", "--n", "4"],
+)
+
+
+def test_numpy_free_commands_leave_numpy_unloaded():
+    # importing numpy is most of the set-up time of a fresh call; one
+    # interpreter runs the whole list and reports after every step
+    code = (
+        "import io, json, sys\n"
+        "import tanglelab\n"
+        "from tanglelab import cli\n"
+        "print('import', 'numpy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(cli.run(argv, stdout=io.StringIO()), 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tanglelab.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_NUMPY_FREE)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    want = "import False\n" + "0 False\n" * len(_NUMPY_FREE)
+    assert (fresh.returncode, fresh.stdout) == (0, want), fresh.stderr
+
+
+def test_numpy_commands_answer_in_a_fresh_process_like_in_process():
+    # each command reaches numpy only through imports local to the
+    # functions it calls; one left out fails here on its first use
+    src = os.path.dirname(os.path.dirname(tanglelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["burnside", "enumerate", "-r", "2"],
+        ["burnside", "check", "-r", "2"],
+        ["lagrangians", "--p", "3", "--n", "3"],
+        ["lagrangians", "--p", "3", "--n", "2", "--realize"],
+        ["braid-quotient", "--n", "3", "--k", "3", "--classes"],
+    ):
+        want = capture(argv)
+        assert want[0] == 0, (argv, want)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tanglelab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout) == want, (argv, fresh.stderr)
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
