@@ -1,5 +1,6 @@
-"""Test oracles for B(r,3): the full-key breadth-first closure, and the
-element-at-a-time consistency check.
+"""Test oracles for B(r,3): the full-key breadth-first closure, the
+element-at-a-time consistency check, and the normal closure by
+breadth-first search over its elements.
 
 In the closure, elements are radix-3 keys of their whole digit vectors
 a|b|c (int32, since 3^14 < 2^31).  Each level decodes the frontier keys
@@ -12,6 +13,12 @@ it is run only up to r = 3 by the tests.
 The consistency check multiplies one `BurnsideElement` at a time with
 `multiply`, `inverse` and `commutator`, and counts its checks exactly as
 `burnside3.consistency_check` does on digit columns.
+
+The normal closure conjugates the non-identity images by the generators
+until no new element appears, then lists every element of the subgroup
+they generate.  It walks all of N, behind the element budget of
+`enumerate_group`, so the tests run it only up to r = 3 against the
+polycyclic sift of `burnside3.quotient_order`.
 """
 
 import random
@@ -21,7 +28,7 @@ from math import comb
 import numpy as np
 
 from tanglelab import burnside3 as bg
-from tanglelab.errors import CrossCheckError
+from tanglelab.errors import BudgetExceededError, CrossCheckError
 
 
 def closure_count(r, steps=None):
@@ -111,3 +118,38 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
                 raise CrossCheckError("weight-3 generator is not central")
             checks += 1
     return checks
+
+
+def quotient_order_elements(images, r, budget=None):
+    order = bg.group_order(r)
+    budget = bg._element_budget(order, budget)
+    gens = [bg.generator(r, i + 1) for i in range(r)]
+    seeds = [e for e in images if not e.is_identity()]
+    if not seeds:
+        return order
+    # close the seed set under conjugation by the generators
+    conj = set()
+    frontier = list(seeds)
+    while frontier:
+        g = frontier.pop()
+        if g in conj:
+            continue
+        conj.add(g)
+        for x in gens:
+            frontier.append(bg.conjugate(g, x))
+    # subgroup generated by the conjugates
+    elems = {bg.identity(r)}
+    frontier = [bg.identity(r)]
+    while frontier:
+        g = frontier.pop()
+        for h in conj:
+            gh = bg.multiply(g, h)
+            if gh not in elems:
+                if len(elems) >= budget:
+                    raise BudgetExceededError("normal closure exceeded the budget")
+                elems.add(gh)
+                frontier.append(gh)
+    size = len(elems)
+    if order % size:
+        raise CrossCheckError("normal closure size does not divide the group order")
+    return order // size

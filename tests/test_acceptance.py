@@ -279,8 +279,8 @@ def test_criterion_11_braid_quotients():
         hit = [cls_of[ce.trace(tab34, w)] for w in B3_MOD4_CLASS_WORDS]
         assert len(set(hit)) == 16
         assert ce.word_equal(tab34, (1, 2) * 6, (1, -2) * 3)
-        tab53 = ce.enumerate_cosets(ce.braid_presentation(5, 3))
-        assert ce.word_equal(tab53, (1, 2, 3, 4) * 10, (-1, 2, 3, -4, 3) * 4)
+        b53 = ce.certify_braid_quotient(5, 3)
+        assert b53.word_equal((1, 2, 3, 4) * 10, (-1, 2, 3, -4, 3) * 4)
         assert ce.enumerate_cosets(ce.braid_presentation(3, 3)).order == 24
 
 

@@ -197,8 +197,6 @@ def test_explicit_zero_budget_is_a_budget(monkeypatch):
     monkeypatch.delenv("TANGLELAB_MEM_GUARD", raising=False)
     with pytest.raises(BudgetExceededError, match="element budget 0$"):
         enumerate_group(3, budget=0)
-    with pytest.raises(BudgetExceededError, match="element budget 0$"):
-        quotient_order([[1, 2, -1]], 2, budget=0)
 
 
 def _key(g):
@@ -458,10 +456,68 @@ def test_obstruction_center_square_word():
     assert obstruction(w).verdict == "OBSTRUCTED"
 
 
+def _quotient(words, r):
+    return quotient_order([evaluate_word(r, w) for w in words], r)
+
+
 def test_quotient_order():
-    assert quotient_order([], 2) == 27
-    assert quotient_order([(1,), (2,)], 2) == 1
-    assert quotient_order([(1,)], 1) == 1
-    assert quotient_order([], 3) == 3**7
+    assert _quotient([], 2) == 27
+    assert _quotient([(1,), (2,)], 2) == 1
+    assert _quotient([(1,)], 1) == 1
+    assert _quotient([], 3) == 3**7
     # one generator killed: quotient is B(2,3)
-    assert quotient_order([(3,)], 3) == 27
+    assert _quotient([(3,)], 3) == 27
+
+
+# relator words in B(3,3) and the order of the quotient by their normal
+# closure: [x1,x2] = x1^-1 x2^-1 x1 x2 and the central [[x1,x2],x3]
+B3_RELATOR_SETS = [
+    ([], 3**7),
+    ([(-2, -1, 2, 1, -3, -1, -2, 1, 2, 3)], 3**6),
+    ([(-1, -2, 1, 2)], 3**5),
+    ([(-1, -2, 1, 2), (-1, -3, 1, 3)], 3**4),
+    ([(3,)], 27),
+    ([(1, -2)], 27),
+    ([(1,), (2, 3)], 3),
+    ([(1,), (2,), (3,)], 1),
+]
+
+
+def test_quotient_order_matches_the_element_bfs():
+    rng = random.Random(0)
+    for _ in range(300):
+        r = rng.randint(1, 2)
+        words = [
+            [rng.choice((1, -1)) * rng.randint(1, r) for _ in range(rng.randint(0, 8))]
+            for _ in range(rng.randint(0, 3))
+        ]
+        images = [evaluate_word(r, w) for w in words]
+        assert quotient_order(images, r) == oracle.quotient_order_elements(images, r)
+    for words, want in B3_RELATOR_SETS:
+        images = [evaluate_word(3, w) for w in words]
+        assert quotient_order(images, 3) == want, words
+        assert oracle.quotient_order_elements(images, 3) == want, words
+
+
+def _quotient_and_tri(word, kill=None):
+    rep = obstruction(word, kill=kill)
+    return quotient_order(rep.relator_images, word.strands - 1), rep.tri_closure
+
+
+def test_quotient_is_invariant_under_kills_conjugation_and_stabilization():
+    rng = random.Random(0)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        length = rng.randint(0, 10)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+        word = BraidWord(n, letters)
+        want = _quotient_and_tri(word)
+        for kill in range(1, n):
+            assert _quotient_and_tri(word, kill) == want, (word, kill)
+        x = rng.choice((1, -1)) * rng.randint(1, n - 1)
+        assert _quotient_and_tri(BraidWord(n, (x, *letters, -x))) == want, (word, x)
+        sign = rng.choice((1, -1))
+        stabilized = BraidWord(n + 1, (*letters, sign * n))
+        assert _quotient_and_tri(stabilized) == want, (word, sign)
+    for kill in range(1, 6):
+        assert quotient_order(obstruction(CHEN, kill).relator_images, 4) == 3**10

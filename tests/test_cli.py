@@ -721,14 +721,22 @@ def test_help_goes_to_the_given_stream(monkeypatch):
 
 
 def test_invalid_mem_guard_exits_2(monkeypatch):
+    argv = ["burnside", "enumerate", "-r", "2"]
     want = (2, "error = TANGLELAB_MEM_GUARD must be a non-negative integer\n")
-    for argv in (["burnside", "enumerate", "-r", "2"], ["obstruct", "--braid", "3: 1 2"]):
-        for value in ("abc", "1e3", "-5"):
-            monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
-            assert capture(argv) == want, (argv, value)
-        # zero is a valid budget that no group fits in
-        monkeypatch.setenv("TANGLELAB_MEM_GUARD", "0")
-        code, out = capture(argv)
-        assert code == 3 and out.startswith("error = "), argv
-        monkeypatch.setenv("TANGLELAB_MEM_GUARD", "27")
-        assert capture(argv)[0] == 0, argv
+    for value in ("abc", "1e3", "-5"):
+        monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
+        assert capture(argv) == want, value
+    # zero is a valid budget that no group fits in
+    monkeypatch.setenv("TANGLELAB_MEM_GUARD", "0")
+    code, out = capture(argv)
+    assert code == 3 and out.startswith("error = ")
+    monkeypatch.setenv("TANGLELAB_MEM_GUARD", "27")
+    assert capture(argv)[0] == 0
+    # the obstruction quotient reads no budget
+    argv = ["obstruct", "--braid", "3: 1 2"]
+    monkeypatch.delenv("TANGLELAB_MEM_GUARD")
+    unguarded = capture(argv)
+    assert unguarded[0] == 0 and "quotient_order = 1\n" in unguarded[1]
+    for value in ("0", "abc"):
+        monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
+        assert capture(argv) == unguarded, value

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import random
+from fractions import Fraction
+from math import factorial
 
 import coset_oracle as oracle
 import pytest
@@ -272,6 +274,18 @@ def test_orbit_product_matches_the_whole_group_search():
         assert ce._burau_orbit(2, n, p, t) == k
         for m in range(3, n + 1):
             assert ce._burau_orbit(m, n, p, t) == _parabolic_index(m, k), (n, k, m)
+
+
+def test_certified_order_matches_coxeters_formula():
+    # |B_n/(s_i^k)| = (f/2)^(n-1) n! for the f = 4k / (4 - (n-2)(k-2))
+    # faces of the Platonic solid {n,k} (Coxeter, Factor groups of the
+    # braid group, 1957): an oracle that shares no code with the certificate
+    cases = [(2, k) for k in range(2, 7)] + [(n, 2) for n in range(3, 8)]
+    cases += [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
+    for n, k in cases:
+        f = Fraction(4 * k, 4 - (n - 2) * (k - 2))
+        want = (f / 2) ** (n - 1) * factorial(n)
+        assert ce.certify_braid_quotient(n, k).order == want, (n, k)
 
 
 def test_certified_order_budget():
