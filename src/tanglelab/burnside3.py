@@ -29,7 +29,6 @@ Computation with Finitely Presented Groups, 4.1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
@@ -58,23 +57,7 @@ __all__ = [
     "project_away",
 ]
 
-DEFAULT_ELEMENT_BUDGET = 2 * 3**14
 _CELLS = 1 << 20  # digits (dim x columns) per chunk of `consistency_check`
-
-
-def _element_budget(order, budget=None):
-    """The element budget (default: `TANGLELAB_MEM_GUARD`, else
-    DEFAULT_ELEMENT_BUDGET); BudgetExceededError if order exceeds it."""
-    if budget is None:
-        env = os.environ.get("TANGLELAB_MEM_GUARD")
-        if env and not (env.isascii() and env.isdigit()):
-            raise ValueError("TANGLELAB_MEM_GUARD must be a non-negative integer")
-        budget = int(env) if env else DEFAULT_ELEMENT_BUDGET
-    if order > budget:
-        raise BudgetExceededError(
-            f"group of order {order} exceeds the element budget {budget}"
-        )
-    return budget
 
 
 def _step(index, r, k):
@@ -235,7 +218,7 @@ def _digits(keys, dim):
     return digits
 
 
-def enumerate_group(r, budget=None):
+def enumerate_group(r):
     """Closure of the identity under right multiplication by the
     generators, as a certificate of the collection table, walked over
     B(r,3) modulo its centre.
@@ -256,14 +239,13 @@ def enumerate_group(r, budget=None):
     holonomies: exactly the count of a search over all 3^dim keys.
     The step table is consistent only if the closure reaches exactly
     3^(r + C(r,2) + C(r,3)) elements; any other count raises
-    CrossCheckError.  Raises BudgetExceededError when the order exceeds
-    `budget` (default: `TANGLELAB_MEM_GUARD`, else 2 * 3^14).
+    CrossCheckError.  Raises BudgetExceededError for r > 4: the search
+    then stays within the 3^10 base keys of r = 4.
     """
     import numpy as np
     if r > 4:
         raise BudgetExceededError("enumeration supported for r <= 4")
     order = group_order(r)
-    _element_budget(order, budget)
     dim, nbase = _dim(r), r + comb(r, 2)
     m = dim - nbase
     shift = np.int32(3**nbase)
@@ -303,18 +285,18 @@ def enumerate_group(r, budget=None):
     return total
 
 
-def consistency_check(r, seed=0, triples=None, exhaustive=None):
+def consistency_check(r, seed=0):
     """Guard the collection table: the generator overlaps
-    (x_i^+-1 x_j) x_k = x_i^+-1 (x_j x_k), associativity on random (or
-    all, for r = 2) triples, exponent 3, the 2-Engel law and inverses on
-    random elements, and centrality of the weight-3 digits.  Each check
-    runs on digit columns through `_product` and `_inverse`, the code of
-    `multiply` and `inverse`, in chunks of at most _CELLS digits.  Raises
-    CrossCheckError on any failure; returns the number of checks.
+    (x_i^+-1 x_j) x_k = x_i^+-1 (x_j x_k), associativity on 2000 random
+    (or all, for r = 2) triples, exponent 3, the 2-Engel law and inverses
+    on 2000 random elements, and centrality of the weight-3 digits.  Each
+    check runs on digit columns through `_product` and `_inverse`, the
+    code of `multiply` and `inverse`, in chunks of at most _CELLS digits.
+    Raises CrossCheckError on any failure; returns the number of checks.
     """
     import numpy as np
     rng, dim = Random(seed), _dim(r)
-    n, width = 2000 if triples is None else triples, max(1, _CELLS // (dim or 1))
+    n, width = 2000, max(1, _CELLS // (dim or 1))
 
     def mul(*vs):
         return reduce(lambda v, w: _product(v, w, r), vs[1:], list(vs[0]))
@@ -353,7 +335,7 @@ def consistency_check(r, seed=0, triples=None, exhaustive=None):
     gens, central = list(units[:, :r]), list(units[:, r + comb(r, 2) :])
     letters = [np.concatenate((x, 2 * x)) for x in gens]  # x_i, x_i^-1 = x_i^2
     overlaps = picked((letters, gens, gens), (2 * r, r, r))
-    if exhaustive or (exhaustive is None and r == 2):
+    if r == 2:
         space = list(_digits(np.arange(3**dim), dim))
         samples = picked((space,) * 3, (3**dim,) * 3)
     else:
@@ -389,7 +371,6 @@ def project_away(element, j):
 @dataclass(frozen=True)
 class ObstructionReport:
     verdict: str
-    killed: int
     relator_images: tuple
     tri_closure: int
 
@@ -458,7 +439,7 @@ def obstruction(word, kill=None):
     verdict = (
         "OBSTRUCTED" if any(not e.is_identity() for e in images) else "INCONCLUSIVE"
     )
-    return ObstructionReport(verdict, kill, images, tri_closure)
+    return ObstructionReport(verdict, images, tri_closure)
 
 
 def quotient_order(images, r):

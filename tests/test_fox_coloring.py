@@ -10,6 +10,7 @@ from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
     ImageTable,
+    _kernel_mod_p,
     _relation_rows,
     abf_space,
     boundary_image,
@@ -126,9 +127,12 @@ def test_monochromatic_always_colors():
         n = rng.choice((2, 3))
         d = compile_expr(random_algebraic_expr(n, rng, max_depth=3))
         for k in (3, 5):
-            space = coloring_space(d, k)
-            if space.kernel.ambient:
-                assert space.kernel.contains([1] * space.kernel.ambient)
+            arcs, basis = _kernel_mod_p(d, k)
+            kernel = SubspaceModP.from_vectors(basis, k, len(arcs))
+            assert len(basis) == kernel.dim
+            assert coloring_space(d, k).count == k ** (kernel.dim + d.closed_components)
+            if kernel.ambient:
+                assert kernel.contains([1] * kernel.ambient)
 
 
 def test_prime_kernel_matches_bruteforce():

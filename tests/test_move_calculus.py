@@ -155,8 +155,8 @@ def test_reduce_rational_vertical_five_mod_13_needs_composite():
     res = reduce_rational(Frac.make(1, 5), 13)
     assert replay_certificate(Frac.make(1, 5), res.certificate, 13) == res.target
     kills = [s for s in res.certificate if s.op[0] == "kill"]
-    assert any(abs(s.s) > 1 for s in kills)
-    forced = [s for s in kills if abs(s.s) > 1]
+    assert any(abs(s.fraction.num // 13) > 1 for s in kills)
+    forced = [s for s in kills if abs(s.fraction.num // 13) > 1]
     for s in forced:
         assert len(s.parts) == 2
         for part in s.part_fractions():
@@ -231,6 +231,20 @@ def test_reduce_2algebraic():
     res = reduce_2algebraic(pretzel(3, -3), 5)
     assert res.target in horizontal_family(5)
     assert res.certificate == ()  # not rational: invariant-only
+
+
+def test_reduce_2algebraic_compiles_once(monkeypatch):
+    # the compiled diagram serves both the cross-check and the circle count
+    compiled = []
+
+    def compile_and_count(expr):
+        compiled.append(expr)
+        return compile_expr(expr)
+
+    monkeypatch.setattr(mv, "compile_expr", compile_and_count)
+    expr = parse_conway("(r((2*-3))*1)")
+    assert reduce_2algebraic(expr, 5).circles == compile_expr(expr).closed_components
+    assert compiled == [expr]
 
 
 def test_reduce_2algebraic_borromean_tangle():

@@ -39,8 +39,7 @@ def test_the_block_is_parsed():
 @pytest.mark.parametrize(
     "argv, value", COMMANDS, ids=[f"{i:02d}-{argv[0]}" for i, (argv, _) in enumerate(COMMANDS)]
 )
-def test_readme_command(argv, value, monkeypatch):
-    monkeypatch.delenv("TANGLELAB_MEM_GUARD", raising=False)
+def test_readme_command(argv, value):
     buf = io.StringIO()
     assert run(argv, stdout=buf) == 0, buf.getvalue()
     if value is not None:

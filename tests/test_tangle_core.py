@@ -7,7 +7,7 @@ from example_links import figure_eight, trefoil, trivial_link
 
 from tanglelab import tangle_core
 from tanglelab.errors import BudgetExceededError, ConwaySyntaxError, NotRationalError
-from tanglelab.fox_coloring import expr_boundary_image
+from tanglelab.fox_coloring import ImageTable, expr_boundary_image, tri
 from tanglelab.move_calculus import boundary_invariant
 from tanglelab.tangle_core import (
     INF,
@@ -292,6 +292,29 @@ def test_crossing_count_is_the_compiled_count():
         exprs.append(random_algebraic_expr(rng.randint(2, 4), rng, max_depth=4))
     for e in exprs:
         assert tangle_core._crossing_count(e) == len(compile_expr(e).crossings), e
+
+
+def test_rational_compiles_like_its_expansion():
+    # `Rational` leaves are built by a loop, the expansion by recursion:
+    # the diagrams and the interned boundary images must be the same
+    rng = random.Random(45)
+    for _ in range(150):
+        v = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
+        assert compile_expr(Rational(*v)) == compile_expr(rational_expr(v)), v
+        for p in (2, 5):
+            loop, tree = ImageTable(p), ImageTable(p)
+            assert loop.expr(Rot(Rational(*v))) == tree.expr(Rot(rational_expr(v)))
+            assert loop.images == tree.images, (v, p)
+
+
+def test_numerator_closure_of_a_twist_vector_has_tri_by_its_numerator():
+    # the numerator closure of T(v) is the 2-bridge link of cf_eval(v),
+    # whose 3-colorings are 9 when 3 divides the numerator, else 3
+    rng = random.Random(46)
+    for _ in range(300):
+        v = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 40))]
+        want = 9 if cf_eval(v).num % 3 == 0 else 3
+        assert tri(closure(compile_expr(Rational(*v)), "numerator")) == want, v
 
 
 def test_compile_budget(monkeypatch):
