@@ -27,17 +27,15 @@ holonomies of its edges (Schreier's lemma on a central extension; Sims,
 Computation with Finitely Presented Groups, 4.1).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, prod
 from random import Random
-from typing import NamedTuple
 
 from .errors import BudgetExceededError, CrossCheckError
 from .exact_linear import SubspaceModP
+from .value import Value
 
 __all__ = [
     "BurnsideElement",
@@ -106,13 +104,10 @@ def _tables(r):
     return tuple(labels), steps
 
 
-class BurnsideElement(NamedTuple):
+class BurnsideElement(namedtuple("BurnsideElement", "rank a b c")):
     """Collected normal form in B(rank, 3)."""
 
-    rank: int
-    a: tuple
-    b: tuple
-    c: tuple
+    __slots__ = ()
 
     def is_identity(self):
         return not (any(self.a) or any(self.b) or any(self.c))
@@ -368,11 +363,10 @@ def project_away(element, j):
     return _element(element.rank - 1, kept)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    verdict: str
-    relator_images: tuple
-    tri_closure: int
+class ObstructionReport(Value, namedtuple(
+    "ObstructionReport", "verdict relator_images tri_closure"
+)):
+    # no __slots__: `quotient` is cached in the instance dict
 
     @cached_property
     def quotient(self):

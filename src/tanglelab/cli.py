@@ -5,19 +5,12 @@ Line-oriented "key = value" output for diffable golden tests; exit code
 an internal cross-check failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
 import random
 import sys
 
-from . import burnside3 as bg
-from . import coset_enumeration as ce
-from . import fox_coloring as fox
-from . import move_calculus as mv
-from . import symplectic_lagrangian as sym
 from .errors import (
     AlternatingConditionError,
     BudgetExceededError,
@@ -82,6 +75,7 @@ def _print_subspace(out, name, subspace):
 
 
 def _cmd_color(args, out):
+    from . import fox_coloring as fox
     d = _diagram_from_args(args)
     if args.abf_t is not None:
         space = fox.abf_space(d, args.p, args.abf_t)
@@ -93,12 +87,14 @@ def _cmd_color(args, out):
 
 
 def _cmd_tri(args, out):
+    from . import fox_coloring as fox
     d = _diagram_from_args(args)
     out.append(f"tri = {fox.tri(d)}")
     return 0
 
 
 def _cmd_boundary(args, out):
+    from . import fox_coloring as fox
     # a diagram file that breaks the alternating condition is reported by
     # the coloring that breaks it, before the crossing parity check (the
     # lines in `out` are printed only if no check fails)
@@ -123,6 +119,7 @@ def _cmd_boundary(args, out):
 
 
 def _cmd_lagrangians(args, out):
+    from . import symplectic_lagrangian as sym
     if args.count_only:
         out.append(str(sym.lagrangian_count(args.p, args.n)))
         return 0
@@ -143,6 +140,7 @@ def _cmd_lagrangians(args, out):
 
 
 def _cmd_census(args, out):
+    from . import symplectic_lagrangian as sym
     c = sym.matching_census(args.n)
     odd = 1
     pow2 = 1
@@ -158,6 +156,7 @@ def _cmd_census(args, out):
 
 
 def _cmd_reduce(args, out):
+    from . import move_calculus as mv
     expr = parse_conway(args.conway)
     res = mv.reduce_2algebraic(expr, args.p)
     out.append(f"target = {res.target}")
@@ -173,6 +172,7 @@ def _cmd_slope(args, out):
 
 
 def _cmd_move_check(args, out):
+    from . import move_calculus as mv
     rng = random.Random(args.seed)
     if args.shifts is not None:
         first, second = mv.fraction_shift_identities(args.p, args.shifts)
@@ -215,6 +215,7 @@ def _read_word(args):
 
 
 def _cmd_burnside(args, out):
+    from . import burnside3 as bg
     if args.action == "order":
         out.append(f"order = {bg.group_order(args.r)}")
         return 0
@@ -237,6 +238,7 @@ def _cmd_burnside(args, out):
 
 
 def _cmd_obstruct(args, out):
+    from . import burnside3 as bg
     word = parse_braid(args.braid)
     if args.kill is not None:
         kills = [args.kill]
@@ -258,6 +260,7 @@ def _cmd_obstruct(args, out):
 
 
 def _cmd_braid_quotient(args, out):
+    from . import coset_enumeration as ce
     quotient = ce.certify_braid_quotient(args.n, args.k, budget=args.budget)
     if args.count_only:
         out.append(str(quotient.order))

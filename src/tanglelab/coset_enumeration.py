@@ -22,12 +22,11 @@ bounds make the Burau map an isomorphism, so words compare as
 matrix products and conjugacy classes are orbits on the Burau matrices.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceededError, CrossCheckError
+from .value import Value
 
 __all__ = [
     "Presentation",
@@ -62,21 +61,19 @@ def _cyclically_reduce(word):
     return tuple(w)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value, namedtuple("Presentation", "generators relators")):
     """Relator words as tuples of nonzero signed generator indices."""
 
-    generators: int
-    relators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, generators, relators):
         rels = []
-        for rel in self.relators:
+        for rel in relators:
             red = _cyclically_reduce(rel)
-            _letters_of(red, self.generators)
+            _letters_of(red, generators)
             if red:
                 rels.append(red)
-        object.__setattr__(self, "relators", tuple(rels))
+        return super().__new__(cls, generators, tuple(rels))
 
 
 def braid_presentation(n, k):
@@ -95,13 +92,11 @@ def braid_presentation(n, k):
     return Presentation(g, tuple(relators))
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Value, namedtuple("CosetTable", "generators table")):
     """Complete coset table: row per coset (row 0 is the subgroup),
     column per letter (generator g -> 2g-2, inverse -> 2g-1)."""
 
-    generators: int
-    table: tuple
+    __slots__ = ()
 
     @property
     def order(self):
@@ -360,16 +355,11 @@ def _burau_orbit(m, n, p, t):
     return len(orbit)
 
 
-@dataclass(frozen=True)
-class BraidQuotient:
+class BraidQuotient(Value, namedtuple("BraidQuotient", "n k order p t", defaults=(0, 0))):
     """B_n/(s_i^k) with its certified order and, for n >= 3, the field
     F_p and parameter t of its faithful Burau representation."""
 
-    n: int
-    k: int
-    order: int
-    p: int = 0
-    t: int = 0
+    __slots__ = ()
 
     def matrix(self, word):
         """Burau matrix of a word of signed generator indices."""

@@ -17,14 +17,13 @@ are unimodular, so the residual has the same kernel up to the `expand`
 map and, over the integers, the same nonunit invariant factors.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
 
 from .errors import CrossCheckError, NotPrimeError, PrimalityBoundError
+from .value import Value
 
 __all__ = [
     "is_prime",
@@ -110,18 +109,14 @@ def _rref_raw(R, p, ncols):
     return R[: len(pivots)], pivots
 
 
-@dataclass(frozen=True)
-class SubspaceModP:
+class SubspaceModP(Value, namedtuple("SubspaceModP", "p ambient rows pivots")):
     """A subspace of F_p^d in reduced row echelon form.
 
     The representation is canonical: two subspaces are equal iff their
     (p, ambient, rows) triples are identical.
     """
 
-    p: int
-    ambient: int
-    rows: tuple
-    pivots: tuple
+    __slots__ = ()
 
     @classmethod
     def from_vectors(cls, vectors, p, ambient):

@@ -11,9 +11,7 @@ written in the basis f_k = e_k + e_{k+1} with the last f-coordinate
 normalized to zero.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 from operator import mul
 
@@ -36,6 +34,7 @@ from .tangle_core import (
     _fold_twists,
     compile_expr,
 )
+from .value import Value
 
 __all__ = [
     "ColoringSpace",
@@ -52,8 +51,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ColoringSpace:
+class ColoringSpace(Value, namedtuple(
+    "ColoringSpace", "modulus count invariant_factors", defaults=(None,)
+)):
     """The number of colorings of one diagram.
 
     For prime modulus p the count is p^(kernel dimension); for composite
@@ -62,9 +62,7 @@ class ColoringSpace:
     always contribute a full factor of the modulus each.
     """
 
-    modulus: int
-    count: int
-    invariant_factors: tuple | None = None
+    __slots__ = ()
 
 
 def _relation_rows(diagram, t=-1, tinv=-1):

@@ -13,20 +13,19 @@ against a horizontal k' with k * k' = 1 mod p, which is the insertion
 of the twist tangle T(-k, k') of fraction (k k' - 1)/k = sp/k.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
 from . import fox_coloring as fox
 from .errors import (
+    BudgetExceededError,
     CrossCheckError,
     InvalidSiteError,
     NotPrimeError,
     NotRationalError,
 )
-from .exact_linear import SubspaceModP, is_prime
+from .exact_linear import is_prime
 from .tangle_core import (
     INF,
     Frac,
@@ -38,6 +37,7 @@ from .tangle_core import (
     compile_expr,
     slope,
 )
+from .value import Value
 
 __all__ = [
     "MoveStep",
@@ -151,8 +151,7 @@ def target_table(p):
 # Certificates.
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(Value, namedtuple("MoveStep", "fraction site op parts", defaults=((),))):
     """One rational move on the evolving twist vector.
 
     `fraction` is the fraction of the spliced tangle; its numerator is
@@ -165,20 +164,14 @@ class MoveStep:
     fraction as the whole step.
     """
 
-    fraction: Frac
-    site: str
-    op: tuple
-    parts: tuple = ()
+    __slots__ = ()
 
     def part_fractions(self):
         return tuple(Frac.make(m * mp + 1, m) for m, mp in self.parts)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    target: Frac
-    circles: int
-    certificate: tuple
+class ReductionResult(Value, namedtuple("ReductionResult", "target circles certificate")):
+    __slots__ = ()
 
 
 def _symrep(a, p):
@@ -265,9 +258,17 @@ def _normalize_vector(v):
     return v, False
 
 
+# Characters of site paths one certificate may name.  A step's path
+# grows with the twist vector, so `reduce --p 5` on T(1 x n) names about
+# 0.6 n^2 characters (2.4 MB of MOVE lines at n = 2000); the cap bounds
+# its output and time near n = 4000.
+MAX_SITE_CHARS = 10**7
+
+
 def reduce_rational(f, p):
     """Reduce an exact fraction to its mod-p class representative in the
-    horizontal family, with a replayable move certificate."""
+    horizontal family, with a replayable move certificate;
+    BudgetExceededError when its site paths pass MAX_SITE_CHARS."""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
     if not isinstance(f, Frac):
@@ -276,11 +277,20 @@ def reduce_rational(f, p):
     if f.is_inf:
         return ReductionResult(INF, 0, ())
     v = list(cf_vector(f))
+    site_chars = 0
+
+    def site():
+        nonlocal site_chars
+        path = _innermost_path(len(v))
+        site_chars += len(path)
+        if site_chars > MAX_SITE_CHARS:
+            raise BudgetExceededError(
+                f"the certificate names more than {MAX_SITE_CHARS} characters of site paths"
+            )
+        return path
 
     def emit_entry(delta):
-        steps.append(
-            MoveStep(Frac.make(delta, 1), _innermost_path(len(v)), ("entry", delta))
-        )
+        steps.append(MoveStep(Frac.make(delta, 1), site(), ("entry", delta)))
 
     while True:
         v, at_inf = _normalize_vector(v)
@@ -307,7 +317,7 @@ def reduce_rational(f, p):
         steps.append(
             MoveStep(
                 fraction=Frac.make(a1 * kprime - 1, a1),
-                site=_innermost_path(len(v)),
+                site=site(),
                 op=("kill", kprime),
                 parts=parts,
             )
@@ -457,13 +467,10 @@ def splice_identity_site(diagram, site, f):
     return builder.finish(boundary_list)
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    count_before: int
-    count_after: int
-    image_before: SubspaceModP | None
-    image_after: SubspaceModP | None
-    spliced: object
+class HarnessReport(Value, namedtuple(
+    "HarnessReport", "count_before count_after image_before image_after spliced"
+)):
+    __slots__ = ()
 
     @property
     def unchanged(self):

@@ -4,9 +4,7 @@ the mod-2 matching census, and the realization of Lagrangians by
 algebraic tangles.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from . import exact_linear as xl
@@ -30,6 +28,7 @@ from .tangle_core import (
     print_conway,
     rotate,
 )
+from .value import Value
 
 __all__ = [
     "SymplecticSpace",
@@ -46,13 +45,10 @@ __all__ = [
 ENUMERATION_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Value, namedtuple("SymplecticSpace", "p n gram")):
     """F_p^(2n-2) with the tridiagonal form phi(f_i, f_j) = [j = i+1] - [j = i-1]."""
 
-    p: int
-    n: int
-    gram: tuple
+    __slots__ = ()
 
     @property
     def dimension(self):

@@ -15,10 +15,9 @@ Conventions (fixed once, everything downstream depends on them):
   step, and slopes transform by s -> -1/s.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -28,6 +27,7 @@ from .errors import (
     CrossCheckError,
     NotRationalError,
 )
+from .value import Value
 
 __all__ = [
     "Frac",
@@ -67,12 +67,10 @@ __all__ = [
 # Exact fractions with a single point at infinity (1, 0).
 
 
-@dataclass(frozen=True)
-class Frac:
+class Frac(Value, namedtuple("Frac", "num den")):
     """Reduced fraction num/den with den >= 0; (1, 0) is infinity."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
     @staticmethod
     def make(num, den=1):
@@ -113,11 +111,17 @@ class Frac:
         )
 
     def __str__(self):
+        """The text inf, num or num/den; BudgetExceededError when a term
+        has more digits than the interpreter converts to text."""
         if self.is_inf:
             return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        try:
+            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        except ValueError:
+            raise BudgetExceededError(
+                f"a term of the fraction has more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's bound for printing an integer"
+            ) from None
 
 
 INF = Frac(1, 0)
@@ -127,26 +131,22 @@ INF = Frac(1, 0)
 # Diagrams.
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value, namedtuple(
+    "Crossing", "over under_in under_out sign", defaults=(None,)
+)):
     """One crossing: the over arc and the two under arcs.
 
     `sign` is the braid-orientation tag (+1/-1) when the diagram came
     from a braid word; plain tangle compilation leaves it None.
     """
 
-    over: int
-    under_in: int
-    under_out: int
-    sign: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TangleDiagram:
-    arcs: frozenset
-    crossings: tuple
-    boundary: tuple
-    closed_components: int
+class TangleDiagram(Value, namedtuple(
+    "TangleDiagram", "arcs crossings boundary closed_components"
+)):
+    __slots__ = ()
 
     @property
     def n(self):
@@ -179,73 +179,63 @@ class TangleDiagram:
 # Expressions.
 
 
-@dataclass(frozen=True)
-class Integer:
-    k: int
+class Integer(Value, namedtuple("Integer", "k")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Infinity:
-    pass
+class Infinity(Value, namedtuple("Infinity", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rot:
-    child: object
+class Rot(Value, namedtuple("Rot", "child")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Compose:
-    left: object
-    right: object
+class Compose(Value, namedtuple("Compose", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(Value, namedtuple("Rational", "entries")):
     """Sugar for the standard alternating twist construction; the last
     entry is always a horizontal twist region."""
 
-    entries: tuple
+    __slots__ = ()
 
-    def __init__(self, *entries):
+    def __new__(cls, *entries):
         if len(entries) == 1 and isinstance(entries[0], (tuple, list)):
             entries = tuple(entries[0])
         if not entries:
             raise ValueError("Rational needs at least one entry")
-        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
+        return super().__new__(cls, tuple(int(e) for e in entries))
 
 
-@dataclass(frozen=True)
-class Planar:
+class Planar(Value, namedtuple("Planar", "pairs")):
     """Crossingless n-tangle: a non-crossing perfect matching of the 2n
     boundary points (1-indexed pairs)."""
 
-    pairs: tuple
+    __slots__ = ()
 
-    def __init__(self, pairs):
-        pairs = tuple(tuple(sorted(p)) for p in pairs)
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
-        seen = [q for p in self.pairs for q in p]
-        m = len(seen)
-        if sorted(seen) != list(range(1, m + 1)):
+    def __new__(cls, pairs):
+        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        seen = sorted(q for p in pairs for q in p)
+        if seen != list(range(1, len(seen) + 1)):
             raise ValueError("pairs must partition 1..2n")
+        return super().__new__(cls, pairs)
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(Value, namedtuple("Sigma", "n i sign")):
     """One-crossing n-tangle: levels i and i+1 cross once; sign +1 puts
     the strand entering at level i+1 on top (matching Integer(+1) at
     n = 2, i = 1)."""
 
-    n: int
-    i: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.i < self.n):
+    def __new__(cls, n, i, sign):
+        if not (1 <= i < n):
             raise ValueError("crossing level out of range")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, n, i, sign)
 
 
 def rotate(expr, k=1):
@@ -608,12 +598,14 @@ def _fold_twists(entries, leaf, rot, compose):
 
 
 def cf_eval(entries):
-    """Value of a twist vector: fold g -> a + 1/g from the inside out."""
+    """Value of a twist vector: fold g -> a + 1/g from the inside out.
+    Each step maps num/den to (a num + den)/num, a matrix of determinant
+    -1, so the pair stays coprime and only the sign is normalized."""
     entries = list(entries)
-    g = Frac.make(entries[0])
+    num, den = entries[0], 1
     for a in entries[1:]:
-        g = g.recip().add_int(a)
-    return g
+        num, den = a * num + den, num
+    return Frac.make(num, den)
 
 
 def cf_vector(frac):
@@ -666,18 +658,17 @@ def slope(expr):
 # Braids.
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple
+class BraidWord(Value, namedtuple("BraidWord", "strands letters")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __new__(cls, strands, letters):
+        if strands < 1:
             raise ValueError("need at least one strand")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        for x in self.letters:
-            if x == 0 or abs(x) >= self.strands:
-                raise ValueError(f"braid letter {x} out of range for {self.strands} strands")
+        letters = tuple(int(x) for x in letters)
+        for x in letters:
+            if x == 0 or abs(x) >= strands:
+                raise ValueError(f"braid letter {x} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
 
     def permutation(self):
         """Bottom position of the strand starting at each top position."""

@@ -11,6 +11,8 @@ import pytest
 import tanglelab
 from tanglelab import cli
 from tanglelab.cli import run
+from tanglelab.move_calculus import MAX_SITE_CHARS, reduce_rational
+from tanglelab.tangle_core import cf_eval
 
 _CHEN = "5: " + " ".join(str(x) for x in (-1, 2, 3, -4, 3) * 4)
 
@@ -634,39 +636,49 @@ _NUMPY_FREE = (
     ["color", "--abf-t", "3", "--p", "7", "--braid", "2: 1 1 1"],
     ["boundary", "--p", "5", "--conway", "T(3,2,4)"],
     ["boundary", "--integers", "--conway", "T(3,2,4)"],
-    ["reduce", "--conway", "T(2,3,2)", "--p", "3"],
     ["slope", "--conway", "T(2,3,2)"],
-    ["move-check", "--p", "5", "--fraction", "5/2"],
     ["burnside", "eval", "-r", "4", "--word", "1 2"],
     ["obstruct", "--braid", _CHEN],
+    ["reduce", "--conway", "T(2,3,2)", "--p", "3"],
+    ["move-check", "--p", "5", "--fraction", "5/2"],
     ["census", "--n", "4"],
 )
+# modules a fresh call should load only when its command calls into them
+_LAZY = ("numpy", "dataclasses", "tanglelab.move_calculus",
+         "tanglelab.symplectic_lagrangian", "tanglelab.coset_enumeration")
 
 
 def test_numpy_free_commands_leave_numpy_unloaded():
-    # importing numpy is most of the set-up time of a fresh call; one
-    # interpreter runs the whole list and reports after every step
+    # importing numpy is most of the set-up time of a fresh call, and
+    # compiling modules it does not use most of the rest; one interpreter
+    # runs the whole list and reports the loaded ones after every step
     code = (
         "import io, json, sys\n"
         "import tanglelab\n"
         "from tanglelab import cli\n"
-        "print('import', 'numpy' in sys.modules)\n"
+        "lazy = json.loads(sys.argv[2])\n"
+        "print('import', *[m for m in lazy if m in sys.modules])\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    print(cli.run(argv, stdout=io.StringIO()), 'numpy' in sys.modules)\n"
+        "    code = cli.run(argv, stdout=io.StringIO())\n"
+        "    print(code, *[m for m in lazy if m in sys.modules])\n"
     )
     src = os.path.dirname(os.path.dirname(tanglelab.__file__))
     fresh = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(_NUMPY_FREE)],
+        [sys.executable, "-c", code, json.dumps(_NUMPY_FREE), json.dumps(_LAZY)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
-    want = "import False\n" + "0 False\n" * len(_NUMPY_FREE)
+    # tri, color, boundary, slope, burnside eval and obstruct load none;
+    # reduce and move-check load move_calculus, census also symplectic
+    mv, sym = "tanglelab.move_calculus", "tanglelab.symplectic_lagrangian"
+    want = "import\n" + "0\n" * 8 + f"0 {mv}\n" * 2 + f"0 {mv} {sym}\n"
     assert (fresh.returncode, fresh.stdout) == (0, want), fresh.stderr
 
 
 def test_numpy_commands_answer_in_a_fresh_process_like_in_process():
-    # each command reaches numpy only through imports local to the
-    # functions it calls; one left out fails here on its first use
+    # each command reaches numpy and the modules behind `cli` only through
+    # imports local to the functions it calls; one left out fails here on
+    # its first use
     src = os.path.dirname(os.path.dirname(tanglelab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for argv in (
@@ -675,6 +687,11 @@ def test_numpy_commands_answer_in_a_fresh_process_like_in_process():
         ["lagrangians", "--p", "3", "--n", "3"],
         ["lagrangians", "--p", "3", "--n", "2", "--realize"],
         ["braid-quotient", "--n", "3", "--k", "3", "--classes"],
+        ["reduce", "--conway", "T(2,3,2)", "--p", "3"],
+        ["move-check", "--p", "5", "--fraction", "5/2", "--trials", "3"],
+        ["census", "--n", "3"],
+        ["obstruct", "--braid", "3: 1 2 1 2"],
+        ["lagrangians", "--p", "3", "--n", "4", "--count-only"],
     ):
         want = capture(argv)
         assert want[0] == 0, (argv, want)
@@ -750,3 +767,43 @@ def test_obstruction_is_capped_at_5_strands():
     assert code == 0 and "quotient_order = 1\n" in out
     want = (3, "error = obstruction supported for at most 5 strands\n")
     assert capture(["obstruct", "--braid", "6: 1"]) == want
+
+
+@pytest.fixture
+def int_digits_640():
+    """The interpreter's int-to-text digit limit lowered to its minimum."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_slope_beyond_the_int_digit_limit_exits_3(int_digits_640):
+    # T(1 x n) evaluates to F(n+1)/F(n), about 0.209 n digits
+    def ones(n):
+        return "T(" + ",".join(["1"] * n) + ")"
+
+    code, out = capture(["slope", "--conway", ones(3000)])
+    num, den = out.removeprefix("slope = ").split("/")
+    assert code == 0 and len(num) == len(den.strip()) == 627, out[:80]
+    want = (3, "error = a term of the fraction has more than 640 digits, "
+               "the interpreter's bound for printing an integer\n")
+    assert capture(["slope", "--conway", ones(3100)]) == want
+
+
+def test_reduce_certificate_is_capped():
+    # each step names the innermost site by a path as long as the twist
+    # vector: mod 5, T(1 x 4082) names 9998448 characters, T(1 x 4083)
+    # 10003347, and MAX_SITE_CHARS is 10^7
+    assert MAX_SITE_CHARS == 10**7
+    steps = reduce_rational(cf_eval([1] * 4082), 5).certificate
+    assert sum(len(step.site) for step in steps) == 9998448
+    ones = "T(" + ",".join(["1"] * 4082) + ")"
+    code, out = capture(["reduce", "--p", "5", "--conway", ones])
+    assert code == 0 and out.startswith("target = 2\ncircles = 0\nMOVE "), out[:80]
+    assert out.count("\n") == 2 + len(steps) + sum(1 for step in steps if step.parts)
+    want = (3, "error = the certificate names more than 10000000 characters of site paths\n")
+    assert capture(["reduce", "--p", "5", "--conway", ones[:-1] + ",1)"]) == want
+    start = time.perf_counter()
+    assert capture(["reduce", "--p", "5", "--conway", "T(" + ",".join(["1"] * 40000) + ")"]) == want
+    assert time.perf_counter() - start < 20
