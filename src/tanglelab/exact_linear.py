@@ -31,6 +31,7 @@ __all__ = [
     "kernel_mod_p",
     "eliminate_units",
     "sparse_kernel_mod_p",
+    "sparse_nullity_mod_p",
     "snf",
     "int_kernel",
 ]
@@ -177,6 +178,15 @@ def sparse_kernel_mod_p(rows, ncols, p):
     return [expand(v) for v in _kernel_basis(residual, p, len(free))]
 
 
+def sparse_nullity_mod_p(rows, ncols, p):
+    """The dimension over F_p of the solutions of a sparse system given
+    as for `eliminate_units`: its free columns less the rank of its
+    residual, with no solution vector built."""
+    _check_prime(p)
+    free, residual, _ = eliminate_units(rows, ncols, p)
+    return len(free) - len(_rref_raw(residual, p, len(free))[1])
+
+
 # ---------------------------------------------------------------------------
 # Sparse unit-pivot elimination.
 
@@ -211,15 +221,24 @@ def eliminate_units(rows, ncols, p=None):
     and over the integers the invariant factors of the system are
     (1,) * pivots followed by those of the residual.
     """
-    unit = bool if p is not None else (lambda a: a == 1 or a == -1)
+    neg_inv = {1: -1, -1: 1} if p is None else {}  # unit u -> -u^-1 (mod p)
+
+    def unit_scale(u):
+        # -u^-1 for a unit u met for the first time, cached; None for a nonunit
+        if p is not None:
+            neg_inv[u] = -pow(u, -1, p) % p
+            return neg_inv[u]
+
     sparse = []
     for row in rows:
-        r = {}
-        for c, a in row:
-            r[c] = r.get(c, 0) + a
-        if p is not None:
-            r = {c: a % p for c, a in r.items()}
-        sparse.append({c: a for c, a in r.items() if a})
+        r = {c: a % p for c, a in row if a % p} if p else {c: a for c, a in row if a}
+        if len(r) < len(row):  # a repeated column or a zero: add up, then drop zeros
+            r = {}
+            for c, a in row:
+                r[c] = r.get(c, 0) + a
+            r = {c: a % p for c, a in r.items() if a % p} if p else {
+                c: a for c, a in r.items() if a}
+        sparse.append(r)
     rows_of = [[] for _ in range(ncols)]
     for i, r in enumerate(sparse):
         for c in r:
@@ -229,81 +248,89 @@ def eliminate_units(rows, ncols, p=None):
     known = [False] * ncols  # free or forward-determined
     pivoted = [False] * len(sparse)
     exprs = {}  # forward column -> {free column: coefficient}
-    peeled = []  # (column, row), solved in reverse order
+    peeled = []  # (column, row, -unit^-1), solved in reverse order
     ready = [i for i, n in enumerate(undetermined) if n == 1]
     lonely = [c for c, n in enumerate(uses) if n == 1]
 
-    def inverse(u):
-        return u if p is None else pow(u, -1, p)
-
-    def substitute(terms):
-        out = {}
-        for c, a in terms:
-            e = exprs.get(c)
-            if e is None:
-                out[c] = out.get(c, 0) + a
-            else:
-                for j, b in e.items():
-                    out[j] = out.get(j, 0) + a * b
-        if p is not None:
-            out = {c: a % p for c, a in out.items()}
-        return {c: a for c, a in out.items() if a}
-
-    def retire(i):
-        pivoted[i] = True
-        for j in sparse[i]:
-            uses[j] -= 1
-            if uses[j] == 1:
-                lonely.append(j)
-
-    def determine(c):
-        known[c] = True
-        for i in rows_of[c]:
-            undetermined[i] -= 1
-            if undetermined[i] == 1:
-                ready.append(i)
-
     while True:
-        if ready:
+        if ready:  # forward: row i determines its one undetermined column c
             i = ready.pop()
             if pivoted[i] or undetermined[i] != 1:
                 continue
             r = sparse[i]
-            c = next(j for j in r if not known[j])
-            if unit(r[c]):
-                scale = -inverse(r[c])
-                exprs[c] = substitute((j, a * scale) for j, a in r.items() if j != c)
-                retire(i)
-                determine(c)
-            continue
-        if lonely:
+            for c in r:
+                if not known[c]:
+                    break
+            scale = neg_inv.get(r[c]) or unit_scale(r[c])
+            if scale is None:
+                continue
+            # c = scale * (the rest of row i), each known column substituted
+            out = {}
+            for j, a in r.items():
+                if j != c:
+                    a *= scale
+                    e = exprs.get(j)
+                    if e is None:
+                        out[j] = out.get(j, 0) + a
+                    else:
+                        for k, b in e.items():
+                            out[k] = out.get(k, 0) + a * b
+            exprs[c] = {j: a % p for j, a in out.items() if a % p} if p else {
+                j: a for j, a in out.items() if a}
+        elif lonely:  # peeling: row i retires, c is known but determines nothing
             c = lonely.pop()
             if known[c] or uses[c] != 1:
                 continue
-            i = next(i for i in rows_of[c] if not pivoted[i])
-            if unit(sparse[i][c]):
-                peeled.append((c, i))
-                known[c] = True
-                retire(i)
-            continue
-        pending = [i for i in range(len(sparse)) if not pivoted[i] and undetermined[i]]
-        if not pending:
-            break
-        row = sparse[min(pending, key=undetermined.__getitem__)]
-        first, *rest = [j for j in row if not known[j]]
-        # keep the preferred pivot (the row's leading column) unknown if possible
-        determine(rest[0] if rest and first == next(iter(row)) else first)
+            for i in rows_of[c]:
+                if not pivoted[i]:
+                    break
+            scale = neg_inv.get(sparse[i][c]) or unit_scale(sparse[i][c])
+            if scale is None:
+                continue
+            peeled.append((c, i, scale))
+            known[c], c = True, None
+        else:  # free a column of the first pending row with fewest undetermined
+            i, fewest = None, ncols + 1
+            for k, n in enumerate(undetermined):
+                if n and n < fewest and not pivoted[k]:
+                    i, fewest = k, n
+            if i is None:
+                break
+            row = sparse[i]
+            first, *rest = [j for j in row if not known[j]]
+            # keep the preferred pivot (the row's leading column) unknown if possible
+            c = rest[0] if rest and first == next(iter(row)) else first
+            i = None
+        if i is not None:  # retire row i
+            pivoted[i] = True
+            for j in sparse[i]:
+                n = uses[j] - 1
+                uses[j] = n
+                if n == 1:
+                    lonely.append(j)
+        if c is not None:  # determine column c
+            known[c] = True
+            for k in rows_of[c]:
+                n = undetermined[k] - 1
+                undetermined[k] = n
+                if n == 1:
+                    ready.append(k)
 
-    solved = set(exprs).union(c for c, _ in peeled)
+    solved = set(exprs).union(c for c, _, _ in peeled)
     free = tuple(c for c in range(ncols) if c not in solved)
     position = {c: i for i, c in enumerate(free)}
     residual = []
     for i, r in enumerate(sparse):
         if not pivoted[i]:
             dense = [0] * len(free)
-            for c, a in substitute(r.items()).items():
-                dense[position[c]] = a
-            residual.append(dense)
+            for j, a in r.items():
+                e = exprs.get(j)
+                if e is None:
+                    dense[position[j]] += a
+                else:
+                    for k, b in e.items():
+                        dense[position[k]] += a * b
+            residual.append(dense if p is None else [a % p for a in dense])
 
     def expand(v):
         x = [0] * ncols
@@ -311,9 +338,8 @@ def eliminate_units(rows, ncols, p=None):
             x[c] = int(a)
         for c, e in exprs.items():
             x[c] = sum(b * x[j] for j, b in e.items())
-        for c, i in reversed(peeled):
-            r = sparse[i]
-            y = -inverse(r[c]) * sum(a * x[j] for j, a in r.items() if j != c)
+        for c, i, scale in reversed(peeled):
+            y = scale * sum(a * x[j] for j, a in sparse[i].items() if j != c)
             # reduce as we go: a chain of peeled columns would otherwise
             # grow its representatives by a factor of up to p per step
             x[c] = y if p is None else y % p

@@ -75,11 +75,9 @@ def _relation_rows(diagram, t=-1, tinv=-1):
     arcs = sorted(diagram.arcs)
     index = {a: i for i, a in enumerate(arcs)}
     rows = []
-    for c in diagram.crossings:
-        tt = t if c.sign is None or c.sign > 0 else tinv
-        rows.append(
-            ((index[c.under_out], -1), (index[c.over], 1 - tt), (index[c.under_in], tt))
-        )
+    for over, under_in, under_out, sign in diagram.crossings:
+        tt = t if sign is None or sign > 0 else tinv
+        rows.append(((index[under_out], -1), (index[over], 1 - tt), (index[under_in], tt)))
     return arcs, rows
 
 
@@ -95,10 +93,9 @@ def coloring_space(diagram, k):
     if k < 2:
         raise ValueError("modulus must be at least 2")
     closed = diagram.closed_components
-    if xl.is_prime(k):
-        _, basis = _kernel_mod_p(diagram, k)
-        return ColoringSpace(k, k ** (len(basis) + closed))
     arcs, rows = _relation_rows(diagram)
+    if xl.is_prime(k):  # the count needs the nullity, not a kernel basis
+        return ColoringSpace(k, k ** (xl.sparse_nullity_mod_p(rows, len(arcs), k) + closed))
     free, residual, _ = xl.eliminate_units(rows, len(arcs))
     factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
     count = 1
@@ -436,5 +433,6 @@ def abf_space(diagram, p, t):
         raise ValueError("t must be invertible mod p")
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
-    _, basis = _kernel_mod_p(diagram, p, t, pow(t, p - 2, p))
-    return ColoringSpace(p, p ** (len(basis) + diagram.closed_components))
+    arcs, rows = _relation_rows(diagram, t, pow(t, p - 2, p))
+    nullity = xl.sparse_nullity_mod_p(rows, len(arcs), p)
+    return ColoringSpace(p, p ** (nullity + diagram.closed_components))

@@ -155,18 +155,19 @@ class TangleDiagram(Value, namedtuple(
     def validate(self):
         if len(self.boundary) % 2:
             raise ValueError("boundary length must be even")
-        for c in self.crossings:
-            for a in (c.over, c.under_in, c.under_out):
-                if a not in self.arcs:
+        arcs = self.arcs
+        for over, under_in, under_out, _ in self.crossings:
+            for a in (over, under_in, under_out):
+                if a not in arcs:
                     raise ValueError(f"crossing references unknown arc {a}")
-        ends = dict.fromkeys(self.arcs, 0)
+        ends = dict.fromkeys(arcs, 0)
         for a in self.boundary:
-            if a not in self.arcs:
+            if a not in arcs:
                 raise ValueError(f"boundary references unknown arc {a}")
             ends[a] += 1
-        for c in self.crossings:
-            ends[c.under_in] += 1
-            ends[c.under_out] += 1
+        for _, under_in, under_out, _ in self.crossings:
+            ends[under_in] += 1
+            ends[under_out] += 1
         for a, k in sorted(ends.items()):
             if k not in (0, 2):
                 raise ValueError(f"arc {a} has an end count of {k}, not 0 or 2")
@@ -407,6 +408,28 @@ class _Builder:
         for a in (over, under_in, under_out):
             self.touched[a] = True
 
+    def braid(self, cur, letters, signed):
+        """Hang the braid word `letters` below the strand ends `cur` (root
+        arcs, updated in place); positive sigma_i puts position i over
+        i+1, and crossings carry the letter's sign if `signed`, else None.
+        Each adds one fresh under-arc and glues nothing."""
+        pos, neg = (1, -1) if signed else (None, None)
+        crossings, ends, touched = self.crossings, self.ends, self.touched
+        for x in letters:
+            i = abs(x) - 1
+            fresh = self.new_arc(1)
+            if x > 0:
+                over, u_in = cur[i], cur[i + 1]
+                crossings.append([over, u_in, fresh, pos])
+                cur[i], cur[i + 1] = fresh, over
+            else:
+                over, u_in = cur[i + 1], cur[i]
+                crossings.append([over, u_in, fresh, neg])
+                cur[i], cur[i + 1] = over, fresh
+            touched[over] = touched[u_in] = touched[fresh] = True
+            # u_in's growing end terminates at the crossing
+            ends[u_in] -= 1
+
     def glue(self, a, b):
         """Join one open end of arc a with one open end of arc b."""
         a, b = self.find(a), self.find(b)
@@ -424,29 +447,17 @@ class _Builder:
             raise CrossCheckError("gluing consumed more ends than available")
 
     def finish(self, corners):
-        corners = [self.find(c) for c in corners]
-        for rec in self.crossings:
-            rec[0], rec[1], rec[2] = self.find(rec[0]), self.find(rec[1]), self.find(rec[2])
-        # deterministic compact relabeling: crossings first, then boundary
-        order = []
-        seen = set()
-        for rec in self.crossings:
-            for a in rec[:3]:
-                if a not in seen:
-                    seen.add(a)
-                    order.append(a)
-        for a in corners:
-            if a not in seen:
-                seen.add(a)
-                order.append(a)
-        relabel = {a: i for i, a in enumerate(order)}
-        crossings = tuple(
-            Crossing(relabel[o], relabel[ui], relabel[uo], s)
-            for o, ui, uo, s in self.crossings
-        )
-        boundary = tuple(relabel[c] for c in corners)
+        # deterministic compact relabeling: roots numbered in order of
+        # first appearance, crossings first, then boundary
+        find, relabel, crossings = self.find, {}, []
+        for over, under_in, under_out, sign in self.crossings:
+            over = relabel.setdefault(find(over), len(relabel))
+            under_in = relabel.setdefault(find(under_in), len(relabel))
+            under_out = relabel.setdefault(find(under_out), len(relabel))
+            crossings.append(Crossing(over, under_in, under_out, sign))
+        boundary = tuple(relabel.setdefault(find(c), len(relabel)) for c in corners)
         return TangleDiagram(
-            frozenset(range(len(order))), crossings, boundary, self.circles
+            frozenset(range(len(relabel))), tuple(crossings), boundary, self.circles
         ).validate()
 
 
@@ -495,11 +506,11 @@ def _glue_compose(b, left, right):
 
 def _build(b, expr):
     if isinstance(expr, Integer):
-        corners = _build_planar(b, ((1, 4), (2, 3)))
-        s = 1 if expr.k > 0 else -1
-        for _ in range(abs(expr.k)):
-            corners = _glue_compose(b, corners, _build_sigma(b, 2, 1, s))
-        return corners
+        # the braid sigma_1^k hung from the right corners of the 0-tangle
+        nw, sw, se, ne = _build_planar(b, ((1, 4), (2, 3)))
+        right = [se, ne]
+        b.braid(right, (1 if expr.k > 0 else -1,) * abs(expr.k), False)
+        return [nw, sw] + right
     if isinstance(expr, Infinity):
         return _build_planar(b, ((1, 2), (3, 4)))
     if isinstance(expr, Planar):
@@ -700,20 +711,7 @@ def braid_closure(word):
     b = _Builder()
     top = [b.new_arc(2) for _ in range(n)]
     cur = list(top)
-    for x in word.letters:
-        i = abs(x) - 1
-        # the new under-arc has one end at the crossing, one still growing
-        fresh = b.new_arc(1)
-        if x > 0:
-            over, u_in = cur[i], cur[i + 1]
-            b.add_crossing(over, u_in, fresh, sign=1)
-            cur[i], cur[i + 1] = fresh, over
-        else:
-            over, u_in = cur[i + 1], cur[i]
-            b.add_crossing(over, u_in, fresh, sign=-1)
-            cur[i], cur[i + 1] = over, fresh
-        # u_in's growing end terminates at the crossing
-        b.ends[b.find(u_in)] -= 1
+    b.braid(cur, word.letters, True)
     for i in range(n):
         b.glue(cur[i], top[i])
     return b.finish([])
@@ -745,8 +743,8 @@ def _load_diagram(b, diagram):
     for a in diagram.boundary:
         bcount[a] = bcount.get(a, 0) + 1
     ids = {a: b.new_arc(bcount.get(a, 0)) for a in sorted(diagram.arcs)}
-    for c in diagram.crossings:
-        b.add_crossing(ids[c.over], ids[c.under_in], ids[c.under_out], c.sign)
+    for over, under_in, under_out, sign in diagram.crossings:
+        b.add_crossing(ids[over], ids[under_in], ids[under_out], sign)
     b.circles += diagram.closed_components
     return ids, [ids[a] for a in diagram.boundary]
 

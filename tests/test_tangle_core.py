@@ -307,6 +307,69 @@ def test_rational_compiles_like_its_expansion():
             assert loop.images == tree.images, (v, p)
 
 
+def _sigma_composed_build(b, expr):
+    """The compiler with every twist region built as a 0-tangle composed
+    with |k| one-crossing tangles `Sigma(2, 1, sign k)`: the oracle for
+    twist regions hung from the corners as a 2-strand braid."""
+    if isinstance(expr, Integer):
+        corners = tangle_core._build_planar(b, ((1, 4), (2, 3)))
+        s = 1 if expr.k > 0 else -1
+        for _ in range(abs(expr.k)):
+            corners = tangle_core._glue_compose(b, corners, tangle_core._build_sigma(b, 2, 1, s))
+        return corners
+    if isinstance(expr, Rational):
+        return tangle_core._fold_twists(
+            expr.entries,
+            lambda k: _sigma_composed_build(b, Integer(k)),
+            lambda corners, k: corners[-k:] + corners[:-k],
+            lambda left, right: tangle_core._glue_compose(b, left, right),
+        )
+    if isinstance(expr, Rot):
+        corners = _sigma_composed_build(b, expr.child)
+        return [corners[-1]] + corners[:-1]
+    if isinstance(expr, Compose):
+        left = _sigma_composed_build(b, expr.left)
+        return tangle_core._glue_compose(b, left, _sigma_composed_build(b, expr.right))
+    return tangle_core._build(b, expr)  # crossingless leaves and Sigma
+
+
+def _sigma_composed(expr):
+    b = tangle_core._Builder()
+    return b.finish(_sigma_composed_build(b, expr))
+
+
+def test_twist_regions_compile_like_composed_crossings():
+    rng = random.Random(47)
+    exprs = [Integer(k) for k in range(-40, 41)]
+    exprs += [Rational(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]) for _ in range(60)]
+    exprs += [random_algebraic_expr(n, rng, max_depth=4) for n in (2, 3) for _ in range(150)]
+    closed = 0
+    for e in exprs:
+        want = _sigma_composed(e)
+        got = compile_expr(e)
+        assert diagram_to_text(got) == diagram_to_text(want), e
+        if got.n == 2:
+            for kind in ("numerator", "denominator"):
+                assert diagram_to_text(closure(got, kind)) == diagram_to_text(closure(want, kind))
+                closed += 1
+    assert closed > 300
+
+
+def test_a_twist_region_builds_one_arc_per_crossing(monkeypatch):
+    arcs = []
+    new_arc = tangle_core._Builder.new_arc
+
+    def counted(self, ends):
+        arcs.append(ends)
+        return new_arc(self, ends)
+
+    monkeypatch.setattr(tangle_core._Builder, "new_arc", counted)
+    for k in range(-30, 31):
+        arcs.clear()
+        assert len(compile_expr(Integer(k)).crossings) == abs(k)
+        assert arcs == [2, 2] + [1] * abs(k), k
+
+
 def test_numerator_closure_of_a_twist_vector_has_tri_by_its_numerator():
     # the numerator closure of T(v) is the 2-bridge link of cf_eval(v),
     # whose 3-colorings are 9 when 3 divides the numerator, else 3

@@ -281,6 +281,35 @@ def test_nested_twist_vector_needs_no_residual():
     assert (len(free), residual) == (2, [])
 
 
+def check_against_dense(rows, ncols):
+    """The unit-pivot route on one sparse system against the dense
+    oracles: invariant factors, the saturated integer kernel and the
+    kernels over F_p, each through `expand`, and the nullity count."""
+    M = np.zeros((len(rows), ncols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, a in row:
+            M[r, c] += a
+    free, residual, expand = xl.eliminate_units(rows, ncols)
+    pivots = ncols - len(free)
+    assert len(residual) == len(rows) - pivots
+    want = oracle.snf(M.tolist(), ncols)[0]
+    assert (1,) * pivots + xl.snf(residual, len(free)) == want
+    kernel = xl.int_kernel(residual, len(free))
+    assert oracle.same_lattice(kernel, oracle.int_kernel(residual, len(free)), len(free))
+    for v in kernel:
+        assert not (M @ np.array(expand(v))).any()
+    for p in (2, 3, 5):
+        free, residual, expand = xl.eliminate_units(rows, ncols, p)
+        R = np.array(residual, dtype=np.int64).reshape(len(residual), len(free))
+        basis = [expand(v) for v in xl.kernel_mod_p(R, len(free), p).rows]
+        got = xl.SubspaceModP.from_vectors(basis, p, ncols)
+        want = xl.kernel_mod_p(M, ncols, p)
+        assert got == want
+        sparse = xl.sparse_kernel_mod_p(rows, ncols, p)
+        assert xl.SubspaceModP.from_vectors(sparse, p, ncols) == want
+        assert xl.sparse_nullity_mod_p(rows, ncols, p) == len(sparse) == want.dim
+
+
 def test_eliminate_units_on_random_sparse_systems():
     rng = random.Random(8)
     for _ in range(300):
@@ -289,22 +318,39 @@ def test_eliminate_units_on_random_sparse_systems():
         for _ in range(nrows):
             cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
             rows.append(tuple((c, rng.choice((-2, -1, 1, 1, 2, 3))) for c in cols))
-        M = np.zeros((nrows, ncols), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for c, a in row:
-                M[r, c] += a
-        free, residual, expand = xl.eliminate_units(rows, ncols)
-        pivots = ncols - len(free)
-        assert len(residual) == nrows - pivots
-        want = oracle.snf(M.tolist(), ncols)[0]
-        assert (1,) * pivots + xl.snf(residual, len(free)) == want
-        kernel = xl.int_kernel(residual, len(free))
-        assert oracle.same_lattice(kernel, oracle.int_kernel(residual, len(free)), len(free))
-        for v in kernel:
-            assert not (M @ np.array(expand(v))).any()
-        for p in (2, 3, 5):
-            free, residual, expand = xl.eliminate_units(rows, ncols, p)
-            R = np.array(residual, dtype=np.int64).reshape(len(residual), len(free))
-            basis = [expand(v) for v in xl.kernel_mod_p(R, len(free), p).rows]
-            got = xl.SubspaceModP.from_vectors(basis, p, ncols)
-            assert got == xl.kernel_mod_p(M, ncols, p)
+        check_against_dense(rows, ncols)
+
+
+def test_eliminate_units_adds_up_repeated_columns():
+    # rows that name a column more than once, with coefficients that add
+    # up to 0 over Z or only mod 2, 3 or 5, and zero entries: each row's
+    # leading column may vanish, which moves its preferred pivot
+    rng = random.Random(12)
+    repeated = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = []
+        for _ in range(nrows):
+            row = [(rng.randrange(ncols), rng.choice((-2, -1, 0, 1, 1, 2, 3)))
+                   for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 2)):
+                c, a = rng.randrange(ncols), rng.choice((-1, 1, 2, 3))
+                b = rng.choice((-a, 2 - a, 3 - a, 5 - a, 6 - a))
+                row[rng.randint(0, len(row)):0] = [(c, a)]
+                row.append((c, b))
+            repeated += len({c for c, _ in row}) < len(row)
+            rows.append(tuple(row))
+        check_against_dense(rows, ncols)
+    assert repeated > 500
+
+
+def test_counts_from_the_nullity_equal_the_basis_route():
+    # the counts read no kernel vector: p ** nullity must equal p to the
+    # length of the expanded basis that boundary images are read from
+    for d in closures(13, 20) + tangles(13, 20):
+        for p in (2, 3, 5, 7, 4294967311):
+            _, basis = _kernel_mod_p(d, p)
+            assert coloring_space(d, p).count == p ** (len(basis) + d.closed_components), (d, p)
+    for d in closures(14, 20):
+        _, basis = _kernel_mod_p(d, 7, 3, 5)
+        assert abf_space(d, 7, 3).count == 7 ** (len(basis) + d.closed_components), d
