@@ -3,8 +3,8 @@
 Fox k-coloring spaces and their boundary restrictions, the symplectic
 structure on reduced boundary colorings and its Lagrangians, rational
 tangle move calculus with replayable certificates, exponent-3 Burnside
-group obstructions to 3-move reducibility, and braid quotients certified
-by Todd-Coxeter coset enumeration and the Burau representation.
+group obstructions to 3-move reducibility, and braid quotients whose
+Burau image is certified against Coxeter's order formula.
 
 All types are immutable values and all operations are pure functions;
 randomized checks and property suites take explicit seeds.
@@ -33,8 +33,7 @@ _EXPORTS = {
         reduce_2algebraic reduce_rational replay_certificate""",
     "burnside3": """BurnsideElement consistency_check enumerate_group evaluate_word
         group_order inverse multiply obstruction quotient_order""",
-    "coset_enumeration": """BraidQuotient CosetTable Presentation braid_presentation
-        certify_braid_quotient conjugacy_classes enumerate_cosets word_equal""",
+    "coset_enumeration": "BraidQuotient certify_braid_quotient conjugacy_classes",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

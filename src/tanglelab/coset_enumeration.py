@@ -1,25 +1,16 @@
-"""Todd-Coxeter coset enumeration for finitely presented groups, with
-braid-quotient presentations, certified braid-quotient orders, word
-equality, and conjugacy classes.
+"""Braid quotients B_n/(s_i^k): certified orders, word equality and
+conjugacy classes, all read off the Burau representation.
 
-The enumerator builds the Schreier graph of a subgroup with a union-find
-over vertices in one HLT pass: the subgroup generators are scanned at
-coset 0, then every live vertex in turn is scanned against every
-relator (defining new vertices as needed, the endpoint unified with the
-start) and its missing edges are filled by definition.  For a finite
-index this terminates with the coset table, which is re-verified before
-it is returned.
-
-The order of B_n/(s_i^k) is certified by two bounds that must agree
-(Coxeter, *Factor groups of the braid group*, 1957, gives the finite
-cases).  The upper bound multiplies the indices of the parabolic
-subgroups <s_1..s_{m-2}> in B_m/(s_i^k) for m = 3..n; it holds because
-the image of that subgroup is a quotient of B_{m-1}/(s_i^k).  The lower
-bound multiplies the sizes of the orbits of e_m, m = 2..n, under the
-unreduced Burau matrices of s_1..s_{m-1} over F_p at a t whose negative
-is a primitive k-th root of unity (see `certify_braid_quotient`).  Equal
-bounds make the Burau map an isomorphism, so words compare as
-matrix products and conjugacy classes are orbits on the Burau matrices.
+The order of B_n/(s_i^k) is certified by two bounds that must agree.
+The upper bound is Coxeter's theorem (*Factor groups of the braid
+group*, 1957): the quotient is finite iff 1/n + 1/k > 1/2, and then its
+order is (f/2)^(n-1) n! with f = 4k / (4 - (n-2)(k-2)), the number of
+faces of the Platonic solid {n, k}.  The lower bound multiplies the
+sizes of the orbits of e_m, m = 2..n, under the unreduced Burau matrices
+of s_1..s_{m-1} over F_p at a t whose negative is a primitive k-th root
+of unity (see `certify_braid_quotient`).  Equal bounds make the Burau
+map an isomorphism, so words compare as matrix products and conjugacy
+classes are orbits on the Burau matrices.
 """
 
 import math
@@ -28,85 +19,13 @@ from collections import namedtuple
 from .errors import BudgetExceededError, CrossCheckError
 from .value import Value
 
-__all__ = [
-    "Presentation",
-    "braid_presentation",
-    "CosetTable",
-    "enumerate_cosets",
-    "parabolic_bound",
-    "BraidQuotient",
-    "certify_braid_quotient",
-    "trace",
-    "word_equal",
-    "conjugacy_classes",
-]
-
-UNDEF = -1
-
-
-def _freely_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
-def _cyclically_reduce(word):
-    w = _freely_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-class Presentation(Value, namedtuple("Presentation", "generators relators")):
-    """Relator words as tuples of nonzero signed generator indices."""
-
-    __slots__ = ()
-
-    def __new__(cls, generators, relators):
-        rels = []
-        for rel in relators:
-            red = _cyclically_reduce(rel)
-            _letters_of(red, generators)
-            if red:
-                rels.append(red)
-        return super().__new__(cls, generators, tuple(rels))
-
-
-def braid_presentation(n, k):
-    """B_n/(sigma_i^k): braid and commutation relators plus one torsion
-    relator sigma_1^k (all generators are conjugate, so one suffices)."""
-    if n < 2 or k < 2:
-        raise ValueError("need n >= 2 strands and torsion k >= 2")
-    g = n - 1
-    relators = []
-    for i in range(1, g):
-        relators.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
-    for i in range(1, g + 1):
-        for j in range(i + 2, g + 1):
-            relators.append((i, j, -i, -j))
-    relators.append((1,) * k)
-    return Presentation(g, tuple(relators))
-
-
-class CosetTable(Value, namedtuple("CosetTable", "generators table")):
-    """Complete coset table: row per coset (row 0 is the subgroup),
-    column per letter (generator g -> 2g-2, inverse -> 2g-1)."""
-
-    __slots__ = ()
-
-    @property
-    def order(self):
-        """Number of cosets: the group order over the trivial subgroup."""
-        return len(self.table)
+__all__ = ["BraidQuotient", "certify_braid_quotient", "conjugacy_classes"]
 
 
 def _letters_of(word, generators):
-    """Table columns of a word of signed generator indices; a letter
-    outside 1 <= |x| <= generators is a ValueError."""
+    """Letter codes of a word of signed generator indices (generator g ->
+    2g-2, its inverse -> 2g-1); a letter outside 1 <= |x| <= generators
+    is a ValueError."""
     out = []
     for x in word:
         if not 0 < abs(x) <= generators:
@@ -117,162 +36,25 @@ def _letters_of(word, generators):
     return out
 
 
-def enumerate_cosets(pres, max_cosets=10**6, subgroup=()):
-    """Complete the coset table of the subgroup generated by the words
-    `subgroup` (the trivial subgroup by default); raises
-    BudgetExceededError when more than max_cosets vertices get created
-    (the index may be infinite or the budget too small)."""
-    g = pres.generators
-    width = 2 * g
-    rel_letters = [_letters_of(r, g) for r in pres.relators]
-    sub_letters = [_letters_of(_freely_reduce(w), g) for w in subgroup]
-    labels = [0]
-    neighbors = [[UNDEF] * width]
-
-    def find(c):
-        while labels[c] != c:
-            labels[c] = labels[labels[c]]
-            c = labels[c]
-        return c
-
-    def new_vertex():
-        if len(labels) >= max_cosets:
-            raise BudgetExceededError(
-                f"coset enumeration exceeded {max_cosets} vertices"
-            )
-        v = len(labels)
-        labels.append(v)
-        neighbors.append([UNDEF] * width)
-        return v
-
-    def unify(a, b):
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            labels[b] = a
-            rowa, rowb = neighbors[a], neighbors[b]
-            neighbors[b] = None
-            for x in range(width):
-                nb = rowb[x]
-                if nb != UNDEF:
-                    na = rowa[x]
-                    if na == UNDEF:
-                        rowa[x] = nb
-                    else:
-                        stack.append((na, nb))
-
-    def scan_and_fill(alpha, letters):
-        """Classic bidirectional relator scan: trace forward and backward
-        to the stall points, then deduce the closing edge or fill the gap
-        with one definition and resume."""
-        f = alpha
-        i = 0
-        b = alpha
-        j = len(letters) - 1
-        while True:
-            while i <= j:
-                nxt = neighbors[f][letters[i]]
-                if nxt == UNDEF:
-                    break
-                f = find(nxt)
-                i += 1
-            if i > j:
-                if f != b:
-                    unify(f, b)
-                return
-            while j >= i:
-                prv = neighbors[b][letters[j] ^ 1]
-                if prv == UNDEF:
-                    break
-                b = find(prv)
-                j -= 1
-            if j < i:
-                unify(f, b)
-                return
-            if i == j:
-                x = letters[i]
-                neighbors[f][x] = b
-                neighbors[b][x ^ 1] = f
-                return
-            x = letters[i]
-            d = new_vertex()
-            neighbors[f][x] = d
-            neighbors[d][x ^ 1] = f
-            f = d
-            i += 1
-
-    # one HLT pass: close the subgroup generators at coset 0, then scan
-    # every relator at each live vertex in turn and fill its row.  A
-    # closed relator cycle stays closed when vertices merge, and coset 0
-    # stays live (a coincidence keeps the smaller label), so the pass
-    # completes the table; `_verify` checks that it did.
-    for letters in sub_letters:
-        scan_and_fill(0, letters)
-    idx = 0
-    while idx < len(labels):
-        if labels[idx] == idx:
-            for letters in rel_letters:
-                scan_and_fill(idx, letters)
-                if labels[idx] != idx:
-                    break  # collapsed into an earlier vertex
-            else:
-                for x in range(width):
-                    if neighbors[idx][x] == UNDEF:
-                        d = new_vertex()
-                        neighbors[idx][x] = d
-                        neighbors[d][x ^ 1] = idx
-        idx += 1
-    live = [i for i in range(len(labels)) if labels[i] == i]
-    rank = {v: i for i, v in enumerate(live)}
-    table = []
-    for v in live:
-        if UNDEF in neighbors[v]:
-            raise CrossCheckError("incomplete table after enumeration")
-        table.append(tuple(rank[find(d)] for d in neighbors[v]))
-    result = CosetTable(g, tuple(table))
-    _verify(result, pres, subgroup)
-    return result
+def _braid_relators(n, k):
+    """Relators of B_n/(s_i^k): braid and commutation relators plus one
+    torsion relator s_1^k (all generators are conjugate, so one suffices)."""
+    g = n - 1
+    for i in range(1, g):
+        yield (i, i + 1, i, -(i + 1), -i, -(i + 1))
+    for i in range(1, g + 1):
+        for j in range(i + 2, g + 1):
+            yield (i, j, -i, -j)
+    yield (1,) * k
 
 
-def _verify(table, pres, subgroup=()):
-    for word in subgroup:
-        if trace(table, word) != 0:
-            raise CrossCheckError("a subgroup generator moves coset 0")
-    n = table.order
-    width = 2 * pres.generators
-    for x in range(width):
-        seen = bytearray(n)
-        for row in table.table:
-            seen[row[x]] = 1
-        if not all(seen):
-            raise CrossCheckError("a generator column is not a permutation")
-    for rel in pres.relators:
-        letters = _letters_of(rel, pres.generators)
-        for c in range(n):
-            d = c
-            for x in letters:
-                d = table.table[d][x]
-            if d != c:
-                raise CrossCheckError("a relator does not fix every coset")
-
-
-def trace(table, word, start=0):
-    c = start
-    for x in _letters_of(word, table.generators):
-        c = table.table[c][x]
-    return c
-
-
-def word_equal(table, w1, w2):
-    """True iff w1 and w2 represent the same element of the group whose
-    regular coset table is `table`."""
-    inv2 = tuple(-x for x in reversed(tuple(w2)))
-    return trace(table, tuple(w1) + inv2) == 0
+def _coxeter_order(n, k):
+    """|B_n/(s_i^k)| by Coxeter's formula (2k/d)^(n-1) n!, d = 4 -
+    (n-2)(k-2), or None when d <= 0 (1/n + 1/k <= 1/2: infinite)."""
+    d = 4 - (n - 2) * (k - 2)
+    if d <= 0:
+        return None
+    return (2 * k) ** (n - 1) * math.factorial(n) // d ** (n - 1)
 
 
 # (p, t) with -t a primitive k-th root of unity mod p, so the Burau
@@ -281,22 +63,9 @@ def word_equal(table, w1, w2):
 _BURAU_FIELDS = {2: (3, 1), 3: (7, 5), 4: (5, 3), 5: (11, 2)}
 
 
-def parabolic_bound(n, k, max_cosets=10**6):
-    """Upper bound on |B_n/(s_i^k)|: k times the index of <s_1..s_{m-2}>
-    in B_m/(s_i^k) for each m = 3..n."""
-    bound = k
-    for m in range(3, n + 1):
-        subgroup = [(i,) for i in range(1, m - 1)]
-        table = enumerate_cosets(
-            braid_presentation(m, k), max_cosets, subgroup=subgroup
-        )
-        bound *= table.order
-    return bound
-
-
 def _burau_right(mats, code, p, t):
     """mats (a matrix or a batch of them, entries < p < 256 as bytes)
-    times the Burau matrix of one letter, given as its table column:
+    times the Burau matrix of one letter, given as its code:
     s_i rewrites only columns i and i+1 (counting from 1), as
     (a, b) -> ((1-t)a + b, ta)."""
     import numpy as np
@@ -378,42 +147,58 @@ class BraidQuotient(Value, namedtuple("BraidQuotient", "n k order p t", defaults
 
 
 def certify_braid_quotient(n, k, budget=10**6):
-    """B_n/(s_i^k) with its order certified as parabolic_bound = the
-    product of Burau orbit sizes.  Raises BudgetExceededError when a
-    parabolic index or the bound exceeds `budget` (an infinite quotient
-    does), and CrossCheckError when the matrices fail a relator or the
-    bounds differ.
+    """B_n/(s_i^k) with its order certified as Coxeter's order = the
+    product of Burau orbit sizes.  Raises ValueError unless n, k >= 2,
+    BudgetExceededError when the order exceeds `budget` (an infinite
+    quotient does, at once), and CrossCheckError when the matrices fail
+    a relator or the bounds differ.
 
     Let G_m be the group generated by the Burau matrices S_1..S_{m-1},
     acting on row vectors.  S_i rewrites only coordinates i and i+1, so
     G_{m-1} fixes e_m, and by orbit-stabilizer |G_m| >= |e_m G_m| |G_{m-1}|
     (Sims, *Computation with Finitely Presented Groups*); hence |G_n| >=
-    the product of |e_m G_m| over m = 2..n.  The relator
-    check makes G_n a quotient of B_n/(s_i^k), so |G_n| <= parabolic_bound,
-    and product = bound certifies the order and that the Burau map is
-    faithful.  Each orbit is at most [G_m : G_{m-1}], itself at most the
-    Todd-Coxeter index, so the bounds agree exactly when every level does.
+    the product of |e_m G_m| over m = 2..n.  The relator check makes G_n
+    a quotient of B_n/(s_i^k), so |G_n| <= Coxeter's order, and product
+    = order certifies the order and that the Burau map is faithful.  The
+    upper bound rests on a cited theorem, as the lower bound rests on
+    orbit-stabilizer; no presentation of the quotient is enumerated.
     """
-    pres = braid_presentation(n, k)
-    upper = parabolic_bound(n, k, budget)
-    if upper > budget:
+    if n < 2 or k < 2:
+        raise ValueError("need n >= 2 strands and torsion k >= 2")
+    # Coxeter's ratio 2k/d is at least 1 (d <= 4 <= 2k), so a finite order
+    # is at least n! and an infinite one passes every budget: a budget
+    # below n! is refused before the order is built
+    least = 1
+    for m in range(2, n + 1):
+        least *= m
+        if least > budget:
+            raise BudgetExceededError(
+                f"braid quotient order is at least {m}! = {least}, "
+                f"more than the budget of {budget}"
+            )
+    order = _coxeter_order(n, k)
+    if order is None:
         raise BudgetExceededError(
-            f"braid quotient order {upper} exceeds the budget of {budget}"
+            f"B_{n}/(s_i^{k}) is infinite: 1/{n} + 1/{k} <= 1/2 (Coxeter)"
+        )
+    if order > budget:
+        raise BudgetExceededError(
+            f"braid quotient order {order} exceeds the budget of {budget}"
         )
     if n == 2:
-        return BraidQuotient(n, k, upper)
-    p, t = _BURAU_FIELDS[k]  # the bound is finite, so k <= 5 (Coxeter)
-    quotient = BraidQuotient(n, k, upper, p, t)
-    for rel in pres.relators:
+        return BraidQuotient(n, k, order)
+    p, t = _BURAU_FIELDS[k]  # the order is finite, so k <= 5 (Coxeter)
+    quotient = BraidQuotient(n, k, order, p, t)
+    for rel in _braid_relators(n, k):
         if not quotient.word_equal(rel, ()):
             raise CrossCheckError(
                 f"Burau matrices over F_{p} at t = {t} fail the relator {rel}"
             )
     image = math.prod(_burau_orbit(m, n, p, t) for m in range(2, n + 1))
-    if image != upper:
+    if image != order:
         raise CrossCheckError(
-            f"parabolic coset bound {upper} differs from the Burau image "
-            f"order{' above' if image > upper else ''} {image}"
+            f"Coxeter order {order} differs from the Burau image "
+            f"order{' above' if image > order else ''} {image}"
         )
     return quotient
 

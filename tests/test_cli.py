@@ -420,7 +420,7 @@ def test_braid_quotient_classes_cross_check_the_certified_order(monkeypatch):
 
 
 def test_braid_quotient_classes_budget_bounds_only_the_certificate():
-    # the order 648 fits in the budget; the classes build no coset table
+    # the order 648 fits in the budget, which the class search reads no further
     argv = ["braid-quotient", "--n", "4", "--k", "3", "--classes", "--budget", "700"]
     code, out = capture(argv)
     assert (code, out.splitlines()[:2]) == (0, ["order = 648", "classes = 24"])

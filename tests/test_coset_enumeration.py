@@ -1,22 +1,22 @@
 import hashlib
 import io
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import coset_oracle as oracle
 import pytest
-
-from tanglelab import coset_enumeration as ce
-from tanglelab.cli import run
-from tanglelab.coset_enumeration import (
-    CosetTable,
+from coset_oracle import (
     Presentation,
     braid_presentation,
     enumerate_cosets,
     trace,
     word_equal,
 )
+
+from tanglelab import coset_enumeration as ce
+from tanglelab.cli import run
 from tanglelab.errors import BudgetExceededError, CrossCheckError
 
 # class representatives of B_3/(sigma_i^4), transcribed from the known
@@ -176,7 +176,7 @@ def test_subgroup_generators_fix_coset_0():
     assert enumerate_cosets(pres, subgroup=((),)).order == 648
     # the regular table does not close <s_1> at coset 0
     with pytest.raises(CrossCheckError, match="moves coset 0"):
-        ce._verify(enumerate_cosets(pres), pres, sub)
+        oracle._verify(enumerate_cosets(pres), pres, sub)
 
 
 def test_certified_order_equals_regular_table():
@@ -240,26 +240,26 @@ def test_wrong_burau_field_fails_the_certificate(monkeypatch):
 
 
 def test_inflated_upper_bound_fails_the_certificate(monkeypatch):
-    real = ce.parabolic_bound
-    monkeypatch.setattr(ce, "parabolic_bound", lambda *a: real(*a) + 1)
+    real = ce._coxeter_order
+    monkeypatch.setattr(ce, "_coxeter_order", lambda *a: real(*a) + 1)
     with pytest.raises(CrossCheckError, match="differs from the Burau image"):
         ce.certify_braid_quotient(4, 3)
     code, out = _cli(["braid-quotient", "--n", "3", "--k", "4", "--count-only"])
     assert (code, out) == (
         4,
-        "error = parabolic coset bound 97 differs from the Burau image order 96\n",
+        "error = Coxeter order 97 differs from the Burau image order 96\n",
     )
 
 
 def test_deflated_upper_bound_fails_the_certificate_above(monkeypatch):
-    real = ce.parabolic_bound
-    monkeypatch.setattr(ce, "parabolic_bound", lambda *a: real(*a) - 1)
+    real = ce._coxeter_order
+    monkeypatch.setattr(ce, "_coxeter_order", lambda *a: real(*a) - 1)
     with pytest.raises(CrossCheckError, match="order above 96"):
         ce.certify_braid_quotient(3, 4)
     code, out = _cli(["braid-quotient", "--n", "3", "--k", "4"])
     assert (code, out) == (
         4,
-        "error = parabolic coset bound 95 differs from the Burau image "
+        "error = Coxeter order 95 differs from the Burau image "
         "order above 96\n",
     )
 
@@ -276,16 +276,30 @@ def test_orbit_product_matches_the_whole_group_search():
             assert ce._burau_orbit(m, n, p, t) == _parabolic_index(m, k), (n, k, m)
 
 
-def test_certified_order_matches_coxeters_formula():
+def _coxeter_formula(n, k):
     # |B_n/(s_i^k)| = (f/2)^(n-1) n! for the f = 4k / (4 - (n-2)(k-2))
     # faces of the Platonic solid {n,k} (Coxeter, Factor groups of the
-    # braid group, 1957): an oracle that shares no code with the certificate
+    # braid group, 1957)
+    f = Fraction(4 * k, 4 - (n - 2) * (k - 2))
+    return (f / 2) ** (n - 1) * factorial(n)
+
+
+def test_certified_order_matches_coxeters_formula():
+    # the formula here shares no code with `_coxeter_order`, and the
+    # parabolic coset bound of the Todd-Coxeter oracle none with either
+    for n in range(2, 13):
+        for k in range(2, 13):
+            got = ce._coxeter_order(n, k)
+            if (n - 2) * (k - 2) >= 4:
+                assert got is None, (n, k)
+            else:
+                assert got == _coxeter_formula(n, k), (n, k)
     cases = [(2, k) for k in range(2, 7)] + [(n, 2) for n in range(3, 8)]
     cases += [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
     for n, k in cases:
-        f = Fraction(4 * k, 4 - (n - 2) * (k - 2))
-        want = (f / 2) ** (n - 1) * factorial(n)
-        assert ce.certify_braid_quotient(n, k).order == want, (n, k)
+        order = ce.certify_braid_quotient(n, k).order
+        assert order == _coxeter_formula(n, k), (n, k)
+        assert oracle.parabolic_bound(n, k) == order, (n, k)
 
 
 def test_certified_order_budget():
@@ -294,6 +308,31 @@ def test_certified_order_budget():
     for n, k in ((6, 3), (3, 6), (4, 4)):
         with pytest.raises(BudgetExceededError):
             ce.certify_braid_quotient(n, k, budget=10**4)
+
+
+def test_infinite_and_oversized_quotients_exit_3_at_once():
+    cases = [["--n", "6", "--k", "3"], ["--n", "4", "--k", "4"], ["--n", "3", "--k", "6"]]
+    cases += [argv + ["--classes"] for argv in cases]
+    cases += [["--n", "16", "--k", "2"], ["--n", "1000000", "--k", "2"]]
+    for argv in cases:
+        t0 = time.perf_counter()
+        code, out = _cli(["braid-quotient", *argv])
+        assert time.perf_counter() - t0 < 0.1, argv
+        assert code == 3, argv
+        n, k = argv[1], argv[3]
+        if k != "2":
+            assert out == f"error = B_{n}/(s_i^{k}) is infinite: 1/{n} + 1/{k} <= 1/2 (Coxeter)\n"
+        else:
+            # B_n/(s^2) is S_n, finite but more than 10! > 10^6 elements
+            assert out == (
+                "error = braid quotient order is at least 10! = 3628800, "
+                "more than the budget of 1000000\n"
+            )
+    # the factorial bound refuses no order within the budget
+    assert _cli(["braid-quotient", "--n", "9", "--k", "2", "--count-only"]) == (0, "362880\n")
+    assert _cli(["braid-quotient", "--n", "7", "--k", "3", "--budget", "10"])[1] == (
+        "error = braid quotient order is at least 4! = 24, more than the budget of 10\n"
+    )
 
 
 def _digest(tab):
