@@ -13,11 +13,14 @@ collection rules are
     c central, all cubes trivial, b's commute with each other.
 
 Full alternation of the triple bracket and triviality on repeated
-indices follow from the 2-Engel law.  `_tables` compiles the rules into
-one step per generator, and `_collect` is the only routine that reads a
-step, on lists of int digits and of numpy digit columns alike: through
-`_product` and `_inverse` (which `multiply` and `inverse` wrap),
-`evaluate_word` and `enumerate_group`.  The table is certified by
+indices follow from the 2-Engel law.  `_tables` writes the rules as one
+step per generator, the single source of the arithmetic, and `_Kernels`
+turns each rank's steps, once, into generated straight-line Python with
+one line per written digit: a step, a whole product and an inverse.  No
+other routine computes with a step's terms.  `_product` and `_inverse`
+(which `multiply` and `inverse` wrap), `evaluate_word`, `enumerate_group`
+and the strand action of `obstruction` run the compiled code, on lists
+of int digits and of numpy digit columns alike.  The table is certified by
 `consistency_check`, as whole-column products through `_product` and
 `_inverse`, and by the closure count 3^(r + C(r,2) + C(r,3)) for
 r = 1..4.  No step reads a central digit, so the closure is a
@@ -116,7 +119,8 @@ class BurnsideElement(namedtuple("BurnsideElement", "rank a b c")):
 def _element(rank, v):
     """The element with flat digit vector v (see `_tables`)."""
     nb, v = rank + rank * (rank - 1) // 2, tuple(v)
-    return BurnsideElement(rank, v[:rank], v[rank:nb], v[nb:])
+    # without the namedtuple's own __new__, a Python-level call
+    return tuple.__new__(BurnsideElement, (rank, v[:rank], v[rank:nb], v[nb:]))
 
 
 def identity(rank):
@@ -131,49 +135,112 @@ def generator(rank, i):
     return _element(rank, v)
 
 
-def _collect(v, step, n=1):
-    """Right-multiply the digits v by x_k^n in place, where step is
-    steps[k] of `_tables`.  v is a list of ints or of numpy digit
-    columns; entries the step writes are replaced, not mutated."""
+def _lines(step, digit="v[{}]", n="n"):
+    """The step (see `_tables`) as lines of Python adding n times its
+    terms to the digits, mod 3: one line per target digit t, one
+    `+ n * v[s] * v[u]` per term (a minus sign for a negative coeff)."""
+    terms = {}
     for target, coeff, sources in step:
-        inc = coeff * n
-        for s in sources:
-            inc = inc * v[s]
-        v[target] = (v[target] + inc) % 3
+        factors = ([str(abs(coeff))] if abs(coeff) != 1 else []) + [n]
+        factors += [digit.format(s) for s in sources]
+        sign = "+" if coeff > 0 else "-"
+        terms.setdefault(target, []).append(f" {sign} {' * '.join(factors)}")
+    return [
+        f"{digit.format(t)} = ({digit.format(t)}{''.join(inc)}) % 3"
+        for t, inc in terms.items()
+    ]
+
+
+def _define(name, params, body, r):
+    """The function `def name(params):` with the given body lines,
+    compiled from source."""
+    src = "\n    ".join([f"def {name}({params}):", *body])
+    namespace = {}
+    exec(compile(src, f"<B({r},3) {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+class _Kernels:
+    """The step table `steps` of `_tables` as generated straight-line
+    Python, each kernel compiled on its first use.
+
+    collect[k](v, n) right-multiplies the digit list v by x_k^n in place
+    and returns v.  product(v, w) returns the digits of v times the
+    normal form w, collecting w's word onto v; inverse(v) returns those
+    of v^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1.  Both hold the digits in
+    local variables and return new lists.  Digits are ints or numpy
+    digit columns alike: lists are written by replacing entries, never
+    by mutating them, and only int exponents that are zero are skipped.
+    No step reads its own targets, so its lines apply in any order.
+    """
+
+    def __init__(self, steps):
+        self.steps, self.r = steps, len(steps)
+        self.v, self.u, self.w = (
+            [f"{x}{d}" for d in range(_dim(self.r))] for x in "vuw"
+        )
+
+    def _apply(self, k, n):
+        """The step of x_k^n on the local digits v0, v1, ..."""
+        return [f"if {n}.__class__ is not int or {n}:"] + [
+            "    " + line for line in _lines(self.steps[k], "v{}", n)
+        ]
+
+    @cached_property
+    def collect(self):
+        return tuple(
+            _define(f"collect_{k}", "v, n", [*_lines(step), "return v"], self.r)
+            for k, step in enumerate(self.steps)
+        )
+
+    @cached_property
+    def product(self):
+        r, v, w = self.r, self.v, self.w
+        body = [f"[{', '.join(v)}] = v", f"[{', '.join(w)}] = w"]
+        for k in range(r):
+            body += self._apply(k, f"w{k}")
+        tail = [f"(v{d} + w{d}) % 3" for d in range(r, len(v))]
+        body.append(f"return [{', '.join(v[:r] + tail)}]")
+        return _define("product", "v, w", body, r)
+
+    @cached_property
+    def inverse(self):
+        r, v = self.r, self.v
+        body = [f"[{', '.join(self.u)}] = u"]
+        body += [f"v{d} = {'0' if d < r else f'-u{d} % 3'}" for d in range(len(v))]
+        for k in range(r - 1, -1, -1):
+            body += [f"n = -u{k}", *self._apply(k, "n")]
+        body.append(f"return [{', '.join(v)}]")
+        return _define("inverse", "u", body, r)
+
+
+@lru_cache(maxsize=None)
+def _kernels(r):
+    """The steps of `_tables(r)` as `_Kernels`."""
+    return _Kernels(_tables(r)[1])
 
 
 def _product(v, w, r):
-    """Right-multiply the digits v by the digits w in place, collecting
-    w's normal-form word onto v, and return v.  Entries are ints or numpy
-    digit columns (see `_collect`); zero int exponents are skipped."""
-    _, steps = _tables(r)
-    for step, n in zip(steps, w):
-        if not isinstance(n, int) or n:
-            _collect(v, step, n)
-    for d, x in enumerate(w[r:], r):
-        v[d] = (v[d] + x) % 3
-    return v
+    """The digits of v times the normal form w (see `_Kernels`)."""
+    return _kernels(r).product(v, w)
 
 
 def _inverse(v, r):
-    """The digits of v^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
-    _, steps = _tables(r)
-    w = [0] * r + [-x % 3 for x in v[r:]]
-    for k in range(r - 1, -1, -1):
-        if not isinstance(v[k], int) or v[k]:
-            _collect(w, steps[k], -v[k])
-    return w
+    """The digits of v^-1 (see `_Kernels`)."""
+    return _kernels(r).inverse(v)
 
 
 def multiply(g, h):
     """Product in B(r,3) (`_product`)."""
-    if g.rank != h.rank:
+    (r, a, b, c), (rank, x, y, z) = g, h  # unpacked: field reads are slower
+    if r != rank:
         raise ValueError("rank mismatch")
-    return _element(g.rank, _product([*g.a, *g.b, *g.c], h.a + h.b + h.c, g.rank))
+    return _element(r, _product(a + b + c, x + y + z, r))
 
 
 def inverse(g):
-    return _element(g.rank, _inverse(g.a + g.b + g.c, g.rank))
+    r, a, b, c = g
+    return _element(r, _inverse(a + b + c, r))
 
 
 def conjugate(g, by):
@@ -186,12 +253,12 @@ def commutator(g, h):
 
 def evaluate_word(rank, word):
     """Image of a signed-letter word (letters in +-1..+-rank)."""
-    _, steps = _tables(rank)
+    collect = _kernels(rank).collect
     v = [0] * _dim(rank)
     for letter in word:
         if letter == 0 or abs(letter) > rank:
             raise ValueError(f"letter {letter} out of range for rank {rank}")
-        _collect(v, steps[abs(letter) - 1], 1 if letter > 0 else -1)
+        collect[abs(letter) - 1](v, 1 if letter > 0 else -1)
     return _element(rank, v)
 
 
@@ -225,7 +292,7 @@ def enumerate_group(r):
     digits (as a radix-3 key) of the element by which base key y was
     first reached.  Each level decodes the frontier elements, keyed
     base + 3^nbase * label (int32, since 3^14 < 2^31), into int8 digit
-    columns and runs every generator's step on them with `_collect`.
+    columns and runs every generator's compiled step on them.
     Every edge to base key y' with central digits c' has the holonomy
     c' - label[y'], digit by digit mod 3, and the holonomies met are
     marked in a bool bitmap of size 3^C(r,3).  By Schreier's lemma the
@@ -245,6 +312,7 @@ def enumerate_group(r):
     m = dim - nbase
     shift = np.int32(3**nbase)
     _, steps = _tables(r)
+    collect = _kernels(r).collect
     label = np.full(3**nbase, -1, dtype=np.int32)
     label[0] = 0
     # the digits of every central key, and minus[c, l] the key of c - l
@@ -256,9 +324,8 @@ def enumerate_group(r):
     while frontier.size:
         digits = _digits(frontier, dim)
         level = np.zeros(label.size, dtype=bool)
-        for step in steps:
-            v = list(digits)
-            _collect(v, step)
+        for step, collect_k in zip(steps, collect):
+            v = collect_k(list(digits), 1)
             keys = frontier.copy()
             for d in {target for target, _, _ in step}:
                 keys += (v[d] - digits[d]) * np.int32(3**d)
@@ -294,7 +361,7 @@ def consistency_check(r, seed=0):
     n, width = 2000, max(1, _CELLS // (dim or 1))
 
     def mul(*vs):
-        return reduce(lambda v, w: _product(v, w, r), vs[1:], list(vs[0]))
+        return reduce(lambda v, w: _product(v, w, r), vs)
 
     def comm(g, h):
         return mul(_inverse(g, r), _inverse(h, r), g, h)
@@ -353,14 +420,19 @@ def consistency_check(r, seed=0):
 # Obstructions for braid closures.
 
 
+@lru_cache(maxsize=None)
+def _kept(r, j):
+    """The digits of B(r,3) whose labels avoid generator j (1-based)."""
+    labels, _ = _tables(r)
+    return tuple(d for d, label in enumerate(labels) if j - 1 not in label)
+
+
 def project_away(element, j):
     """Quotient map B(r,3) -> B(r-1,3) killing generator j (1-based):
     drop every digit whose label contains j-1.  The labels that avoid
     j-1 keep their order, so what is left is the normal form in B(r-1,3)."""
-    labels, _ = _tables(element.rank)
-    v = [*element.a, *element.b, *element.c]
-    kept = [x for x, label in zip(v, labels) if j - 1 not in label]
-    return _element(element.rank - 1, kept)
+    v = element.a + element.b + element.c
+    return _element(element.rank - 1, [v[d] for d in _kept(element.rank, j)])
 
 
 class ObstructionReport(Value, namedtuple(
@@ -379,17 +451,19 @@ class ObstructionReport(Value, namedtuple(
 def _strand_images(word):
     """Images in B(n,3) of the strand generators after the braid acts:
     sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i) (the core
-    action).  Elements stay collected, so their size does not grow with
-    the braid length."""
-    state = [generator(word.strands, j) for j in range(1, word.strands + 1)]
+    action).  The images stay collected digit lists, so their size does
+    not grow with the braid length; only the final ones become elements."""
+    n, kernels = word.strands, _kernels(word.strands)
+    product, inverse = kernels.product, kernels.inverse
+    state = [[int(d == j) for d in range(_dim(n))] for j in range(n)]
     for x in word.letters:
         i = abs(x) - 1
         u, v = state[i], state[i + 1]
         if x > 0:
-            state[i], state[i + 1] = multiply(multiply(u, inverse(v)), u), u
+            state[i], state[i + 1] = product(product(u, inverse(v)), u), u
         else:
-            state[i], state[i + 1] = v, multiply(multiply(v, inverse(u)), v)
-    return state
+            state[i], state[i + 1] = v, product(product(v, inverse(u)), v)
+    return [_element(n, v) for v in state]
 
 
 @lru_cache(maxsize=1)
@@ -400,9 +474,11 @@ def _closure_relators(word):
     from .fox_coloring import tri as _tri
     from .tangle_core import braid_closure
 
-    relators = tuple(
-        multiply(img, inverse(generator(word.strands, j)))
-        for j, img in enumerate(_strand_images(word), 1)
+    n, dim = word.strands, _dim(word.strands)
+    product = _kernels(n).product
+    relators = tuple(  # g_j^-1 is the digit vector with a 2 at j
+        _element(n, product(img.a + img.b + img.c, [2 * (d == j) for d in range(dim)]))
+        for j, img in enumerate(_strand_images(word))
     )
     return relators, _tri(braid_closure(word))
 

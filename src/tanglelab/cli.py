@@ -281,7 +281,8 @@ def _cmd_braid_quotient(args, out):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process and reused by `run`."""
+    """The argument parser, built once per process and reused by `run`;
+    its `commands` map each command name to the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="tanglelab",
         description="Exact tangle invariants: colorings, Lagrangian "
@@ -368,6 +369,7 @@ def build_parser():
     s.add_argument("--budget", type=int, default=10**6)
     s.set_defaults(func=_cmd_braid_quotient)
 
+    parser.commands = subs.choices
     return parser
 
 
@@ -391,9 +393,17 @@ def _glue_fraction_argv(argv):
 def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
+    argv = _glue_fraction_argv(list(argv))
+    # the top-level parser hands all tokens after a command name to that
+    # command's parser, so a known name goes there at once
+    command = parser.commands.get(argv[0]) if argv else None
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints help there
-            args, extra = parser.parse_known_args(_glue_fraction_argv(list(argv)))
+            if command is None:
+                args, extra = parser.parse_known_args(argv)
+            else:
+                args = argparse.Namespace(command=argv[0])
+                args, extra = command.parse_known_args(argv[1:], args)
             if args.command == "burnside":
                 # argparse leaves the word tokens after an option unmatched
                 word = [x for x in extra

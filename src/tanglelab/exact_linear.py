@@ -122,8 +122,7 @@ class SubspaceModP(Value, namedtuple("SubspaceModP", "p ambient rows pivots")):
     @classmethod
     def from_vectors(cls, vectors, p, ambient):
         _check_prime(p)
-        R, piv = _rref_raw(_residues(vectors, p, ambient), p, ambient)
-        return cls(p, ambient, tuple(map(tuple, R)), tuple(piv))
+        return _subspace(vectors, p, ambient)
 
     @property
     def dim(self):
@@ -147,6 +146,12 @@ class SubspaceModP(Value, namedtuple("SubspaceModP", "p ambient rows pivots")):
             yield tuple(v)
 
 
+def _subspace(vectors, p, ambient):
+    """`SubspaceModP.from_vectors` for a p already known to be prime."""
+    R, piv = _rref_raw(_residues(vectors, p, ambient), p, ambient)
+    return SubspaceModP(p, ambient, tuple(map(tuple, R)), tuple(piv))
+
+
 def _kernel_basis(R, p, ncols):
     """A basis of the right kernel of the residue rows R over F_p."""
     R, piv = _rref_raw(R, p, ncols)
@@ -166,7 +171,7 @@ def kernel_mod_p(rows, ncols, p):
     rows, canonical form; all of F_p^ncols when there are no rows."""
     _check_prime(p)
     basis = _kernel_basis(_residues(rows, p, ncols), p, ncols)
-    return SubspaceModP.from_vectors(basis, p, ncols)
+    return _subspace(basis, p, ncols)
 
 
 def sparse_kernel_mod_p(rows, ncols, p):
@@ -174,6 +179,11 @@ def sparse_kernel_mod_p(rows, ncols, p):
     solutions over F_p of a sparse system given as for
     `eliminate_units`; only its residual is row-reduced."""
     _check_prime(p)
+    return _sparse_kernel(rows, ncols, p)
+
+
+def _sparse_kernel(rows, ncols, p):
+    """`sparse_kernel_mod_p` for a p already known to be prime."""
     free, residual, expand = eliminate_units(rows, ncols, p)
     return [expand(v) for v in _kernel_basis(residual, p, len(free))]
 
@@ -183,6 +193,11 @@ def sparse_nullity_mod_p(rows, ncols, p):
     as for `eliminate_units`: its free columns less the rank of its
     residual, with no solution vector built."""
     _check_prime(p)
+    return _sparse_nullity(rows, ncols, p)
+
+
+def _sparse_nullity(rows, ncols, p):
+    """`sparse_nullity_mod_p` for a p already known to be prime."""
     free, residual, _ = eliminate_units(rows, ncols, p)
     return len(free) - len(_rref_raw(residual, p, len(free))[1])
 

@@ -83,9 +83,10 @@ def _relation_rows(diagram, t=-1, tinv=-1):
 
 def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
     """Sorted arcs and an independent basis (vectors over all arcs, one
-    per free column) of the solutions of the crossing relations over F_p."""
+    per free column) of the solutions of the crossing relations over F_p,
+    for a p already known to be prime."""
     arcs, rows = _relation_rows(diagram, t, tinv)
-    return arcs, xl.sparse_kernel_mod_p(rows, len(arcs), p)
+    return arcs, xl._sparse_kernel(rows, len(arcs), p)
 
 
 def coloring_space(diagram, k):
@@ -95,7 +96,7 @@ def coloring_space(diagram, k):
     closed = diagram.closed_components
     arcs, rows = _relation_rows(diagram)
     if xl.is_prime(k):  # the count needs the nullity, not a kernel basis
-        return ColoringSpace(k, k ** (xl.sparse_nullity_mod_p(rows, len(arcs), k) + closed))
+        return ColoringSpace(k, k ** (xl._sparse_nullity(rows, len(arcs), k) + closed))
     free, residual, _ = xl.eliminate_units(rows, len(arcs))
     factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
     count = 1
@@ -145,12 +146,13 @@ def boundary_image(diagram, p):
 
 def _image_of_kernel(diagram, arcs, basis, p):
     """`boundary_image` read off a kernel basis from `_kernel_mod_p`,
-    with its checks, for a caller that also needs the kernel."""
+    with its checks but not that of p, for a caller that also needs the
+    kernel."""
     _ensure_calibrated()
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in diagram.boundary]
     rows = [[v[i] for i in cols] for v in basis]
-    img = SubspaceModP.from_vectors(rows, p, 2 * diagram.n)
+    img = xl._subspace(rows, p, 2 * diagram.n)
     for v in img.rows:
         _, residual = _f_coordinates(v, diagram.n)
         if residual % p:
@@ -204,7 +206,7 @@ def reduce_image(img):
     if n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
     reduced = reduce_to_f_basis(img.rows, img.p, n)
-    return SubspaceModP.from_vectors(reduced, img.p, 2 * n - 2)
+    return xl._subspace(reduced, img.p, 2 * n - 2)
 
 
 def reduced_boundary_image(diagram, p):
@@ -214,7 +216,7 @@ def reduced_boundary_image(diagram, p):
         raise NotPrimeError(f"{p} is not prime")
     if diagram.n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
-    return reduce_image(boundary_image(diagram, p))
+    return reduce_image(_image_of_kernel(diagram, *_kernel_mod_p(diagram, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +302,13 @@ class ImageTable:
     """
 
     def __init__(self, p):
+        if not xl.is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
         self.p, self.images, self._origins = p, [], []
         self._ids, self._leaves, self._rots, self._composes = {}, {}, {}, {}
 
     def _intern(self, vectors, width, origin=None):
-        img = SubspaceModP.from_vectors(vectors, self.p, width)
+        img = xl._subspace(vectors, self.p, width)
         i = self._ids.setdefault((width, img.rows), len(self.images))
         if i == len(self.images):
             self.images.append(img)
@@ -372,10 +376,8 @@ def expr_boundary_image(expr, p):
 
     Leaves have closed forms; `Rot` shifts the corners and `Compose` is
     the fiber product of the two images over the glued points, both by
-    the rules of a fresh `ImageTable(p)`.
+    the rules of a fresh `ImageTable(p)`, which checks that p is prime.
     """
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
     table = ImageTable(p)
     img = table.images[table.expr(expr)]
     if not img.ambient:
@@ -434,5 +436,5 @@ def abf_space(diagram, p, t):
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
     arcs, rows = _relation_rows(diagram, t, pow(t, p - 2, p))
-    nullity = xl.sparse_nullity_mod_p(rows, len(arcs), p)
+    nullity = xl._sparse_nullity(rows, len(arcs), p)
     return ColoringSpace(p, p ** (nullity + diagram.closed_components))

@@ -1,11 +1,17 @@
-"""Test oracles for B(r,3): the full-key breadth-first closure, the
-element-at-a-time consistency check, and the normal closure by
-breadth-first search over its elements.
+"""Test oracles for B(r,3): the term-by-term interpreter of the step
+table, the full-key breadth-first closure, the element-at-a-time
+consistency check, and the normal closure by breadth-first search over
+its elements.
+
+The interpreter `collect` reads a step of `_tables` one term at a
+time; `product_digits` and `inverse_digits` apply it generator by
+generator.  They are the reference for the straight-line kernels that
+`burnside3._Kernels` generates from the same table.
 
 In the closure, elements are radix-3 keys of their whole digit vectors
 a|b|c (int32, since 3^14 < 2^31).  Each level decodes the frontier keys
 into int8 digit columns, runs every generator's step on them with
-`_collect`, re-keys only the digits the step writes, marks the resulting
+`collect`, re-keys only the digits the step writes, marks the resulting
 keys in a bool bitmap of size 3^dim and keeps the keys not visited
 before as the next frontier.  It walks every element of the group, so
 it is run only up to r = 3 by the tests.
@@ -31,6 +37,39 @@ from tanglelab import burnside3 as bg
 from tanglelab.errors import CrossCheckError
 
 
+def collect(v, step, n=1):
+    """Right-multiply the digits v by x_k^n in place, where step is
+    steps[k] of `_tables`.  v is a list of ints or of numpy digit
+    columns; entries the step writes are replaced, not mutated."""
+    for target, coeff, sources in step:
+        inc = coeff * n
+        for s in sources:
+            inc = inc * v[s]
+        v[target] = (v[target] + inc) % 3
+
+
+def product_digits(v, w, steps):
+    """The digits of v times the normal form w: w's word collected onto
+    a copy of v, zero int exponents skipped."""
+    v, r = list(v), len(steps)
+    for step, n in zip(steps, w):
+        if not isinstance(n, int) or n:
+            collect(v, step, n)
+    for d, x in enumerate(w[r:], r):
+        v[d] = (v[d] + x) % 3
+    return v
+
+
+def inverse_digits(v, steps):
+    """The digits of v^-1 = C^-c B^-b x_r^-a_r ... x_1^-a_1, collected."""
+    r = len(steps)
+    w = [0] * r + [-x % 3 for x in v[r:]]
+    for k in range(r - 1, -1, -1):
+        if not isinstance(v[k], int) or v[k]:
+            collect(w, steps[k], -v[k])
+    return w
+
+
 def closure_count(r, steps=None):
     """The number of elements reached from the identity by right
     multiplication with the steps (default: those of `_tables(r)`)."""
@@ -47,7 +86,7 @@ def closure_count(r, steps=None):
         level = np.zeros(size, dtype=bool)
         for step in steps:
             v = list(digits)
-            bg._collect(v, step)
+            collect(v, step)
             keys = frontier.copy()
             for d in {target for target, _, _ in step}:
                 keys += (v[d] - digits[d]) * np.int32(3**d)

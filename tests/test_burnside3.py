@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -128,6 +129,67 @@ def test_column_products_match_multiply_and_inverse():
             assert bg._element(r, [int(x[i]) for x in inv]) == inverse(h)
 
 
+def test_kernels_match_the_interpreter():
+    # the compiled steps against the term-by-term reading of the same
+    # table, on ints and on int8 digit columns; the right operands and the
+    # inverted digits run over -2..2, so int exponents 0 are skipped
+    rng = random.Random(31)
+    for r in range(1, 10):
+        dim, (_, steps), kernels = bg._dim(r), bg._tables(r), bg._kernels(r)
+        vs = [[rng.randrange(3) for _ in range(dim)] for _ in range(60)]
+        ws = [[rng.randrange(-2, 3) for _ in range(dim)] for _ in range(60)]
+        for v, w in zip(vs, ws):
+            for k, n in product(range(r), (1, 2, -1)):
+                want = list(v)
+                oracle.collect(want, steps[k], n)
+                assert kernels.collect[k](list(v), n) == want, (r, k, n)
+            assert kernels.product(v, w) == oracle.product_digits(v, w, steps), r
+            assert kernels.inverse(w) == oracle.inverse_digits(w, steps), r
+        v, w = _columns(vs), _columns(ws)
+        before = [x.copy() for x in v + w]
+        pairs = [
+            (kernels.product(v, w), oracle.product_digits(v, w, steps)),
+            (kernels.inverse(w), oracle.inverse_digits(w, steps)),
+        ]
+        for k, n in product(range(r), (1, 2, -1)):
+            want = list(v)
+            oracle.collect(want, steps[k], n)
+            pairs.append((kernels.collect[k](list(v), n), want))
+        for got, want in pairs:
+            assert all(x.dtype == np.int8 for x in got), r
+            assert np.array_equal(got, want), r
+        assert np.array_equal(v + w, before)  # not mutated
+
+
+def test_tables_restrict_to_the_three_generator_table():
+    # every term of steps[k] writes a digit whose label holds x_k and at
+    # most two more generators, and restricted to the digits of any three
+    # generators the steps are those of `_tables(3)` relabelled in order:
+    # a structural certificate of the table for 5 <= r <= 9
+    labels3, steps3 = bg._tables(3)
+
+    def named(terms, labels, rename=lambda i: i):
+        def label(d):
+            return tuple(map(rename, labels[d]))
+
+        return sorted((label(t), c, tuple(map(label, s))) for t, c, s in terms)
+
+    want = [named(step, labels3) for step in steps3]
+    for r in range(5, 10):
+        labels, steps = bg._tables(r)
+        for k, step in enumerate(steps):
+            assert all(k in labels[t] for t, _, _ in step), (r, k)
+        for triple in combinations(range(r), 3):
+            rename = {g: i for i, g in enumerate(triple)}.__getitem__
+            for k, step in enumerate(steps):
+                inside = [t for t in step if set(labels[t[0]]) <= set(triple)]
+                if k in triple:
+                    got = named(inside, labels, rename)
+                    assert got == want[rename(k)], (r, triple, k)
+                else:
+                    assert not inside, (r, triple, k)
+
+
 def _mutated_tables(r):
     """Every step table of `_tables(r)` with one term deleted or with the
     sign of one term flipped."""
@@ -139,11 +201,19 @@ def _mutated_tables(r):
                 yield labels, steps[:k] + (step_k,) + steps[k + 1 :]
 
 
+def _use_table(monkeypatch, table, tables=bg._tables, kernels=bg._kernels):
+    """Make `_tables(3)` return table and the arithmetic run its steps,
+    compiled by `_Kernels` as the real table is."""
+    compiled = bg._Kernels(table[1])
+    monkeypatch.setattr(bg, "_tables", lambda r: table if r == 3 else tables(r))
+    monkeypatch.setattr(bg, "_kernels", lambda r: compiled if r == 3 else kernels(r))
+
+
 def test_column_check_rejects_every_mutation_the_oracle_rejects(monkeypatch):
     tables = bg._tables
     rejected = 0
     for table in _mutated_tables(3):
-        monkeypatch.setattr(bg, "_tables", lambda r: table if r == 3 else tables(r))
+        _use_table(monkeypatch, table)
         try:
             oracle.consistency_check(3, triples=200)
         except CrossCheckError as exc:
@@ -190,12 +260,10 @@ def _key(g):
 def _assert_array_step_matches_multiply(r, elements):
     keys = np.array([_key(g) for g in elements], dtype=np.int32)
     digits = bg._digits(keys, bg._dim(r))
-    _, steps = bg._tables(r)
-    for k, step in enumerate(steps):
+    for k, collect in enumerate(bg._kernels(r).collect):
         gen = generator(r, k + 1)
         want = [_key(multiply(g, gen)) for g in elements]
-        v = list(digits)
-        bg._collect(v, step)
+        v = collect(list(digits), 1)
         got = sum(v[d].astype(np.int64) * 3**d for d in range(len(v)))
         assert got.tolist() == want, k
         assert np.array_equal(digits, bg._digits(keys, len(v)))  # not mutated
@@ -215,7 +283,7 @@ def test_array_step_matches_multiply_random_r4():
 
 def _unit_collect(v, step, times):
     for _ in range(times % 3):
-        bg._collect(v, step)
+        oracle.collect(v, step)
 
 
 def _unit_multiply(g, h):
@@ -282,7 +350,7 @@ def test_broken_step_table_fails_the_closure_count(monkeypatch):
     step0 = tuple(t for t in steps[0] if t[0] != b12)
     assert len(step0) == len(steps[0]) - 1
     broken = (labels, (step0,) + steps[1:])
-    monkeypatch.setattr(bg, "_tables", lambda r: broken if r == 3 else tables(r))
+    _use_table(monkeypatch, broken)
     with pytest.raises(CrossCheckError, match="closure found 729 elements"):
         enumerate_group(3)
     with pytest.raises(CrossCheckError):
@@ -320,7 +388,7 @@ def test_closure_count_matches_the_oracle_with_one_term_dropped(monkeypatch):
     assert len(broken) == sum(map(len, steps)) == 10
     counts = []
     for table in broken:
-        monkeypatch.setattr(bg, "_tables", lambda r: table if r == 3 else tables(r))
+        _use_table(monkeypatch, table)
         want = oracle.closure_count(3, table[1])
         if want == group_order(3):
             assert enumerate_group(3) == want

@@ -723,6 +723,28 @@ def test_parser_is_built_once_per_process(monkeypatch):
     assert len(set(made[1:])) == len(made) - 1 >= 11
 
 
+def test_command_parsers_answer_like_the_top_level_parser(monkeypatch, capsys):
+    # a known command name skips the top-level parser; with no command
+    # parsers to go to, every argv goes through it, and stdout, stderr and
+    # exit codes are the same either way
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [*_SEQUENCE, ["tri", "-h"], ["burnside", "-h"], ["nonsense"], []]
+
+    def answers():
+        out = []
+        for argv in argvs:
+            out.append((*capture(argv), capsys.readouterr().err))
+        return out
+
+    direct = answers()
+    assert {argv[0] for argv in argvs if argv} - set(cli.build_parser().commands) == {
+        "nonsense"
+    }
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert answers() == direct
+    assert {code for code, _, _ in direct} == {0, 2, 3}
+
+
 def test_help_goes_to_the_given_stream(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out = capture(["tri", "-h"])

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from itertools import product
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from example_links import borromean_rings, figure_eight, trefoil, trivial_link
 
+import tanglelab.exact_linear as xl
+from tanglelab.cli import run
 from tanglelab.errors import NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
@@ -31,6 +34,7 @@ from tanglelab.tangle_core import (
     Sigma,
     braid_closure,
     compile_expr,
+    parse_conway,
     pretzel,
     random_algebraic_expr,
     rational_expr,
@@ -417,3 +421,27 @@ def test_structural_image_of_long_rotation_chains():
                 for p in (3, 5):
                     want = boundary_image(compile_expr(e2), p)
                     assert expr_boundary_image(e2, p) == want, (e2, p)
+
+
+def test_each_query_tests_primality_once(monkeypatch):
+    # the public entry points test the modulus and the private routines
+    # they call do not: testing this prime costs tens of microseconds
+    p, expr = 4294967311, parse_conway("T(2,3,2)")
+    link, tangle = braid_closure(BraidWord(3, (1, -2, 1, -2))), compile_expr(expr)
+    boundary_image(tangle, 5)  # the one-time calibration tests 5
+    calls = []
+    real = xl.is_prime
+    monkeypatch.setattr(xl, "is_prime", lambda n: calls.append(n) or real(n))
+    queries = (
+        lambda: coloring_space(link, p),
+        lambda: abf_space(link, p, 3),
+        lambda: boundary_image(tangle, p),
+        lambda: reduced_boundary_image(tangle, p),
+        lambda: expr_boundary_image(expr, p),
+        lambda: run(["color", "--mod", str(p), "--braid", "3: 1 -2 1 -2"], io.StringIO()),
+        lambda: run(["boundary", "--p", str(p), "--conway", "T(2,3,2)"], io.StringIO()),
+    )
+    for i, query in enumerate(queries):
+        calls.clear()
+        query()
+        assert calls == [p], i
