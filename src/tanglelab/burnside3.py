@@ -470,17 +470,16 @@ def _strand_images(word):
 def _closure_relators(word):
     """The core relators (image of g_j) g_j^-1 of the braid closure in
     B(n,3), and tri of the closure: the part of `obstruction` shared by
-    every kill."""
-    from .fox_coloring import tri as _tri
-    from .tangle_core import braid_closure
-
+    every kill.  tri is 3^(n - rank) of the relators' generator digits,
+    which span the abelianized core (Fox) relations over F_3."""
     n, dim = word.strands, _dim(word.strands)
     product = _kernels(n).product
     relators = tuple(  # g_j^-1 is the digit vector with a 2 at j
         _element(n, product(img.a + img.b + img.c, [2 * (d == j) for d in range(dim)]))
         for j, img in enumerate(_strand_images(word))
     )
-    return relators, _tri(braid_closure(word))
+    rank = SubspaceModP.from_vectors([rel.a for rel in relators], 3, n).dim
+    return relators, 3 ** (n - rank)
 
 
 def obstruction(word, kill=None):

@@ -18,6 +18,7 @@ map and, over the integers, the same nonunit invariant factors.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
@@ -27,6 +28,7 @@ from .value import Value
 
 __all__ = [
     "is_prime",
+    "check_prime",
     "SubspaceModP",
     "kernel_mod_p",
     "eliminate_units",
@@ -42,9 +44,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+@lru_cache(maxsize=256)
 def is_prime(p):
     """Deterministic Miller-Rabin primality test for p below 3.3e24;
-    raises PrimalityBoundError for a larger p it cannot rule out."""
+    raises PrimalityBoundError for a larger p it cannot rule out.
+    Memoized, so every routine can test its own modulus."""
     if p < 2:
         return False
     for q in _MR_BASES:
@@ -73,9 +77,10 @@ def is_prime(p):
     return True
 
 
-def _check_prime(p):
+def check_prime(p):
+    """Raise NotPrimeError unless the modulus p is prime."""
     if not is_prime(p):
-        raise NotPrimeError(f"modulus {p} is not prime")
+        raise NotPrimeError(f"{p} is not prime")
 
 
 def _residues(rows, p, width):
@@ -121,8 +126,9 @@ class SubspaceModP(Value, namedtuple("SubspaceModP", "p ambient rows pivots")):
 
     @classmethod
     def from_vectors(cls, vectors, p, ambient):
-        _check_prime(p)
-        return _subspace(vectors, p, ambient)
+        check_prime(p)
+        R, piv = _rref_raw(_residues(vectors, p, ambient), p, ambient)
+        return cls(p, ambient, tuple(map(tuple, R)), tuple(piv))
 
     @property
     def dim(self):
@@ -146,12 +152,6 @@ class SubspaceModP(Value, namedtuple("SubspaceModP", "p ambient rows pivots")):
             yield tuple(v)
 
 
-def _subspace(vectors, p, ambient):
-    """`SubspaceModP.from_vectors` for a p already known to be prime."""
-    R, piv = _rref_raw(_residues(vectors, p, ambient), p, ambient)
-    return SubspaceModP(p, ambient, tuple(map(tuple, R)), tuple(piv))
-
-
 def _kernel_basis(R, p, ncols):
     """A basis of the right kernel of the residue rows R over F_p."""
     R, piv = _rref_raw(R, p, ncols)
@@ -169,21 +169,16 @@ def _kernel_basis(R, p, ncols):
 def kernel_mod_p(rows, ncols, p):
     """Right kernel {x in F_p^ncols : M x = 0} of the matrix M with these
     rows, canonical form; all of F_p^ncols when there are no rows."""
-    _check_prime(p)
+    check_prime(p)
     basis = _kernel_basis(_residues(rows, p, ncols), p, ncols)
-    return _subspace(basis, p, ncols)
+    return SubspaceModP.from_vectors(basis, p, ncols)
 
 
 def sparse_kernel_mod_p(rows, ncols, p):
     """A basis (full vectors of length ncols, not canonical) of the
     solutions over F_p of a sparse system given as for
     `eliminate_units`; only its residual is row-reduced."""
-    _check_prime(p)
-    return _sparse_kernel(rows, ncols, p)
-
-
-def _sparse_kernel(rows, ncols, p):
-    """`sparse_kernel_mod_p` for a p already known to be prime."""
+    check_prime(p)
     free, residual, expand = eliminate_units(rows, ncols, p)
     return [expand(v) for v in _kernel_basis(residual, p, len(free))]
 
@@ -192,12 +187,7 @@ def sparse_nullity_mod_p(rows, ncols, p):
     """The dimension over F_p of the solutions of a sparse system given
     as for `eliminate_units`: its free columns less the rank of its
     residual, with no solution vector built."""
-    _check_prime(p)
-    return _sparse_nullity(rows, ncols, p)
-
-
-def _sparse_nullity(rows, ncols, p):
-    """`sparse_nullity_mod_p` for a p already known to be prime."""
+    check_prime(p)
     free, residual, _ = eliminate_units(rows, ncols, p)
     return len(free) - len(_rref_raw(residual, p, len(free))[1])
 

@@ -16,12 +16,7 @@ from math import gcd, prod
 from operator import mul
 
 from . import exact_linear as xl
-from .errors import (
-    AlternatingConditionError,
-    CalibrationError,
-    CrossCheckError,
-    NotPrimeError,
-)
+from .errors import AlternatingConditionError, CalibrationError, CrossCheckError
 from .exact_linear import SubspaceModP
 from .tangle_core import (
     Compose,
@@ -83,10 +78,9 @@ def _relation_rows(diagram, t=-1, tinv=-1):
 
 def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
     """Sorted arcs and an independent basis (vectors over all arcs, one
-    per free column) of the solutions of the crossing relations over F_p,
-    for a p already known to be prime."""
+    per free column) of the solutions of the crossing relations over F_p."""
     arcs, rows = _relation_rows(diagram, t, tinv)
-    return arcs, xl._sparse_kernel(rows, len(arcs), p)
+    return arcs, xl.sparse_kernel_mod_p(rows, len(arcs), p)
 
 
 def coloring_space(diagram, k):
@@ -96,7 +90,7 @@ def coloring_space(diagram, k):
     closed = diagram.closed_components
     arcs, rows = _relation_rows(diagram)
     if xl.is_prime(k):  # the count needs the nullity, not a kernel basis
-        return ColoringSpace(k, k ** (xl._sparse_nullity(rows, len(arcs), k) + closed))
+        return ColoringSpace(k, k ** (xl.sparse_nullity_mod_p(rows, len(arcs), k) + closed))
     free, residual, _ = xl.eliminate_units(rows, len(arcs))
     factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
     count = 1
@@ -137,8 +131,7 @@ def _ensure_calibrated():
 def boundary_image(diagram, p):
     """Image of the coloring space in F_p^(2n), restricted to boundary
     points in counterclockwise order."""
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    xl.check_prime(p)
     if diagram.n < 1:
         raise ValueError("diagram has no boundary")
     return _image_of_kernel(diagram, *_kernel_mod_p(diagram, p), p)
@@ -146,13 +139,12 @@ def boundary_image(diagram, p):
 
 def _image_of_kernel(diagram, arcs, basis, p):
     """`boundary_image` read off a kernel basis from `_kernel_mod_p`,
-    with its checks but not that of p, for a caller that also needs the
-    kernel."""
+    with the same checks, for a caller that also needs the kernel."""
     _ensure_calibrated()
     index = {a: i for i, a in enumerate(arcs)}
     cols = [index[a] for a in diagram.boundary]
     rows = [[v[i] for i in cols] for v in basis]
-    img = xl._subspace(rows, p, 2 * diagram.n)
+    img = SubspaceModP.from_vectors(rows, p, 2 * diagram.n)
     for v in img.rows:
         _, residual = _f_coordinates(v, diagram.n)
         if residual % p:
@@ -206,17 +198,16 @@ def reduce_image(img):
     if n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
     reduced = reduce_to_f_basis(img.rows, img.p, n)
-    return xl._subspace(reduced, img.p, 2 * n - 2)
+    return SubspaceModP.from_vectors(reduced, img.p, 2 * n - 2)
 
 
 def reduced_boundary_image(diagram, p):
     """Boundary image modulo monochromatic colorings, written in the
     f-basis coordinates of F_p^(2n-2)."""
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    xl.check_prime(p)
     if diagram.n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
-    return reduce_image(_image_of_kernel(diagram, *_kernel_mod_p(diagram, p), p))
+    return reduce_image(boundary_image(diagram, p))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +293,12 @@ class ImageTable:
     """
 
     def __init__(self, p):
-        if not xl.is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        xl.check_prime(p)
         self.p, self.images, self._origins = p, [], []
         self._ids, self._leaves, self._rots, self._composes = {}, {}, {}, {}
 
     def _intern(self, vectors, width, origin=None):
-        img = xl._subspace(vectors, self.p, width)
+        img = SubspaceModP.from_vectors(vectors, self.p, width)
         i = self._ids.setdefault((width, img.rows), len(self.images))
         if i == len(self.images):
             self.images.append(img)
@@ -428,13 +418,12 @@ def abf_space(diagram, p, t):
     Only diagrams that carry a braid orientation on every crossing are
     accepted; t must be invertible mod p.
     """
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    xl.check_prime(p)
     t %= p
     if t == 0:
         raise ValueError("t must be invertible mod p")
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
     arcs, rows = _relation_rows(diagram, t, pow(t, p - 2, p))
-    nullity = xl._sparse_nullity(rows, len(arcs), p)
+    nullity = xl.sparse_nullity_mod_p(rows, len(arcs), p)
     return ColoringSpace(p, p ** (nullity + diagram.closed_components))

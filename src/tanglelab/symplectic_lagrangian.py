@@ -8,7 +8,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from . import exact_linear as xl
-from .errors import BudgetExceededError, CrossCheckError, NotPrimeError
+from .errors import BudgetExceededError, CrossCheckError
 from .exact_linear import SubspaceModP
 from .fox_coloring import (
     ImageTable,
@@ -23,6 +23,7 @@ from .tangle_core import (
     Infinity,
     Integer,
     Sigma,
+    all_matchings,
     compile_expr,
     noncrossing_matchings,
     print_conway,
@@ -37,7 +38,6 @@ __all__ = [
     "lagrangian_count",
     "enumerate_lagrangians",
     "matching_census",
-    "all_matchings",
     "matching_image",
     "realize_lagrangians",
 ]
@@ -60,8 +60,7 @@ class SymplecticSpace(Value, namedtuple("SymplecticSpace", "p n gram")):
 
 
 def build_form(p, n):
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    xl.check_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
     d = 2 * n - 2
@@ -94,8 +93,7 @@ def _is_isotropic(subspace, space):
 
 def lagrangian_count(p, n):
     """prod_{i=1}^{n-1} (p^i + 1)."""
-    if not xl.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    xl.check_prime(p)
     if n < 2:
         raise ValueError("need n >= 2")
     out = 1
@@ -165,22 +163,6 @@ def _schubert_cell(pivots, G, p):
 
 # ---------------------------------------------------------------------------
 # The mod-2 census over abstract perfect matchings.
-
-
-def all_matchings(n):
-    """All perfect matchings of 1..2n (not only the planar ones)."""
-
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for i in range(1, len(points)):
-            rest = points[1:i] + points[i + 1 :]
-            for m in rec(rest):
-                yield ((first, points[i]),) + m
-
-    return list(rec(tuple(range(1, 2 * n + 1))))
 
 
 def matching_image(pairs, n):

@@ -19,6 +19,7 @@ import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import (
@@ -57,6 +58,7 @@ __all__ = [
     "parse_diagram_text",
     "check_crossing_parity",
     "diagram_to_text",
+    "all_matchings",
     "noncrossing_matchings",
     "random_algebraic_expr",
     "pretzel",
@@ -855,24 +857,31 @@ def diagram_to_text(diagram):
 # realization closure.
 
 
-@lru_cache(maxsize=None)
-def noncrossing_matchings(n):
-    """All non-crossing perfect matchings of 2n cyclically ordered points,
-    as a tuple of Planar values built once per n."""
+def all_matchings(n):
+    """All perfect matchings of 1..2n, planar or not, in lexicographic
+    order: pairs (a, b) with a < b, sorted by a."""
 
     def rec(points):
         if not points:
             yield ()
             return
         first = points[0]
-        for idx in range(1, len(points), 2):
-            inside = points[1:idx]
-            outside = points[idx + 1 :]
-            for mi in rec(inside):
-                for mo in rec(outside):
-                    yield ((first, points[idx]),) + mi + mo
+        for i in range(1, len(points)):
+            for m in rec(points[1:i] + points[i + 1 :]):
+                yield ((first, points[i]),) + m
 
-    return tuple(Planar(m) for m in rec(tuple(range(1, 2 * n + 1))))
+    return list(rec(tuple(range(1, 2 * n + 1))))
+
+
+@lru_cache(maxsize=None)
+def noncrossing_matchings(n):
+    """The matchings of `all_matchings(n)` with no two pairs a < c < b < d,
+    in the same order, as a tuple of Planar values built once per n."""
+    return tuple(
+        Planar(m)
+        for m in all_matchings(n)
+        if not any(c < b < d for (_, b), (c, d) in combinations(m, 2))
+    )
 
 
 def random_algebraic_expr(n, rng, max_depth=4):

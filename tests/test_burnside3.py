@@ -30,7 +30,8 @@ from tanglelab.burnside3 import (
     quotient_order,
 )
 from tanglelab.errors import CrossCheckError
-from tanglelab.tangle_core import BraidWord
+from tanglelab.fox_coloring import tri
+from tanglelab.tangle_core import BraidWord, braid_closure
 
 CHEN = BraidWord(5, (-1, 2, 3, -4, 3) * 4)
 
@@ -499,6 +500,23 @@ def test_obstruction_chen_all_kills():
         rep = obstruction(CHEN, kill=kill)
         assert rep.verdict == "OBSTRUCTED", kill
     assert obstruction(CHEN).tri_closure == 3**5
+
+
+def test_obstruction_tri_matches_fox_on_the_closure():
+    # tri is read off the relators' generator digits; Fox colorings of
+    # the compiled closure are the independent check.  Letters use a
+    # random subset of the generators, so some strands are touched by
+    # no letter.
+    rng = random.Random(31)
+    untouched = 0
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        used = [i for i in range(1, n) if rng.random() < 0.75]
+        length = rng.randint(0, 30) if used else 0
+        word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.choice(used) for _ in range(length)))
+        untouched += len({abs(x) for x in word.letters} | {abs(x) + 1 for x in word.letters}) < n
+        assert obstruction(word).tri_closure == tri(braid_closure(word)), word
+    assert untouched > 300
 
 
 def test_obstruction_center_square_word():

@@ -675,6 +675,24 @@ def test_numpy_free_commands_leave_numpy_unloaded():
     assert (fresh.returncode, fresh.stdout) == (0, want), fresh.stderr
 
 
+def test_obstruct_loads_no_fox_layer():
+    # obstruct reads tri off its own relators: a lone call in a fresh
+    # interpreter compiles no coloring code
+    code = (
+        "import io, sys\n"
+        "from tanglelab import cli\n"
+        "code = cli.run(sys.argv[1:], stdout=io.StringIO())\n"
+        "print(code, 'tanglelab.fox_coloring' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tanglelab.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, "obstruct", "--braid", _CHEN],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (fresh.returncode, fresh.stdout) == (0, "0 False\n"), fresh.stderr
+
+
 def test_numpy_commands_answer_in_a_fresh_process_like_in_process():
     # each command reaches numpy and the modules behind `cli` only through
     # imports local to the functions it calls; one left out fails here on

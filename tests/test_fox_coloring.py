@@ -423,15 +423,13 @@ def test_structural_image_of_long_rotation_chains():
                     assert expr_boundary_image(e2, p) == want, (e2, p)
 
 
-def test_each_query_tests_primality_once(monkeypatch):
-    # the public entry points test the modulus and the private routines
-    # they call do not: testing this prime costs tens of microseconds
+def test_each_query_tests_primality_once():
+    # every routine checks its own modulus, and `is_prime` is memoized:
+    # testing this prime costs tens of microseconds, and it runs once per
+    # query however many routines check it
     p, expr = 4294967311, parse_conway("T(2,3,2)")
     link, tangle = braid_closure(BraidWord(3, (1, -2, 1, -2))), compile_expr(expr)
     boundary_image(tangle, 5)  # the one-time calibration tests 5
-    calls = []
-    real = xl.is_prime
-    monkeypatch.setattr(xl, "is_prime", lambda n: calls.append(n) or real(n))
     queries = (
         lambda: coloring_space(link, p),
         lambda: abf_space(link, p, 3),
@@ -442,6 +440,7 @@ def test_each_query_tests_primality_once(monkeypatch):
         lambda: run(["boundary", "--p", str(p), "--conway", "T(2,3,2)"], io.StringIO()),
     )
     for i, query in enumerate(queries):
-        calls.clear()
+        xl.is_prime.cache_clear()
         query()
-        assert calls == [p], i
+        info = xl.is_prime.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), (i, info)

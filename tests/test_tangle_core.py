@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import permutations
 
@@ -272,6 +273,16 @@ def test_noncrossing_matchings_are_catalan():
     for m in noncrossing_matchings(3):
         # every chord of a planar matching joins opposite parities
         assert all((a + b) % 2 == 1 for a, b in m.pairs)
+    # the filter of `all_matchings` keeps its lexicographic order, on
+    # which seeded expressions and the realization closure depend
+    for n in range(1, 7):
+        ms = [m.pairs for m in noncrossing_matchings(n)]
+        assert len(ms) == math.comb(2 * n, n) // (n + 1), n
+        assert all(x < y for x, y in zip(ms, ms[1:])), n
+        for m in ms:
+            assert sorted(p for pair in m for p in pair) == list(range(1, 2 * n + 1))
+            crossing = [(u, v) for u, v in permutations(m, 2) if u[0] < v[0] < u[1] < v[1]]
+            assert not crossing, m
 
 
 def test_expr_width_checks():
