@@ -103,10 +103,10 @@ def _cmd_boundary(args, out):
         if args.integers:
             out.append(f"virtual_index = {fox.virtual_index(d)}")
         else:
-            img = fox.boundary_image(d, args.p)
+            _, img, reduced = fox._boundary_data(d, args.p)
             _print_subspace(out, "psi", img)
-            if d.n >= 2:
-                _print_subspace(out, "psihat", fox.reduce_image(img))
+            if reduced is not None:
+                _print_subspace(out, "psihat", reduced)
     except AlternatingConditionError as exc:
         # the colorings of a planar diagram satisfy the condition; a
         # compiled diagram is planar, a diagram file need not be
@@ -247,12 +247,8 @@ def _cmd_obstruct(args, out):
     reports = [bg.obstruction(word, kill=kill) for kill in kills]
     for kill, rep in zip(kills, reports):
         out.append(f"kill_{kill} = {rep.verdict}")
-    verdict = (
-        "OBSTRUCTED"
-        if any(r.verdict == "OBSTRUCTED" for r in reports)
-        else "INCONCLUSIVE"
-    )
-    out.append(f"verdict = {verdict}")
+    obstructed = any(r.verdict == "OBSTRUCTED" for r in reports)
+    out.append(f"verdict = {'OBSTRUCTED' if obstructed else 'INCONCLUSIVE'}")
     out.append(f"tri = {reports[0].tri_closure}")
     if reports[0].quotient is not None:
         out.append(f"quotient_order = {reports[0].quotient}")
@@ -378,15 +374,10 @@ def _glue_fraction_argv(argv):
     hoist the token after `move-check --fraction` into `--fraction=`."""
     if not argv or argv[0] != "move-check":
         return argv
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--fraction" and i + 1 < len(argv):
-            out.append(f"--fraction={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--fraction" else None
+        out.append(tok if value is None else f"--fraction={value}")
     return out
 
 

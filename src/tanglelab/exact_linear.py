@@ -19,9 +19,9 @@ map and, over the integers, the same nonunit invariant factors.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import gcd, prod
-from operator import mul
+from operator import mul, not_
 
 from .errors import CrossCheckError, NotPrimeError, PrimalityBoundError
 from .value import Value
@@ -86,7 +86,7 @@ def check_prime(p):
 def _residues(rows, p, width):
     """The rows as lists of Python-int residues mod p (Python ints when
     p is None), each of the given width."""
-    out = [[int(x) if p is None else int(x) % p for x in row] for row in rows]
+    out = [list(map(int, row)) if p is None else [x % p for x in map(int, row)] for row in rows]
     if any(len(row) != width for row in out):
         raise ValueError(f"expected vectors of length {width}")
     return out
@@ -96,21 +96,25 @@ def _rref_raw(R, p, ncols):
     """Row-reduce the residue rows R (lists over ncols columns; R is
     reordered and its rows rebound) over F_p; returns (the nonzero
     reduced rows, pivot cols)."""
-    pivots = []
+    pivots, m = [], len(R)
     for c in range(ncols):
         r = len(pivots)
-        if r == len(R):
+        if r == m:
             break
-        i = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if i is None:
+        for i in range(r, m):
+            if R[i][c]:
+                break
+        else:
             continue
-        R[r], R[i] = R[i], R[r]
-        inv = pow(R[r][c], -1, p)
-        pivot = R[r] = [x * inv % p for x in R[r]]
-        for j, row in enumerate(R):
-            f = row[c]
+        pivot, R[i] = R[i], R[r]
+        if pivot[c] != 1:
+            inv = pow(pivot[c], -1, p)
+            pivot = [x * inv % p for x in pivot]
+        R[r] = pivot
+        for j in range(m):
+            f = R[j][c]
             if f and j != r:
-                R[j] = [(x - f * y) % p for x, y in zip(row, pivot)]
+                R[j] = [(x - f * y) % p for x, y in zip(R[j], pivot)]
         pivots.append(c)
     return R[: len(pivots)], pivots
 
@@ -234,23 +238,24 @@ def eliminate_units(rows, ncols, p=None):
             neg_inv[u] = -pow(u, -1, p) % p
             return neg_inv[u]
 
-    sparse = []
-    for row in rows:
-        r = {c: a % p for c, a in row if a % p} if p else {c: a for c, a in row if a}
-        if len(r) < len(row):  # a repeated column or a zero: add up, then drop zeros
+    sparse, rows_of = [], [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        r = {}
+        for c, a in row:
+            r[c] = a % p if p else a
+        if len(r) < len(row) or 0 in r.values():  # a repeated column or a zero
             r = {}
             for c, a in row:
                 r[c] = r.get(c, 0) + a
             r = {c: a % p for c, a in r.items() if a % p} if p else {
                 c: a for c, a in r.items() if a}
         sparse.append(r)
-    rows_of = [[] for _ in range(ncols)]
-    for i, r in enumerate(sparse):
         for c in r:
             rows_of[c].append(i)
-    uses = [len(ix) for ix in rows_of]  # pending rows per column
-    undetermined = [len(r) for r in sparse]  # per row
-    known = [False] * ncols  # free or forward-determined
+    uses = list(map(len, rows_of))  # pending rows per column
+    undetermined = list(map(len, sparse))  # per row
+    known = [False] * ncols  # free, forward-determined or peeled
+    unsolved = [True] * ncols  # neither forward nor peeled
     pivoted = [False] * len(sparse)
     exprs = {}  # forward column -> {free column: coefficient}
     peeled = []  # (column, row, -unit^-1), solved in reverse order
@@ -282,6 +287,7 @@ def eliminate_units(rows, ncols, p=None):
                             out[k] = out.get(k, 0) + a * b
             exprs[c] = {j: a % p for j, a in out.items() if a % p} if p else {
                 j: a for j, a in out.items() if a}
+            unsolved[c] = False
         elif lonely:  # peeling: row i retires, c is known but determines nothing
             c = lonely.pop()
             if known[c] or uses[c] != 1:
@@ -293,7 +299,7 @@ def eliminate_units(rows, ncols, p=None):
             if scale is None:
                 continue
             peeled.append((c, i, scale))
-            known[c], c = True, None
+            known[c], unsolved[c], c = True, False, None
         else:  # free a column of the first pending row with fewest undetermined
             i, fewest = None, ncols + 1
             for k, n in enumerate(undetermined):
@@ -321,34 +327,38 @@ def eliminate_units(rows, ncols, p=None):
                 if n == 1:
                     ready.append(k)
 
-    solved = set(exprs).union(c for c, _, _ in peeled)
-    free = tuple(c for c in range(ncols) if c not in solved)
-    position = {c: i for i, c in enumerate(free)}
+    free = tuple(compress(range(ncols), unsolved))
+    position = dict(zip(free, range(len(free))))
     residual = []
-    for i, r in enumerate(sparse):
-        if not pivoted[i]:
-            dense = [0] * len(free)
-            for j, a in r.items():
-                e = exprs.get(j)
-                if e is None:
-                    dense[position[j]] += a
-                else:
-                    for k, b in e.items():
-                        dense[position[k]] += a * b
-            residual.append(dense if p is None else [a % p for a in dense])
+    for r in compress(sparse, map(not_, pivoted)):
+        dense = [0] * len(free)
+        for j, a in r.items():
+            e = exprs.get(j)
+            if e is None:
+                dense[position[j]] += a
+            else:
+                for k, b in e.items():
+                    dense[position[k]] += a * b
+        residual.append(dense if p is None else [a % p for a in dense])
 
     def expand(v):
+        # each column is reduced as it is set: a chain of peeled columns
+        # would otherwise grow its representatives by up to p per step
         x = [0] * ncols
         for c, a in zip(free, v):
-            x[c] = int(a)
+            x[c] = int(a) if p is None else int(a) % p
         for c, e in exprs.items():
-            x[c] = sum(b * x[j] for j, b in e.items())
-        for c, i, scale in reversed(peeled):
-            y = scale * sum(a * x[j] for j, a in sparse[i].items() if j != c)
-            # reduce as we go: a chain of peeled columns would otherwise
-            # grow its representatives by a factor of up to p per step
+            y = 0
+            for j, b in e.items():
+                y += b * x[j]
             x[c] = y if p is None else y % p
-        return x if p is None else [a % p for a in x]
+        for c, i, scale in reversed(peeled):
+            y = 0
+            for j, a in sparse[i].items():  # x[c] is still 0
+                y += a * x[j]
+            y *= scale
+            x[c] = y if p is None else y % p
+        return x
 
     return free, residual, expand
 

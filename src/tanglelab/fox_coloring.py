@@ -61,26 +61,25 @@ class ColoringSpace(Value, namedtuple(
 
 
 def _relation_rows(diagram, t=-1, tinv=-1):
-    """Sorted arcs and the sparse crossing relations c = (1-t) a + t b
-    (a over, b entering under, c exiting under), one row per crossing
-    with tinv in place of t at negative crossings, as (arc index,
-    coefficient) pairs led by the exiting under-arc, the row's preferred
-    pivot.  At t = tinv = -1 this is the Fox relation 2a = b + c at
-    every crossing."""
-    arcs = sorted(diagram.arcs)
-    index = {a: i for i, a in enumerate(arcs)}
+    """The column of each arc (a dict, arcs in sorted order) and the
+    sparse crossing relations c = (1-t) a + t b (a over, b entering
+    under, c exiting under), one row per crossing with tinv in place of t
+    at negative crossings, as (column, coefficient) pairs led by the
+    exiting under-arc, the row's preferred pivot.  At t = tinv = -1 this
+    is the Fox relation 2a = b + c at every crossing."""
+    index = dict(zip(sorted(diagram.arcs), range(len(diagram.arcs))))
     rows = []
     for over, under_in, under_out, sign in diagram.crossings:
         tt = t if sign is None or sign > 0 else tinv
         rows.append(((index[under_out], -1), (index[over], 1 - tt), (index[under_in], tt)))
-    return arcs, rows
+    return index, rows
 
 
 def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
-    """Sorted arcs and an independent basis (vectors over all arcs, one
-    per free column) of the solutions of the crossing relations over F_p."""
-    arcs, rows = _relation_rows(diagram, t, tinv)
-    return arcs, xl.sparse_kernel_mod_p(rows, len(arcs), p)
+    """The column of each arc and an independent basis (vectors over all
+    arcs, one per free column) of the crossing relations' kernel mod p."""
+    index, rows = _relation_rows(diagram, t, tinv)
+    return index, xl.sparse_kernel_mod_p(rows, len(index), p)
 
 
 def coloring_space(diagram, k):
@@ -131,30 +130,37 @@ def _ensure_calibrated():
 def boundary_image(diagram, p):
     """Image of the coloring space in F_p^(2n), restricted to boundary
     points in counterclockwise order."""
+    return _boundary_data(diagram, p)[1]
+
+
+def _boundary_data(diagram, p):
+    """The nullity of the crossing relations over F_p, `boundary_image`
+    and `reduced_boundary_image` (None below two strands), with the
+    checks of both, from one elimination and one kernel.  One
+    f-coordinate pass per image row checks the alternating condition and
+    gives the reduced row."""
     xl.check_prime(p)
-    if diagram.n < 1:
+    n = diagram.n
+    if n < 1:
         raise ValueError("diagram has no boundary")
-    return _image_of_kernel(diagram, *_kernel_mod_p(diagram, p), p)
-
-
-def _image_of_kernel(diagram, arcs, basis, p):
-    """`boundary_image` read off a kernel basis from `_kernel_mod_p`,
-    with the same checks, for a caller that also needs the kernel."""
     _ensure_calibrated()
-    index = {a: i for i, a in enumerate(arcs)}
+    index, basis = _kernel_mod_p(diagram, p)
     cols = [index[a] for a in diagram.boundary]
-    rows = [[v[i] for i in cols] for v in basis]
-    img = SubspaceModP.from_vectors(rows, p, 2 * diagram.n)
+    img = SubspaceModP.from_vectors([[v[i] for i in cols] for v in basis], p, 2 * n)
+    f_rows = []
     for v in img.rows:
-        _, residual = _f_coordinates(v, diagram.n)
+        c, residual = _f_coordinates(v, n)
         if residual % p:
             raise AlternatingConditionError(
                 f"boundary coloring {v} violates the alternating condition mod {p}"
             )
-    mono = [1] * (2 * diagram.n)
-    if not img.contains(mono):
+        f_rows.append([x % p for x in c])
+    # a vector is in the image iff it is the sum of the echelon rows
+    # weighted by its pivot entries: for all-ones, the plain sum
+    if [sum(col) % p for col in zip(*img.rows)] != [1] * (2 * n):
         raise CrossCheckError("monochromatic colorings missing from boundary image")
-    return img
+    reduced = SubspaceModP.from_vectors(f_rows, p, 2 * n - 2) if n > 1 else None
+    return len(basis), img, reduced
 
 
 def _f_coordinates(v, n):
@@ -207,7 +213,7 @@ def reduced_boundary_image(diagram, p):
     xl.check_prime(p)
     if diagram.n < 2:
         raise ValueError("reduction needs an n-tangle with n >= 2")
-    return reduce_image(boundary_image(diagram, p))
+    return _boundary_data(diagram, p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +396,8 @@ def virtual_index(diagram):
     n = diagram.n
     if n < 2:
         raise ValueError("virtual index needs an n-tangle with n >= 2")
-    arcs, rows = _relation_rows(diagram)
-    free, left, expand = xl.eliminate_units(rows, len(arcs))
-    index = {a: i for i, a in enumerate(arcs)}
+    index, rows = _relation_rows(diagram)
+    free, left, expand = xl.eliminate_units(rows, len(index))
     cols = [index[a] for a in diagram.boundary]
     reduced = []
     for v in map(expand, xl.int_kernel(left, len(free))):

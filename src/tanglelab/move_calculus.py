@@ -113,10 +113,15 @@ def boundary_invariant(expr, p):
     return _checked_boundary_point(expr, p)[0]
 
 
-def _checked_boundary_point(expr, p):
-    """`boundary_invariant` and the diagram it compiled for the check."""
+def _check_odd_prime(p):
+    """Raise NotPrimeError unless p is an odd prime."""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
+
+
+def _checked_boundary_point(expr, p):
+    """`boundary_invariant` and the diagram it compiled for the check."""
+    _check_odd_prime(p)
     image = fox.expr_boundary_image(expr, p)
     if image.ambient != 4:
         raise ValueError("boundary invariant is defined for 2-tangles")
@@ -269,8 +274,7 @@ def reduce_rational(f, p):
     """Reduce an exact fraction to its mod-p class representative in the
     horizontal family, with a replayable move certificate;
     BudgetExceededError when its site paths pass MAX_SITE_CHARS."""
-    if p == 2 or not is_prime(p):
-        raise NotPrimeError(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     if not isinstance(f, Frac):
         f = Frac.make(*f) if isinstance(f, tuple) else Frac.make(f)
     steps = []
@@ -484,19 +488,17 @@ def _coloring_data(diagram, p):
     """The p-coloring count and the reduced boundary image (None below
     two strands) from one elimination: `coloring_space(diagram, p).count`
     and `reduced_boundary_image(diagram, p)`."""
-    arcs, basis = fox._kernel_mod_p(diagram, p)
-    count = p ** (len(basis) + diagram.closed_components)
     if diagram.n < 2:
-        return count, None
-    return count, fox.reduce_image(fox._image_of_kernel(diagram, arcs, basis, p))
+        return fox.coloring_space(diagram, p).count, None
+    nullity, _, reduced = fox._boundary_data(diagram, p)
+    return p ** (nullity + diagram.closed_components), reduced
 
 
 def invariance_harness(diagram, site, f, p):
     """Splice the tangle of fraction f (numerator divisible by p) at the
     site and check that the p-coloring count and the reduced boundary
     image are unchanged."""
-    if p == 2 or not is_prime(p):
-        raise NotPrimeError(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     if f.num % p:
         raise ValueError(f"move fraction {f} does not preserve {p}-colorings")
     before_count, before_image = _coloring_data(diagram, p)

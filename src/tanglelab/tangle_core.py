@@ -157,22 +157,20 @@ class TangleDiagram(Value, namedtuple(
     def validate(self):
         if len(self.boundary) % 2:
             raise ValueError("boundary length must be even")
-        arcs = self.arcs
+        ends = dict.fromkeys(self.arcs, 0)
         for over, under_in, under_out, _ in self.crossings:
-            for a in (over, under_in, under_out):
-                if a not in arcs:
-                    raise ValueError(f"crossing references unknown arc {a}")
-        ends = dict.fromkeys(arcs, 0)
-        for a in self.boundary:
-            if a not in arcs:
-                raise ValueError(f"boundary references unknown arc {a}")
-            ends[a] += 1
-        for _, under_in, under_out, _ in self.crossings:
+            if over not in ends or under_in not in ends or under_out not in ends:
+                a = next(a for a in (over, under_in, under_out) if a not in ends)
+                raise ValueError(f"crossing references unknown arc {a}")
             ends[under_in] += 1
             ends[under_out] += 1
-        for a, k in sorted(ends.items()):
-            if k not in (0, 2):
-                raise ValueError(f"arc {a} has an end count of {k}, not 0 or 2")
+        for a in self.boundary:
+            if a not in ends:
+                raise ValueError(f"boundary references unknown arc {a}")
+            ends[a] += 1
+        if not all(k in (0, 2) for k in ends.values()):
+            a, k = min((a, k) for a, k in ends.items() if k not in (0, 2))
+            raise ValueError(f"arc {a} has an end count of {k}, not 0 or 2")
         if self.closed_components < 0:
             raise ValueError("negative closed component count")
         return self
@@ -407,8 +405,7 @@ class _Builder:
         under_in = self.find(under_in)
         under_out = self.find(under_out)
         self.crossings.append([over, under_in, under_out, sign])
-        for a in (over, under_in, under_out):
-            self.touched[a] = True
+        self.touched[over] = self.touched[under_in] = self.touched[under_out] = True
 
     def braid(self, cur, letters, signed):
         """Hang the braid word `letters` below the strand ends `cur` (root
@@ -450,13 +447,14 @@ class _Builder:
 
     def finish(self, corners):
         # deterministic compact relabeling: roots numbered in order of
-        # first appearance, crossings first, then boundary
-        find, relabel, crossings = self.find, {}, []
+        # first appearance, crossings first, then boundary; tuple.__new__
+        # skips the namedtuple's argument handling
+        find, relabel, crossings, new = self.find, {}, [], tuple.__new__
         for over, under_in, under_out, sign in self.crossings:
             over = relabel.setdefault(find(over), len(relabel))
             under_in = relabel.setdefault(find(under_in), len(relabel))
             under_out = relabel.setdefault(find(under_out), len(relabel))
-            crossings.append(Crossing(over, under_in, under_out, sign))
+            crossings.append(new(Crossing, (over, under_in, under_out, sign)))
         boundary = tuple(relabel.setdefault(find(c), len(relabel)) for c in corners)
         return TangleDiagram(
             frozenset(range(len(relabel))), tuple(crossings), boundary, self.circles
@@ -464,37 +462,23 @@ class _Builder:
 
 
 def _build_planar(b, pairs):
-    width2 = 2 * len(pairs)
-    corners = [None] * width2
+    corners = [None] * (2 * len(pairs))
     for i, j in pairs:
-        a = b.new_arc(2)
-        corners[i - 1] = a
-        corners[j - 1] = a
+        corners[i - 1] = corners[j - 1] = b.new_arc(2)
     return corners
 
 
 def _build_sigma(b, n, level, sign):
     corners = [None] * (2 * n)
     for ell in range(1, n + 1):
-        if ell in (level, level + 1):
-            continue
-        a = b.new_arc(2)
-        corners[ell - 1] = a
-        corners[2 * n - ell] = a
-    over = b.new_arc(2)
-    u_in = b.new_arc(1)
-    u_out = b.new_arc(1)
-    if sign > 0:
-        # strand entering at level i+1 is on top: runs to right level i
-        corners[level] = over
-        corners[2 * n - level] = over
-        corners[level - 1] = u_in
-        corners[2 * n - level - 1] = u_out
-    else:
-        corners[level - 1] = over
-        corners[2 * n - level - 1] = over
-        corners[level] = u_in
-        corners[2 * n - level] = u_out
+        if ell not in (level, level + 1):
+            corners[ell - 1] = corners[2 * n - ell] = b.new_arc(2)
+    over, u_in, u_out = b.new_arc(2), b.new_arc(1), b.new_arc(1)
+    # the over strand enters on the left at `top` and leaves on the right
+    # at the other level; a positive sign puts level i+1 on top
+    top, under = (level, level - 1) if sign > 0 else (level - 1, level)
+    corners[top] = corners[2 * n - 1 - under] = over
+    corners[under], corners[2 * n - 1 - top] = u_in, u_out
     b.add_crossing(over, u_in, u_out)
     return corners
 
@@ -507,34 +491,35 @@ def _glue_compose(b, left, right):
 
 
 def _build(b, expr):
+    if isinstance(expr, Compose):  # the node types are disjoint: most frequent first
+        left = _build(b, expr.left)
+        right = _build(b, expr.right)
+        if len(left) != len(right):
+            raise ValueError("composed tangles must have equal widths")
+        return _glue_compose(b, left, right)
+    if isinstance(expr, Rot):  # a chain of k Rot nodes turns by k at once
+        k = 0
+        while isinstance(expr, Rot):
+            expr, k = expr.child, k + 1
+        corners = _build(b, expr)
+        k %= len(corners) or 1
+        return corners[-k:] + corners[:-k]
     if isinstance(expr, Integer):
         # the braid sigma_1^k hung from the right corners of the 0-tangle
         nw, sw, se, ne = _build_planar(b, ((1, 4), (2, 3)))
         right = [se, ne]
         b.braid(right, (1 if expr.k > 0 else -1,) * abs(expr.k), False)
         return [nw, sw] + right
-    if isinstance(expr, Infinity):
-        return _build_planar(b, ((1, 2), (3, 4)))
     if isinstance(expr, Planar):
         return _build_planar(b, expr.pairs)
+    if isinstance(expr, Infinity):
+        return _build_planar(b, ((1, 2), (3, 4)))
     if isinstance(expr, Sigma):
         return _build_sigma(b, expr.n, expr.i, expr.sign)
     if isinstance(expr, Rational):  # corners turn as under `Rot`, k times
-        return _fold_twists(
-            expr.entries,
-            lambda k: _build(b, Integer(k)),
-            lambda corners, k: corners[-k:] + corners[:-k],
-            lambda left, right: _glue_compose(b, left, right),
-        )
-    if isinstance(expr, Rot):
-        corners = _build(b, expr.child)
-        return [corners[-1]] + corners[:-1]
-    if isinstance(expr, Compose):
-        left = _build(b, expr.left)
-        right = _build(b, expr.right)
-        if len(left) != len(right):
-            raise ValueError("composed tangles must have equal widths")
-        return _glue_compose(b, left, right)
+        return _fold_twists(expr.entries, lambda k: _build(b, Integer(k)),
+                            lambda corners, k: corners[-k:] + corners[:-k],
+                            lambda left, right: _glue_compose(b, left, right))
     raise TypeError(f"not a tangle expression: {expr!r}")
 
 
@@ -547,16 +532,16 @@ MAX_CROSSINGS = 200_000
 
 def _crossing_count(expr):
     """Crossings that compiling the expression builds."""
+    while isinstance(expr, Rot):
+        expr = expr.child
+    if isinstance(expr, Compose):
+        return _crossing_count(expr.left) + _crossing_count(expr.right)
     if isinstance(expr, Integer):
         return abs(expr.k)
     if isinstance(expr, Rational):
         return sum(abs(e) for e in expr.entries)
     if isinstance(expr, Sigma):
         return 1
-    if isinstance(expr, Rot):
-        return _crossing_count(expr.child)
-    if isinstance(expr, Compose):
-        return _crossing_count(expr.left) + _crossing_count(expr.right)
     return 0
 
 
@@ -739,16 +724,23 @@ def closure(diagram, kind):
 
 def _load_diagram(b, diagram):
     """Add a diagram's arcs (in sorted order), crossings and closed
-    circles to the builder b for more gluing; returns the builder id of
-    each diagram arc and the ids of its corners."""
-    bcount = {}
-    for a in diagram.boundary:
-        bcount[a] = bcount.get(a, 0) + 1
-    ids = {a: b.new_arc(bcount.get(a, 0)) for a in sorted(diagram.arcs)}
+    circles to the builder b for more gluing, in bulk: the arcs are fresh
+    roots, so no crossing needs a `find`.  Returns the builder id of each
+    diagram arc and the ids of its corners."""
+    base, m = len(b.parent), len(diagram.arcs)
+    ids = dict(zip(sorted(diagram.arcs), range(base, base + m)))
+    corners = [ids[a] for a in diagram.boundary]
+    b.parent += range(base, base + m)
+    b.ends += [0] * m
+    b.touched += [False] * m
+    for i in corners:
+        b.ends[i] += 1
     for over, under_in, under_out, sign in diagram.crossings:
-        b.add_crossing(ids[over], ids[under_in], ids[under_out], sign)
+        x = [ids[over], ids[under_in], ids[under_out], sign]
+        b.crossings.append(x)
+        b.touched[x[0]] = b.touched[x[1]] = b.touched[x[2]] = True
     b.circles += diagram.closed_components
-    return ids, [ids[a] for a in diagram.boundary]
+    return ids, corners
 
 
 # ---------------------------------------------------------------------------

@@ -294,14 +294,17 @@ def test_diagram_sign_field_is_plus_or_minus_one(tmp_path):
 def test_boundary_computes_the_image_once(monkeypatch):
     from tanglelab import fox_coloring
 
+    # one elimination gives both psi and psihat; the one-time calibration
+    # also reads boundary images, so it runs before the count starts
+    fox_coloring._ensure_calibrated()
     calls = []
-    image = fox_coloring.boundary_image
+    data = fox_coloring._boundary_data
 
     def counted(*args):
         calls.append(args)
-        return image(*args)
+        return data(*args)
 
-    monkeypatch.setattr(fox_coloring, "boundary_image", counted)
+    monkeypatch.setattr(fox_coloring, "_boundary_data", counted)
     code, out = capture(["boundary", "--p", "5", "--conway", "T(3,2,4)"])
     assert code == 0
     assert "psihat_dim = 1" in out

@@ -124,6 +124,73 @@ def test_rref_canonical_under_row_ops():
             assert SubspaceModP.from_vectors(S1.rows, p, m) == S1
 
 
+def _span(rows, p, m):
+    """Every F_p combination of the rows, by enumeration."""
+    span = {(0,) * m}
+    for row in rows:
+        span = {tuple((x + a * y) % p for x, y in zip(v, row)) for v in span for a in range(p)}
+    return span
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p by elimination from the last column to the first,
+    pivoting on the last row with a nonzero entry and inverting by
+    Fermat: none of the choices `_rref_raw` makes."""
+    rows, rank = [[int(x) % p for x in row] for row in rows], 0
+    for c in reversed(range(len(rows[0]) if rows else 0)):
+        live = [i for i in range(len(rows) - rank) if rows[i][c]]
+        if not live:
+            continue
+        last = len(rows) - rank - 1
+        rows[live[-1]], rows[last] = rows[last], rows[live[-1]]
+        pivot, inv = rows[last], pow(rows[last][c], p - 2, p)
+        for j in range(last):
+            f = rows[j][c] * inv % p
+            rows[j] = [(x - f * y) % p for x, y in zip(rows[j], pivot)]
+        rank += 1
+    return rank
+
+
+def _check_rref(S, M, p, m):
+    """The echelon rules for S = from_vectors(M, p, m), and its row space
+    against M: leading 1s at strictly increasing pivots with zeros above
+    and below, every row of M in the span, and equal spans by enumeration
+    when p^rows <= 5000 (else equal dimensions: M's rank mod p)."""
+    assert (S.p, S.ambient, len(S.pivots)) == (p, m, S.dim)
+    assert list(S.pivots) == sorted(set(S.pivots))
+    for r, (row, c) in enumerate(zip(S.rows, S.pivots)):
+        assert len(row) == m and all(0 <= x < p for x in row)
+        assert not any(row[:c]) and row[c] == 1
+        assert all(other[c] == 0 for i, other in enumerate(S.rows) if i != r)
+    for v in M:
+        # the coefficient of each echelon row is v's entry in its pivot column
+        w = [int(x) % p for x in v]
+        for row, c in zip(S.rows, S.pivots):
+            w = [(x - w[c] * y) % p for x, y in zip(w, row)]
+        assert not any(w), (v, S)
+    if p ** len(M) <= 5000:
+        assert _span(S.rows, p, m) == _span([[int(x) for x in v] for v in M], p, m)
+    else:
+        assert S.dim == _rank_mod_p(M, p)
+
+
+def test_from_vectors_against_an_independent_echelon_reference():
+    rng = random.Random(31)
+    checked = 0
+    for p in (2, 3, 5, 13, 4294967311):
+        span = min(p, 7)
+        for rows, m in product(range(7), range(1, 9)):
+            M = [[rng.randint(-span, span) for _ in range(m)] for _ in range(rows)]
+            if rows >= 2:  # a zero row and a duplicate row
+                M[rng.randrange(rows)] = [0] * m
+                M[rng.randrange(rows)] = list(M[rng.randrange(rows)])
+            for vectors in (M, np.array(M, dtype=np.int64).reshape(rows, m)):
+                S = SubspaceModP.from_vectors(vectors, p, m)
+                _check_rref(S, M, p, m)
+                checked += 1
+    assert checked == 2 * 5 * 7 * 8
+
+
 def test_rank_nullity_and_annihilation():
     rng = random.Random(11)
     for p in (3, 5):

@@ -9,7 +9,7 @@ from example_links import borromean_rings, figure_eight, trefoil, trivial_link
 
 import tanglelab.exact_linear as xl
 from tanglelab.cli import run
-from tanglelab.errors import NotPrimeError
+from tanglelab.errors import CrossCheckError, NotPrimeError
 from tanglelab.exact_linear import SubspaceModP
 from tanglelab.fox_coloring import (
     ImageTable,
@@ -123,6 +123,38 @@ def test_composite_k_against_bruteforce():
             continue
         for k in (4, 6, 9):
             assert coloring_space(d, k).count == brute_count(d, k), (d, k)
+
+
+def test_monochromatic_check_agrees_with_membership(monkeypatch):
+    # the image check adds up the echelon rows instead of reducing the
+    # all-ones vector; feed it kernels no diagram has, with and without
+    # the monochromatic colorings, and compare with `contains`
+    import tanglelab.fox_coloring as fox
+
+    d = compile_expr(Integer(2))
+    assert d.boundary == (1, 0, 3, 2)
+    fox._ensure_calibrated()
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((3, 5, 7))
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            a, b, c = (rng.randrange(p) for _ in range(3))
+            rows.append([a, b, c, (a - b + c) % p])  # the alternating condition
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [1, 1, 1, 1])
+        basis = [[v[1], v[0], v[3], v[2]] for v in rows]  # boundary arcs -> arc order
+        monkeypatch.setattr(fox, "_kernel_mod_p", lambda _d, _p, basis=basis: (
+            {a: a for a in range(4)}, basis))
+        img = SubspaceModP.from_vectors(rows, p, 4)
+        seen.add(img.contains([1, 1, 1, 1]))
+        if img.contains([1, 1, 1, 1]):
+            assert boundary_image(d, p) == img
+        else:
+            with pytest.raises(CrossCheckError, match="monochromatic colorings missing"):
+                boundary_image(d, p)
+    assert seen == {True, False}
 
 
 def test_monochromatic_always_colors():

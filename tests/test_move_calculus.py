@@ -2,6 +2,7 @@ import io
 import random
 
 import pytest
+from dense_oracle import dense_count, dense_reduced_image
 from example_links import point_to_line, trefoil
 
 import tanglelab.move_calculus as mv
@@ -376,6 +377,13 @@ def _two_route_data(diagram, p):
     return count, image
 
 
+def _dense_data(diagram, p):
+    """The same data from the dense relation matrix, which shares no code
+    with `reduced_boundary_image` and the harness."""
+    image = dense_reduced_image(diagram, p) if diagram.n >= 2 else None
+    return dense_count(diagram, p), image
+
+
 def test_one_kernel_harness_data_equals_two_routes():
     rng = random.Random(12)
     closed = 0
@@ -385,6 +393,7 @@ def test_one_kernel_harness_data_equals_two_routes():
             closed += d.closed_components > 0
             for p in (3, 5, 7, 13):
                 assert mv._coloring_data(d, p) == _two_route_data(d, p)
+                assert mv._coloring_data(d, p) == _dense_data(d, p)
     assert closed >= 5  # closed components add to the count
 
 
@@ -401,6 +410,8 @@ def test_harness_report_equals_two_routes_on_spliced_diagrams():
                 rep = invariance_harness(d, tuple(rng.sample(arcs, 2)), frac, p)
                 assert (rep.count_before, rep.image_before) == _two_route_data(d, p)
                 assert (rep.count_after, rep.image_after) == _two_route_data(rep.spliced, p)
+                assert (rep.count_before, rep.image_before) == _dense_data(d, p)
+                assert (rep.count_after, rep.image_after) == _dense_data(rep.spliced, p)
 
 
 def test_cached_twist_tangle_splices_like_a_fresh_one(monkeypatch):

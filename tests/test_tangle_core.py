@@ -1,15 +1,16 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 from example_links import figure_eight, trefoil, trivial_link
 
-from tanglelab import tangle_core
+from tanglelab import move_calculus, tangle_core
 from tanglelab.errors import BudgetExceededError, ConwaySyntaxError, NotRationalError
 from tanglelab.fox_coloring import ImageTable, expr_boundary_image, tri
-from tanglelab.move_calculus import boundary_invariant
+from tanglelab.move_calculus import boundary_invariant, splice_identity_site
 from tanglelab.tangle_core import (
     INF,
     BraidWord,
@@ -21,6 +22,7 @@ from tanglelab.tangle_core import (
     Rational,
     Rot,
     Sigma,
+    TangleDiagram,
     braid_closure,
     cf_eval,
     cf_vector,
@@ -419,3 +421,54 @@ def test_crossing_parity_rejects_a_closed_strand_crossed_once():
     # two closed loops crossing each other once each way: 2 crossings
     d = parse_diagram_text("X 5 6 6\nX 6 5 5\n")
     assert len(d.crossings) == 2
+
+
+def test_validate_names_the_smallest_bad_arc():
+    # the arc set iterates 40 before 9, and both arcs have a bad end count
+    d = TangleDiagram(frozenset({9, 40}), (), (40, 9, 9, 9), 0)
+    with pytest.raises(ValueError, match=r"^arc 9 has an end count of 3, not 0 or 2$"):
+        d.validate()
+    d = TangleDiagram(frozenset({3, 8, 40}), (), (40, 8, 3, 8, 40, 40), 0)
+    with pytest.raises(ValueError, match=r"^arc 3 has an end count of 1, not 0 or 2$"):
+        d.validate()
+
+
+def _reference_load(b, diagram):
+    """`_load_diagram` one arc and one crossing at a time, through
+    `_Builder.new_arc` and `_Builder.add_crossing`."""
+    ends = Counter(diagram.boundary)
+    ids = {a: b.new_arc(ends[a]) for a in sorted(diagram.arcs)}
+    for over, under_in, under_out, sign in diagram.crossings:
+        b.add_crossing(ids[over], ids[under_in], ids[under_out], sign)
+    b.circles += diagram.closed_components
+    return ids, [ids[a] for a in diagram.boundary]
+
+
+def test_bulk_loader_builds_what_one_arc_at_a_time_builds(monkeypatch):
+    rng = random.Random(43)
+    fractions = [Frac.make(3, 1), Frac.make(5, 2), Frac.make(-13, 5), Frac.make(7, -3)]
+    cases = []
+    while len(cases) < 240:
+        n = rng.choice((2, 2, 2, 3))
+        d = compile_expr(random_algebraic_expr(n, rng, max_depth=3))
+        if len(d.arcs) >= 2:
+            cases.append((d, tuple(rng.sample(sorted(d.arcs), 2)), rng.choice(fractions)))
+    for _ in range(20):  # closed diagrams: no boundary at all
+        w = BraidWord(3, [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(5)])
+        d = braid_closure(w)
+        cases.append((d, tuple(rng.sample(sorted(d.arcs), 2)), rng.choice(fractions)))
+    assert sum(d.closed_components > 0 for d, _, _ in cases) >= 20
+    assert sum(len(set(d.boundary)) < len(d.boundary) for d, _, _ in cases) >= 20
+
+    def build():
+        out = []
+        for d, site, f in cases:
+            if d.n == 2:
+                out += [closure(d, "numerator"), closure(d, "denominator")]
+            out.append(splice_identity_site(d, site, f))
+        return out
+
+    bulk = build()
+    monkeypatch.setattr(tangle_core, "_load_diagram", _reference_load)
+    monkeypatch.setattr(move_calculus, "_load_diagram", _reference_load)
+    assert build() == bulk

@@ -1,9 +1,9 @@
 """Cross-checks of the sparse unit-pivot route against dense elimination.
 
-The oracle builds the dense crossings x arcs relation matrix directly from
-the crossings (2 / -1 / -1 for Fox, (1-t) / t / -1 for ABF) and solves it
-with the dense eliminators: `kernel_mod_p` over F_p, and over Z the
-transform-building Smith form kept in `smith_oracle`.
+The oracle (`dense_oracle`) builds the dense crossings x arcs relation
+matrix directly from the crossings (2 / -1 / -1 for Fox, (1-t) / t / -1
+for ABF) and solves it with the dense eliminators: `kernel_mod_p` over
+F_p, and over Z the transform-building Smith form kept in `smith_oracle`.
 Virtual indices are checked against the gcd of the maximal nonzero
 minors of the reduced lattice, computed without a Smith form.
 """
@@ -44,18 +44,7 @@ from tanglelab.tangle_core import (
 )
 
 import smith_oracle as oracle
-
-
-def dense_matrix(d, t=-1, tinv=-1):
-    arcs = sorted(d.arcs)
-    index = {a: i for i, a in enumerate(arcs)}
-    M = np.zeros((len(d.crossings), len(arcs)), dtype=np.int64)
-    for r, c in enumerate(d.crossings):
-        tt = t if c.sign is None or c.sign > 0 else tinv
-        M[r, index[c.over]] += 1 - tt
-        M[r, index[c.under_in]] += tt
-        M[r, index[c.under_out]] -= 1
-    return arcs, M
+from dense_oracle import dense_boundary_image, dense_matrix
 
 
 def dense_kernel(d, p, t=-1, tinv=-1):
@@ -75,14 +64,6 @@ def sparse_kernel(d, p, t=-1, tinv=-1):
 def dense_factors(d):
     _, M = dense_matrix(d)
     return oracle.snf(M.tolist(), M.shape[1])[0]
-
-
-def dense_boundary_image(d, p):
-    arcs, M = dense_matrix(d)
-    index = {a: i for i, a in enumerate(arcs)}
-    B = xl.kernel_mod_p(M, len(arcs), p).rows
-    rows = [[v[index[a]] for a in d.boundary] for v in B]
-    return xl.SubspaceModP.from_vectors(rows, p, 2 * d.n)
 
 
 def fraction_det(M):
