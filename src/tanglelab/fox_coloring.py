@@ -267,41 +267,24 @@ def _leaf_rows(expr):
     raise TypeError(f"not a tangle expression: {expr!r}")
 
 
-def _fiber_product(left, right, p):
-    """Spanning vectors of the image of the composition: pairs of vectors
-    of the two images that agree on the glued points (left[2n-1-k] =
-    right[k], as in `_glue_compose`), projected to left[:n] + right[n:]."""
-    n, a = left.ambient // 2, len(left.rows)
-    system = [
-        [u[2 * n - 1 - k] for u in left.rows] + [-w[k] % p for w in right.rows]
-        for k in range(n)
-    ]
-    kept = list(zip(*left.rows))[:n], list(zip(*right.rows))[n:]
-    return [
-        [sum(map(mul, c, col)) for col in kept[0]]
-        + [sum(map(mul, c[a:], col)) for col in kept[1]]
-        for c in xl._kernel_basis(system, p, a + len(right.rows))
-    ]
-
-
 class ImageTable:
     """Boundary images mod p, interned: id i names the image `images[i]`.
 
     The structural rules run on ids: `leaf(expr)` memoized by the
     expression, `rot(i, k)` (`Rot` applied k times) as one corner shift,
-    and `compose(i, j)` as one `_fiber_product` memoized by (i, j); `expr`
-    walks a tree through them.  Each id records its origin (root,
-    offset): the id it was first interned by rotating, and by how much
-    (itself and 0 if it was not).  `rot` is memoized by (root, offset + k
-    mod 2n), so a rotation of a rotated id is computed at most once; when
-    a rotation returns an id interned before with another root, that root
-    is re-rooted, so the two rotation orbits share one memo.
+    and `compose(i, j)` memoized by (i, j), with one `_lift` per right
+    operand; `expr` walks a tree through them.  Each id records its origin
+    (root, offset): the id it was first interned by rotating, and by how
+    much (itself and 0 if it was not).  `rot` is memoized by (root, offset
+    + k mod 2n), so a rotation of a rotated id is computed at most once;
+    when a rotation returns an id interned before with another root, that
+    root is re-rooted, so the two rotation orbits share one memo.
     """
 
     def __init__(self, p):
         xl.check_prime(p)
         self.p, self.images, self._origins = p, [], []
-        self._ids, self._leaves, self._rots, self._composes = {}, {}, {}, {}
+        self._ids, self._leaves, self._rots, self._composes, self._lifts = {}, {}, {}, {}, {}
 
     def _intern(self, vectors, width, origin=None):
         img = SubspaceModP.from_vectors(vectors, self.p, width)
@@ -351,9 +334,36 @@ class ImageTable:
             left, right = self.images[i], self.images[j]
             if left.ambient != right.ambient:
                 raise ValueError("composed tangles must have equal widths")
-            vectors = _fiber_product(left, right, self.p)
+            p, n = self.p, left.ambient // 2
+            r, cols, zero = self._lift(j)
+            # the fiber product over the glued points (left[2n-1-k] = right[k],
+            # as in `_glue_compose`) projected to left[:n] + right[n:] is the
+            # span of the rows below the r residual pivots, and of `zero`
+            rows = []
+            for u in left.rows:
+                g = u[: n - 1 : -1]
+                x = [sum(map(mul, g, col)) % p for col in cols]
+                rows.append(x[:r] + list(u[:n]) + x[r:])
+            used = len(xl._rref_raw(rows, p, r)[1])
+            vectors = [row[r:] for row in rows[used:]] + zero
             c = self._composes[i, j] = self._intern(vectors, left.ambient)
         return c
+
+    def _lift(self, j):
+        """For the right operand j: the rank deficit r of its glued
+        projection, r + n columns over a glued part g (the projection's
+        annihilator, then the lift of g to the kept coordinates), and its
+        zero-glued rows, all read off the echelon rows of image j."""
+        lift = self._lifts.get(j)
+        if lift is None:
+            img, n = self.images[j], self.images[j].ambient // 2
+            rows = dict(zip(img.pivots, img.rows))
+            echelon = [list(rows[k][:n]) for k in img.pivots if k < n]
+            kept = [rows[k][n:] if k in rows else (0,) * n for k in range(n)]
+            zero = [(0,) * n + rows[k][n:] for k in img.pivots if k >= n]
+            cols = xl._kernel_basis(echelon, self.p, n)
+            lift = self._lifts[j] = (len(cols), cols + list(zip(*kept)), zero)
+        return lift
 
     def expr(self, expr):
         k = 0

@@ -424,9 +424,11 @@ def _cut_arc(builder, boundary_list, a):
     if any, else the first under-crossing slot; either choice is a valid
     planar position for the cut, and the coloring relations only see the
     incidence structure.
+
+    Nothing may be glued in the builder yet: every id is its own root,
+    so ids are compared without `find`.
     """
-    a = builder.find(a)
-    positions = [i for i, x in enumerate(boundary_list) if builder.find(x) == a]
+    positions = [i for i, x in enumerate(boundary_list) if x == a]
     if positions:
         # a keeps its other ends: one boundary end moves out, one cut
         # end comes in, net zero
@@ -435,7 +437,7 @@ def _cut_arc(builder, boundary_list, a):
         return a, a2
     for rec in builder.crossings:
         for slot in (1, 2):  # under_in, under_out
-            if builder.find(rec[slot]) == a:
+            if rec[slot] == a:
                 a2 = builder.new_arc(1)
                 builder.touched[a2] = True
                 rec[slot] = a2

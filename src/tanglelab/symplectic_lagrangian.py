@@ -79,16 +79,17 @@ def is_lagrangian(subspace, space):
         raise ValueError("ambient dimension mismatch")
     if subspace.dim != space.n - 1:
         return False
-    return _is_isotropic(subspace, space)
+    import numpy as np
+    # Python-int entries: exact for every prime
+    rows = np.array([subspace.rows], dtype=object)
+    return bool(_isotropic(rows, np.array(space.gram, dtype=object), space.p)[0])
 
 
-def _is_isotropic(subspace, space):
-    """phi(u, w) = 0 mod p for every pair of basis rows u, w."""
-    form = [(i, j, g) for i, r in enumerate(space.gram) for j, g in enumerate(r) if g]
-    rows = subspace.rows
-    return not any(
-        sum(u[i] * g * w[j] for i, j, g in form) % space.p for u in rows for w in rows
-    )
+def _isotropic(cells, G, p):
+    """For a stack (k, m, d) of row matrices, whether phi(u, w) = 0 mod p
+    for every pair of rows u, w of each: (M G mod p) M^T mod p vanishes.
+    Reducing after each product keeps int64 entries below d p^2."""
+    return ((cells @ G % p) @ cells.transpose(0, 2, 1) % p == 0).all(axis=(1, 2))
 
 
 def lagrangian_count(p, n):
@@ -113,9 +114,10 @@ def enumerate_lagrangians(p, n, budget=ENUMERATION_BUDGET):
     entries of r_j, so one array test keeps or drops each filling.  RREF
     is unique, so every Lagrangian comes out exactly once.
 
-    Certificate: every output is Lagrangian, is its own canonical form
-    under SubspaceModP.from_vectors, the outputs are pairwise distinct,
-    and there are exactly prod (p^i + 1) of them.
+    Certificate: every output is isotropic (one product per cell, by
+    `_isotropic`) with n-1 rows, is its own canonical form under
+    SubspaceModP.from_vectors, the outputs are pairwise distinct, and
+    there are exactly prod (p^i + 1) of them.
     """
     space = build_form(p, n)
     count = lagrangian_count(p, n)
@@ -127,10 +129,11 @@ def enumerate_lagrangians(p, n, budget=ENUMERATION_BUDGET):
     G = space.gram_matrix()
     out = []
     for pivots in combinations(range(d), n - 1):
-        for M in _schubert_cell(pivots, G, p):
+        cell = _schubert_cell(pivots, G, p)
+        for M, ok in zip(cell.tolist(), _isotropic(cell, G, p).tolist()):
             s = SubspaceModP.from_vectors(M, p, d)
-            if s.rows != tuple(map(tuple, M.tolist())) or not is_lagrangian(s, space):
-                raise CrossCheckError(f"{M.tolist()} is not a Lagrangian in RREF")
+            if not ok or s.rows != tuple(map(tuple, M)):
+                raise CrossCheckError(f"{M} is not a Lagrangian in RREF")
             out.append(s)
     out.sort(key=lambda s: s.rows)
     distinct = len({s.rows for s in out})
@@ -180,8 +183,22 @@ def matching_census(n):
         raise ValueError("census needs n >= 1")
     if n > 8:
         raise BudgetExceededError("census limited to n <= 8")
-    images = {matching_image(m, n).rows for m in all_matchings(n)}
-    return len(images)
+    return len(_matching_images(n))
+
+
+def _matching_images(n):
+    """The rows of `matching_image(m, n)` over all matchings m, as a set.
+
+    Each pair's reduced row is computed once.  A matching is spanned by
+    its first n - 1 pair rows: its n pair rows sum to the all-ones
+    vector, which `reduce_to_f_basis` sends to zero, so the last row
+    lies in the span of the others."""
+    pairs = list(combinations(range(1, 2 * n + 1), 2))
+    reduced = dict(zip(pairs, reduce_to_f_basis(_pair_rows(pairs, n), 2, n)))
+    return {
+        SubspaceModP.from_vectors([reduced[pair] for pair in m[:-1]], 2, 2 * n - 2).rows
+        for m in all_matchings(n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +270,7 @@ def realize_lagrangians(p, n, generator_budget=20000):
                 f"structural image {img.rows} of {print_conway(expr)} disagrees "
                 f"with the compiled diagram image {direct.rows} mod {p}"
             )
-    if remaining and not (
-        p == 2 and reached == {matching_image(m, n).rows for m in all_matchings(n)}
-    ):
+    if remaining and not (p == 2 and reached == _matching_images(n)):
         raise CrossCheckError(
             f"the closure reached {len(found)} of {len(targets)} Lagrangians "
             f"mod {p} and no certificate bounds the rest"

@@ -812,17 +812,17 @@ def check_crossing_parity(diagram):
 
     for c in diagram.crossings:
         parent[find(c.under_in)] = find(c.under_out)
-    count = {find(a): 0 for a in diagram.arcs}
+    root = {a: find(a) for a in diagram.arcs}
+    count = dict.fromkeys(root.values(), 0)
     for c in diagram.crossings:
-        over, under = find(c.over), find(c.under_in)
+        over, under = root[c.over], root[c.under_in]
         if over != under:
             count[over] += 1
             count[under] += 1
-    open_strands = {find(a) for a in diagram.boundary}
+    open_strands = {root[a] for a in diagram.boundary}
     for a in sorted(diagram.arcs):
-        root = find(a)
-        k = count[root]
-        if k % 2 and root not in open_strands:
+        k = count[root[a]]
+        if k % 2 and root[a] not in open_strands:
             raise ValueError(
                 f"diagram is not planar: the closed strand through arc {a} "
                 f"has an odd crossing count ({k}) with the other strands"

@@ -2,6 +2,7 @@ import io
 import math
 import random
 from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -374,6 +375,43 @@ def test_structural_image_matches_compiled_random_trees(n):
             assert expr_boundary_image(e, p) == want, (e, p)
             # a table kept across the trees of one prime gives the same images
             assert table.images[table.expr(e)] == want, (e, p)
+
+
+def _fiber_product(left, right, p):
+    """Spanning vectors of the image of the composition: pairs of vectors
+    of the two images that agree on the glued points (left[2n-1-k] =
+    right[k], as in `_glue_compose`), projected to left[:n] + right[n:],
+    from one kernel of the n x (a + b) gluing system."""
+    n, a = left.ambient // 2, len(left.rows)
+    system = [
+        [u[2 * n - 1 - k] for u in left.rows] + [-w[k] % p for w in right.rows]
+        for k in range(n)
+    ]
+    kept = list(zip(*left.rows))[:n], list(zip(*right.rows))[n:]
+    return [
+        [sum(map(mul, c, col)) for col in kept[0]]
+        + [sum(map(mul, c[a:], col)) for col in kept[1]]
+        for c in xl._kernel_basis(system, p, a + len(right.rows))
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compose_matches_the_fiber_product_oracle(p, n):
+    # every pair of 30 sampled ids of a seeded table, both ways round:
+    # right operands whose glued projection is onto and ones where it is not
+    rng = random.Random(100 * p + n)
+    table = ImageTable(p)
+    for _ in range(10):
+        table.expr(random_algebraic_expr(n, rng, max_depth=3))
+    ids = rng.sample(range(len(table.images)), min(30, len(table.images)))
+    ranks = {sum(k < n for k in table.images[j].pivots) for j in ids}
+    assert n in ranks and len(ranks) > 1, ranks
+    for i in ids:
+        for j in ids:
+            left, right = table.images[i], table.images[j]
+            want = SubspaceModP.from_vectors(_fiber_product(left, right, p), p, 2 * n)
+            assert table.images[table.compose(i, j)] == want, (i, j)
 
 
 def test_rotating_a_rotated_id_interns_nothing_new(monkeypatch):

@@ -125,6 +125,36 @@ def test_enumeration_certificate_catches_a_broken_walk(monkeypatch, corrupt, mes
         enumerate_lagrangians(3, 3)
 
 
+def test_enumeration_certificate_catches_a_matrix_that_is_not_isotropic(monkeypatch):
+    # one free entry of one matrix goes up by 1: the matrix stays in RREF
+    # and distinct from the rest, and only the isotropy product sees it
+    p, space = 3, build_form(3, 3)
+    walk, corrupted = sl._schubert_cell, []
+
+    def corrupt(pivots, G, p):
+        cell = walk(pivots, G, p)
+        if corrupted:
+            return cell
+        m = cell.shape[1]
+        for t, j, c in product(range(len(cell)), range(m), range(cell.shape[2])):
+            if c > pivots[j] and c not in pivots:
+                broken = cell[t].copy()
+                broken[j, c] = (broken[j, c] + 1) % p
+                if (broken @ G @ broken.T % p).any():
+                    cell[t] = broken
+                    corrupted.append(broken.tolist())
+                    break
+        return cell
+
+    monkeypatch.setattr(sl, "_schubert_cell", corrupt)
+    with pytest.raises(CrossCheckError, match="is not a Lagrangian in RREF"):
+        enumerate_lagrangians(p, 3)
+    assert corrupted
+    (broken,) = corrupted
+    assert SubspaceModP.from_vectors(broken, p, 4).rows == tuple(map(tuple, broken))
+    assert not is_lagrangian(SubspaceModP.from_vectors(broken, p, 4), space)
+
+
 def test_enumerate_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_lagrangians(13, 6, budget=10**4)
@@ -165,6 +195,12 @@ def test_matching_census_values():
     assert matching_census(4) < lagrangian_count(2, 4)
     assert matching_census(5) < lagrangian_count(2, 5)
     assert matching_census(3) == lagrangian_count(2, 3)
+
+
+def test_matching_images_span_by_all_but_the_last_pair():
+    for n in range(1, 6):
+        want = {matching_image(m, n).rows for m in all_matchings(n)}
+        assert sl._matching_images(n) == want
 
 
 def test_matching_images_are_lagrangian_mod2():
@@ -258,6 +294,22 @@ REALIZE_STDOUT_SHA256 = {
     (5, 2, 0, None): "f563f6b757f0273a3d0a269b47e094534657f3987d0cf741b712e9d18db293fd",
     (5, 2, 1, None): "f563f6b757f0273a3d0a269b47e094534657f3987d0cf741b712e9d18db293fd",
 }
+
+
+# sha256 of the stdout of the listing and census queries
+QUERY_STDOUT_SHA256 = {
+    "lagrangians --p 3 --n 4": "270d026ffe5cb7f1373b3132e6841ba3ac78dc8871bedf400a63a8b89b0601ce",
+    "lagrangians --p 5 --n 3": "3e3311e6178d907e97186523c684aba0c1e898f7e56af05a82e247cba1283ff2",
+    "census --n 5": "a4a49b4eb3873a5db80f7707d67417896e062167300f0d2183901a1e353a5a74",
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERY_STDOUT_SHA256))
+def test_listing_and_census_stdout_is_pinned(query):
+    out = io.StringIO()
+    assert cli.run(query.split(), stdout=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == QUERY_STDOUT_SHA256[query]
 
 
 @pytest.mark.parametrize("p,n,seed,budget", sorted(REALIZE_STDOUT_SHA256, key=str))

@@ -423,6 +423,18 @@ def test_crossing_parity_rejects_a_closed_strand_crossed_once():
     assert len(d.crossings) == 2
 
 
+def test_crossing_parity_names_the_smallest_arc_of_two_odd_closed_strands():
+    # the loops 12 (three crossings) and 7 (one) are both odd; 12 comes
+    # first in the file, and the even loop {5, 10} has a smaller arc
+    text = "X 12 1 2\nX 7 2 3\nX 12 5 10\nX 12 10 5\nB 1 3\n"
+    with pytest.raises(ValueError, match=r"arc 7 has an odd crossing count \(1\)"):
+        parse_diagram_text(text)
+    # the strand {4, 6, 11} runs under the loop 12 three times: both are
+    # odd, and the strand's smallest arc 4 is named, not the arc 6 read first
+    with pytest.raises(ValueError, match=r"arc 4 has an odd crossing count \(3\)"):
+        parse_diagram_text("X 12 6 4\nX 12 11 6\nX 12 4 11\n")
+
+
 def test_validate_names_the_smallest_bad_arc():
     # the arc set iterates 40 before 9, and both arcs have a bad end count
     d = TangleDiagram(frozenset({9, 40}), (), (40, 9, 9, 9), 0)
