@@ -24,8 +24,8 @@ _EXPORTS = {
         parse_braid parse_conway parse_diagram_text pretzel print_conway
         rational_expr rotate slope""",
     "exact_linear": "SubspaceModP is_prime kernel_mod_p snf",
-    "fox_coloring": """ColoringSpace abf_space boundary_image coloring_space
-        expr_boundary_image reduced_boundary_image tri virtual_index""",
+    "fox_coloring": """ColoringSpace abf_space boundary_image braid_coloring_space
+        coloring_space expr_boundary_image reduced_boundary_image tri virtual_index""",
     "symplectic_lagrangian": """SymplecticSpace build_form enumerate_lagrangians
         is_lagrangian lagrangian_count matching_census realize_lagrangians""",
     "move_calculus": """MoveStep ReductionResult boundary_invariant

@@ -74,22 +74,27 @@ def _print_subspace(out, name, subspace):
         out.append(f"{name}[{i}] = " + " ".join(str(x) for x in row))
 
 
-def _cmd_color(args, out):
+def _coloring_space(args, k, t=None):
+    """Fox (t None) or ABF colorings mod k of the source: of a lone
+    --braid from its strand action, with no closure diagram."""
     from . import fox_coloring as fox
+    if args.braid and not (args.conway or args.diagram or args.closure):
+        return fox.braid_coloring_space(parse_braid(args.braid), k, t)
     d = _diagram_from_args(args)
+    return fox.coloring_space(d, k) if t is None else fox.abf_space(d, k, t)
+
+
+def _cmd_color(args, out):
     if args.abf_t is not None:
-        space = fox.abf_space(d, args.p, args.abf_t)
+        space = _coloring_space(args, args.p, args.abf_t)
         out.append(f"abf_col_{args.p}(t={args.abf_t}) = {space.count}")
     else:
-        space = fox.coloring_space(d, args.mod)
-        out.append(f"col_{args.mod} = {space.count}")
+        out.append(f"col_{args.mod} = {_coloring_space(args, args.mod).count}")
     return 0
 
 
 def _cmd_tri(args, out):
-    from . import fox_coloring as fox
-    d = _diagram_from_args(args)
-    out.append(f"tri = {fox.tri(d)}")
+    out.append(f"tri = {_coloring_space(args, 3).count}")
     return 0
 
 

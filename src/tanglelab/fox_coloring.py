@@ -34,6 +34,7 @@ from .value import Value
 __all__ = [
     "ColoringSpace",
     "coloring_space",
+    "braid_coloring_space",
     "tri",
     "boundary_image",
     "reduced_boundary_image",
@@ -82,21 +83,63 @@ def _kernel_mod_p(diagram, p, t=-1, tinv=-1):
     return index, xl.sparse_kernel_mod_p(rows, len(index), p)
 
 
+def _twist(k, t):
+    """(-1, -1) for Fox colorings (t None), else (t, t^-1) mod prime k."""
+    if t is None:
+        if k < 2:
+            raise ValueError("modulus must be at least 2")
+        return -1, -1
+    xl.check_prime(k)
+    t %= k
+    if t == 0:
+        raise ValueError("t must be invertible mod p")
+    return t, pow(t, k - 2, k)
+
+
+def _count(k, rows, ncols, closed):
+    """The ColoringSpace of sparse relation rows over ncols columns mod k
+    (as `eliminate_units` reads them), with k more per closed circle."""
+    if xl.is_prime(k):  # the count needs the nullity, not a kernel basis
+        return ColoringSpace(k, k ** (xl.sparse_nullity_mod_p(rows, ncols, k) + closed))
+    free, residual, _ = xl.eliminate_units(rows, ncols)
+    factors = (1,) * (ncols - len(free)) + xl.snf(residual, len(free))
+    count = prod(gcd(d, k) if d else k for d in factors)
+    return ColoringSpace(k, count * k ** (ncols - len(factors) + closed), factors)
+
+
 def coloring_space(diagram, k):
     """All Fox k-colorings of the diagram."""
-    if k < 2:
-        raise ValueError("modulus must be at least 2")
-    closed = diagram.closed_components
+    _twist(k, None)
     arcs, rows = _relation_rows(diagram)
-    if xl.is_prime(k):  # the count needs the nullity, not a kernel basis
-        return ColoringSpace(k, k ** (xl.sparse_nullity_mod_p(rows, len(arcs), k) + closed))
-    free, residual, _ = xl.eliminate_units(rows, len(arcs))
-    factors = (1,) * (len(arcs) - len(free)) + xl.snf(residual, len(free))
-    count = 1
-    for d in factors:
-        count *= gcd(d, k) if d else k
-    count *= k ** (len(arcs) - len(factors) + closed)
-    return ColoringSpace(k, count, factors)
+    return _count(k, rows, len(arcs), diagram.closed_components)
+
+
+def braid_coloring_space(word, k, t=None):
+    """The count `coloring_space` (t None) or `abf_space` gives for
+    `braid_closure(word)`, from the strand action: each position's color
+    is a sparse row over the top strands (residues mod k nearest zero,
+    so -1 stays a unit), and the closure asks bottom colors to equal top
+    ones."""
+    t, tinv = _twist(k, t)
+    h = k // 2
+    cur = {}  # the row of each position a letter moved: t is a unit, so never zero
+    for x in word.letters:
+        i = abs(x) - 1
+        left, right = cur.get(i) or {i: 1}, cur.get(i + 1) or {i + 1: 1}
+        over, under, tt = (left, right, t) if x > 0 else (right, left, tinv)
+        s, get = 1 - tt, over.get  # the under strand leaves as s over + tt under
+        out = {j: r for j, a in under.items() if (r := (tt * a + s * get(j, 0) + h) % k - h)}
+        for j, a in over.items():
+            if j not in under and (r := (s * a + h) % k - h):
+                out[j] = r
+        cur[i], cur[i + 1] = (out, over) if x > 0 else (over, out)
+    rows, columns = [], {}  # columns: the strands some relation uses
+    for i, row in cur.items():
+        a = (row.pop(i, 0) - 1 + h) % k - h  # bottom color less top color
+        row = {i: a, **row} if a else row
+        if row:
+            rows.append([(columns.setdefault(j, len(columns)), b) for j, b in row.items()])
+    return _count(k, rows, len(columns), word.strands - len(columns))
 
 
 def tri(diagram):
@@ -433,12 +476,8 @@ def abf_space(diagram, p, t):
     Only diagrams that carry a braid orientation on every crossing are
     accepted; t must be invertible mod p.
     """
-    xl.check_prime(p)
-    t %= p
-    if t == 0:
-        raise ValueError("t must be invertible mod p")
+    t, tinv = _twist(p, t)
     if any(c.sign is None for c in diagram.crossings):
         raise ValueError("crossing lacks a braid orientation tag")
-    arcs, rows = _relation_rows(diagram, t, pow(t, p - 2, p))
-    nullity = xl.sparse_nullity_mod_p(rows, len(arcs), p)
-    return ColoringSpace(p, p ** (nullity + diagram.closed_components))
+    arcs, rows = _relation_rows(diagram, t, tinv)
+    return _count(p, rows, len(arcs), diagram.closed_components)

@@ -442,20 +442,23 @@ class _Builder:
                 # a crossing-free circle: count it and forget the arc
                 self.circles += 1
                 self.ends[a] = -1  # mark dead
-        if self.ends[self.find(a)] < -1:
+        if self.ends[a] < -1:
             raise CrossCheckError("gluing consumed more ends than available")
 
     def finish(self, corners):
         # deterministic compact relabeling: roots numbered in order of
         # first appearance, crossings first, then boundary; tuple.__new__
         # skips the namedtuple's argument handling
-        find, relabel, crossings, new = self.find, {}, [], tuple.__new__
+        root = self.parent  # every arc's root, by pointer jumping over all arcs
+        while (up := [root[r] for r in root]) != root:
+            root = up
+        relabel, crossings, new = {}, [], tuple.__new__
         for over, under_in, under_out, sign in self.crossings:
-            over = relabel.setdefault(find(over), len(relabel))
-            under_in = relabel.setdefault(find(under_in), len(relabel))
-            under_out = relabel.setdefault(find(under_out), len(relabel))
+            over = relabel.setdefault(root[over], len(relabel))
+            under_in = relabel.setdefault(root[under_in], len(relabel))
+            under_out = relabel.setdefault(root[under_out], len(relabel))
             crossings.append(new(Crossing, (over, under_in, under_out, sign)))
-        boundary = tuple(relabel.setdefault(find(c), len(relabel)) for c in corners)
+        boundary = tuple(relabel.setdefault(root[c], len(relabel)) for c in corners)
         return TangleDiagram(
             frozenset(range(len(relabel))), tuple(crossings), boundary, self.circles
         ).validate()
@@ -660,12 +663,12 @@ class BraidWord(Value, namedtuple("BraidWord", "strands letters")):
     __slots__ = ()
 
     def __new__(cls, strands, letters):
+        letters = tuple(map(int, letters))
         if strands < 1:
             raise ValueError("need at least one strand")
-        letters = tuple(int(x) for x in letters)
-        for x in letters:
-            if x == 0 or abs(x) >= strands:
-                raise ValueError(f"braid letter {x} out of range for {strands} strands")
+        if letters and (0 in letters or max(letters) >= strands or -min(letters) >= strands):
+            x = next(x for x in letters if x == 0 or abs(x) >= strands)
+            raise ValueError(f"braid letter {x} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
 
     def permutation(self):
@@ -686,9 +689,7 @@ def parse_braid(text):
     if ":" not in t:
         raise ValueError("braid line needs '<n>: letters'")
     head, _, tail = t.partition(":")
-    n = int(head.strip())
-    letters = tuple(int(tok) for tok in tail.split())
-    return BraidWord(n, letters)
+    return BraidWord(int(head.strip()), tail.split())
 
 
 def braid_closure(word):

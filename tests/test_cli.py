@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -275,6 +276,48 @@ def test_color_modulus_beyond_primality_bound():
     code, out = capture(["color", "--mod", str(2**89 - 1), "--braid", "2: 1 1 1"])
     assert code == 2
     assert out.startswith("error = modulus ")
+
+
+def _wide_braids():
+    rng = random.Random(40)
+    letters = [rng.choice([x for x in range(-39, 40) if x]) for _ in range(4000)]
+    return {
+        "5000: 1": (3**4999, 6**4999),  # one unknot and 4998 circles
+        "2000: " + " ".join(map(str, range(1, 2000))): (3, 6),  # an unknot
+        "40: " + " ".join(map(str, letters)): (3, 48),
+    }
+
+
+def test_wide_braids_count_as_their_closure_diagrams_did():
+    # strands that no letter moves, or that no closing relation uses, are
+    # free circles: they must not reach the elimination as columns
+    for braid, (tri, col_6) in _wide_braids().items():
+        assert capture(["tri", "--braid", braid]) == (0, f"tri = {tri}\n"), braid[:12]
+        assert capture(["color", "--mod", "6", "--braid", braid]) == (0, f"col_6 = {col_6}\n")
+
+
+_B = "3: 1 -2 1 -2"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["color", "--mod", "1", "--braid", _B], "modulus must be at least 2"),
+    (["color", "--mod", "0", "--braid", _B], "modulus must be at least 2"),
+    (["color", "--abf-t", "7", "--p", "7", "--braid", _B], "t must be invertible mod p"),
+    (["color", "--abf-t", "3", "--p", "6", "--braid", _B], "6 is not prime"),
+    (["color", "--abf-t", "-1", "--p", "6", "--braid", _B], "6 is not prime"),
+    (["color", "--mod", str(2**89 - 1), "--braid", _B],
+     f"modulus {2**89 - 1} is beyond the deterministic primality bound 3317044064679887385961981"),
+    (["tri", "--braid", "3: 1 3"], "braid letter 3 out of range for 3 strands"),
+    (["color", "--mod", "1", "--braid", "3: 1 -3"], "braid letter -3 out of range for 3 strands"),
+    (["tri", "--braid", "0: 1 x"], "invalid literal for int() with base 10: 'x'"),
+    (["tri", "--braid", _B, "--closure", "numerator"], "closure needs a 2-tangle"),
+    (["color", "--mod", "1", "--braid", _B, "--closure", "denominator"],
+     "closure needs a 2-tangle"),
+    (["boundary", "--braid", _B], "diagram has no boundary"),
+])
+def test_braid_errors_keep_their_text_and_order(argv, want):
+    # source errors first, then the modulus, its primality, and t
+    assert capture(argv) == (2, f"error = {want}\n")
 
 
 def test_diagram_sign_field_is_plus_or_minus_one(tmp_path):

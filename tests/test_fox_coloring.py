@@ -18,6 +18,7 @@ from tanglelab.fox_coloring import (
     _relation_rows,
     abf_space,
     boundary_image,
+    braid_coloring_space,
     coloring_space,
     expr_boundary_image,
     reduced_boundary_image,
@@ -310,6 +311,39 @@ def test_abf_matches_bruteforce_random():
             continue
         for p, t in ((3, 2), (5, 3), (7, 5)):
             assert abf_space(d, p, t).count == brute_abf_count(d, p, t)
+
+
+FOX_MODULI = (2, 3, 4, 5, 6, 7, 8, 9, 12, 25, 27, 4294967311)
+ABF_PAIRS = ((7, 3), (5, 2), (11, 4), (3, 2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_braid_route_counts_like_the_closure_diagram(seed):
+    # the strand action and the closure diagram are independent routes:
+    # the diagram route relabels arcs and eliminates crossings x arcs
+    rng = random.Random(300 + seed)
+    words = [BraidWord(1, ()), BraidWord(rng.randint(2, 12), ())]
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        letters = [x for x in range(1 - n, n) if x]
+        words.append(BraidWord(n, [rng.choice(letters) for _ in range(rng.randint(0, 16) * (n > 1))]))
+    for w in words:
+        d = braid_closure(w)
+        for k in FOX_MODULI:
+            assert braid_coloring_space(w, k).count == coloring_space(d, k).count, (w, k)
+        for p, t in ABF_PAIRS:
+            assert braid_coloring_space(w, p, t).count == abf_space(d, p, t).count, (w, p, t)
+
+
+def test_braid_route_rejects_what_the_diagram_routes_reject():
+    w = BraidWord(3, (1, -2, 1, -2))
+    d = braid_closure(w)
+    for k, t, message in ((1, None, "at least 2"), (0, None, "at least 2"), (6, 3, "not prime"),
+                          (6, -1, "not prime"), (7, 7, "invertible"), (7, 0, "invertible")):
+        for route in (lambda: braid_coloring_space(w, k, t),
+                      lambda: coloring_space(d, k) if t is None else abf_space(d, k, t)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
 
 def test_abf_matrix_at_p_minus_one_is_fox_matrix():

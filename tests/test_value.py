@@ -68,7 +68,7 @@ EXPORTED = """INF BraidWord Compose Crossing Frac Infinity Integer Planar Ration
     closure compile_expr compose diagram_to_text parse_braid parse_conway
     parse_diagram_text pretzel print_conway rational_expr rotate slope
     SubspaceModP is_prime kernel_mod_p snf ColoringSpace abf_space boundary_image
-    coloring_space expr_boundary_image reduced_boundary_image tri virtual_index
+    braid_coloring_space coloring_space expr_boundary_image reduced_boundary_image tri virtual_index
     SymplecticSpace build_form enumerate_lagrangians is_lagrangian lagrangian_count
     matching_census realize_lagrangians MoveStep ReductionResult boundary_invariant
     fraction_shift_identities invariance_harness mq_to_fraction reduce_2algebraic
