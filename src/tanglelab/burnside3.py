@@ -38,6 +38,7 @@ from random import Random
 
 from .errors import BudgetExceededError, CrossCheckError
 from .exact_linear import SubspaceModP
+from .tangle_core import _strand_action
 from .value import Value
 
 __all__ = [
@@ -449,20 +450,15 @@ class ObstructionReport(Value, namedtuple(
 
 
 def _strand_images(word):
-    """Images in B(n,3) of the strand generators after the braid acts:
-    sigma_i sends (g_i, g_i+1) to (g_i g_i+1^-1 g_i, g_i) (the core
-    action).  The images stay collected digit lists, so their size does
-    not grow with the braid length; only the final ones become elements."""
+    """Images in B(n,3) of the strand generators after the braid acts by
+    `tangle_core._strand_action` under the core rule: the over strand o
+    and the under strand u leave as (o u^-1 o, o).  The images stay
+    collected digit lists, so their size does not grow with the braid
+    length; only the final ones become elements."""
     n, kernels = word.strands, _kernels(word.strands)
     product, inverse = kernels.product, kernels.inverse
     state = [[int(d == j) for d in range(_dim(n))] for j in range(n)]
-    for x in word.letters:
-        i = abs(x) - 1
-        u, v = state[i], state[i + 1]
-        if x > 0:
-            state[i], state[i + 1] = product(product(u, inverse(v)), u), u
-        else:
-            state[i], state[i + 1] = v, product(product(v, inverse(u)), v)
+    _strand_action(word.letters, state, lambda o, u, x: product(product(o, inverse(u)), o))
     return [_element(n, v) for v in state]
 
 

@@ -74,6 +74,16 @@ def _print_subspace(out, name, subspace):
         out.append(f"{name}[{i}] = " + " ".join(str(x) for x in row))
 
 
+def _decimal(n):
+    """The decimal text of the count n at any size: `str` prints only the
+    parts below 2^1600 (482 digits), under the least int-to-str limit."""
+    if n.bit_length() <= 1600:
+        return str(n)
+    k = (n.bit_length() - 1) * 3 // 20  # 10^k <= 2^(bits - 1) <= n
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _coloring_space(args, k, t=None):
     """Fox (t None) or ABF colorings mod k of the source: of a lone
     --braid from its strand action, with no closure diagram."""
@@ -87,14 +97,14 @@ def _coloring_space(args, k, t=None):
 def _cmd_color(args, out):
     if args.abf_t is not None:
         space = _coloring_space(args, args.p, args.abf_t)
-        out.append(f"abf_col_{args.p}(t={args.abf_t}) = {space.count}")
+        out.append(f"abf_col_{args.p}(t={args.abf_t}) = {_decimal(space.count)}")
     else:
-        out.append(f"col_{args.mod} = {_coloring_space(args, args.mod).count}")
+        out.append(f"col_{args.mod} = {_decimal(_coloring_space(args, args.mod).count)}")
     return 0
 
 
 def _cmd_tri(args, out):
-    out.append(f"tri = {_coloring_space(args, 3).count}")
+    out.append(f"tri = {_decimal(_coloring_space(args, 3).count)}")
     return 0
 
 

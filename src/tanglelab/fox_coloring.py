@@ -27,6 +27,7 @@ from .tangle_core import (
     Rot,
     Sigma,
     _fold_twists,
+    _strand_action,
     compile_expr,
 )
 from .value import Value
@@ -114,27 +115,36 @@ def coloring_space(diagram, k):
     return _count(k, rows, len(arcs), diagram.closed_components)
 
 
-def braid_coloring_space(word, k, t=None):
-    """The count `coloring_space` (t None) or `abf_space` gives for
-    `braid_closure(word)`, from the strand action: each position's color
-    is a sparse row over the top strands (residues mod k nearest zero,
-    so -1 stays a unit), and the closure asks bottom colors to equal top
-    ones."""
-    t, tinv = _twist(k, t)
+def _strand_rows(letters, k, t, tinv):
+    """The bottom color at each position the braid `letters` moves, a
+    sparse row over the top colors, by `_strand_action` under the rule
+    (1 - t) over + t under (tinv at negative letters): residues mod k
+    nearest zero, so -1 stays a unit; t is a unit, so no row is zero."""
     h = k // 2
-    cur = {}  # the row of each position a letter moved: t is a unit, so never zero
-    for x in word.letters:
-        i = abs(x) - 1
-        left, right = cur.get(i) or {i: 1}, cur.get(i + 1) or {i + 1: 1}
-        over, under, tt = (left, right, t) if x > 0 else (right, left, tinv)
-        s, get = 1 - tt, over.get  # the under strand leaves as s over + tt under
+
+    def cross(over, under, x):
+        tt = t if x > 0 else tinv
+        s, get = 1 - tt, over.get
         out = {j: r for j, a in under.items() if (r := (tt * a + s * get(j, 0) + h) % k - h)}
         for j, a in over.items():
             if j not in under and (r := (s * a + h) % k - h):
                 out[j] = r
-        cur[i], cur[i + 1] = (out, over) if x > 0 else (over, out)
+        return out
+
+    # a position a letter moves starts as its own top strand
+    state = {j: {j: 1} for x in dict.fromkeys(letters) for j in (abs(x) - 1, abs(x))}
+    return _strand_action(letters, state, cross)
+
+
+def braid_coloring_space(word, k, t=None):
+    """The count `coloring_space` (t None) or `abf_space` gives for
+    `braid_closure(word)`, from `tangle_core._strand_action` under the
+    rule of `_strand_rows`: the closure asks bottom colors to equal top
+    ones."""
+    t, tinv = _twist(k, t)
+    h = k // 2
     rows, columns = [], {}  # columns: the strands some relation uses
-    for i, row in cur.items():
+    for i, row in _strand_rows(word.letters, k, t, tinv).items():
         a = (row.pop(i, 0) - 1 + h) % k - h  # bottom color less top color
         row = {i: a, **row} if a else row
         if row:
@@ -179,9 +189,7 @@ def boundary_image(diagram, p):
 def _boundary_data(diagram, p):
     """The nullity of the crossing relations over F_p, `boundary_image`
     and `reduced_boundary_image` (None below two strands), with the
-    checks of both, from one elimination and one kernel.  One
-    f-coordinate pass per image row checks the alternating condition and
-    gives the reduced row."""
+    checks of both, from one elimination and one kernel."""
     xl.check_prime(p)
     n = diagram.n
     if n < 1:
@@ -190,14 +198,7 @@ def _boundary_data(diagram, p):
     index, basis = _kernel_mod_p(diagram, p)
     cols = [index[a] for a in diagram.boundary]
     img = SubspaceModP.from_vectors([[v[i] for i in cols] for v in basis], p, 2 * n)
-    f_rows = []
-    for v in img.rows:
-        c, residual = _f_coordinates(v, n)
-        if residual % p:
-            raise AlternatingConditionError(
-                f"boundary coloring {v} violates the alternating condition mod {p}"
-            )
-        f_rows.append([x % p for x in c])
+    f_rows = reduce_to_f_basis(img.rows, p, n)
     # a vector is in the image iff it is the sum of the echelon rows
     # weighted by its pivot entries: for all-ones, the plain sum
     if [sum(col) % p for col in zip(*img.rows)] != [1] * (2 * n):
@@ -234,7 +235,7 @@ def reduce_to_f_basis(vectors, p, n):
         c, residual = _f_coordinates(v, n)
         if residual % p:
             raise AlternatingConditionError(
-                "vector is outside the span of the f-basis"
+                f"boundary coloring {v} violates the alternating condition mod {p}"
             )
         out.append([x % p for x in c])
     return out
@@ -279,34 +280,22 @@ def _pair_rows(pairs, n):
     return rows
 
 
-def _sigma_rows(n, level, sign):
-    """The straight strands, and over + 2 u_out and u_in - u_out for the
-    crossing (2 over = u_in + u_out), at the corners `_build_sigma` uses:
-    the over strand enters on the left at `over` and leaves on the right
-    at the other level, and so does the under strand."""
-    over, under = (level, level - 1) if sign > 0 else (level - 1, level)
-    right = 2 * n - 1  # right-side corner of the left corner j is right - j
-    straight = [ell for ell in range(1, n + 1) if ell not in (level, level + 1)]
-    rows = _pair_rows([(ell, 2 * n + 1 - ell) for ell in straight], n)
-    v = [0] * (2 * n)
-    v[over] = v[right - under] = 1
-    v[right - over] = 2
-    w = [0] * (2 * n)
-    w[under] = 1
-    w[right - over] = -1
-    return rows + [v, w]
-
-
-def _leaf_rows(expr):
-    """Spanning rows of the boundary image of a leaf, and their length."""
+def _leaf_rows(expr, p):
+    """Spanning rows of the boundary image mod p of a leaf, and their
+    length."""
     if isinstance(expr, Integer):
         return _integer_rows(expr.k), 4
     if isinstance(expr, Infinity):
         return _pair_rows(((1, 2), (3, 4)), 2), 4
     if isinstance(expr, Planar):
         return _pair_rows(expr.pairs, len(expr.pairs)), 2 * len(expr.pairs)
-    if isinstance(expr, Sigma):
-        return _sigma_rows(expr.n, expr.i, expr.sign), 2 * expr.n
+    if isinstance(expr, Sigma):  # the letter -sign i, as `compile_expr` reads it
+        n = expr.n
+        bottom = _strand_rows((-expr.sign * expr.i,), p, -1, -1)
+        # row j: e_j on the left, then the right ends, bottom up
+        return [[int(m == j) for m in range(n)]
+                + [bottom.get(m, {m: 1}).get(j, 0) for m in range(n - 1, -1, -1)]
+                for j in range(n)], 2 * n
     raise TypeError(f"not a tangle expression: {expr!r}")
 
 
@@ -345,7 +334,7 @@ class ImageTable:
                     expr.entries, lambda k: self.leaf(Integer(k)), self.rot, self.compose
                 )
             else:
-                i = self._intern(*_leaf_rows(expr))
+                i = self._intern(*_leaf_rows(expr, self.p))
             self._leaves[expr] = i
         return i
 

@@ -13,6 +13,10 @@ Conventions (fixed once, everything downstream depends on them):
   x4 - x1 = k (x2 - x1), x3 = x2 + x4 - x1.
 * `Rot` is the counterclockwise quarter turn: corner lists rotate one
   step, and slopes transform by s -> -1/s.
+* Braid letters are read top to bottom; sigma_i (letter i) puts the
+  strand at position i over the one at i+1, and `Sigma(n, i, +-1)` is
+  the letter -+i read left to right (`Sigma(2, 1, 1)` is `Integer(1)`).
+  `_strand_action` is the one home of this convention.
 """
 
 import re
@@ -168,7 +172,7 @@ class TangleDiagram(Value, namedtuple(
             if a not in ends:
                 raise ValueError(f"boundary references unknown arc {a}")
             ends[a] += 1
-        if not all(k in (0, 2) for k in ends.values()):
+        if not {0, 2}.issuperset(ends.values()):
             a, k = min((a, k) for a, k in ends.items() if k not in (0, 2))
             raise ValueError(f"arc {a} has an end count of {k}, not 0 or 2")
         if self.closed_components < 0:
@@ -400,34 +404,22 @@ class _Builder:
             a = self.parent[a]
         return a
 
-    def add_crossing(self, over, under_in, under_out, sign=None):
-        over = self.find(over)
-        under_in = self.find(under_in)
-        under_out = self.find(under_out)
-        self.crossings.append([over, under_in, under_out, sign])
-        self.touched[over] = self.touched[under_in] = self.touched[under_out] = True
-
     def braid(self, cur, letters, signed):
-        """Hang the braid word `letters` below the strand ends `cur` (root
-        arcs, updated in place); positive sigma_i puts position i over
-        i+1, and crossings carry the letter's sign if `signed`, else None.
-        Each adds one fresh under-arc and glues nothing."""
+        """The strand ends `cur` (a list of root arcs) below the braid
+        `letters`, updated in place by `_strand_action`; crossings carry
+        the letter's sign if `signed`, else None.  Each adds one fresh
+        under-arc and glues nothing."""
         pos, neg = (1, -1) if signed else (None, None)
-        crossings, ends, touched = self.crossings, self.ends, self.touched
-        for x in letters:
-            i = abs(x) - 1
-            fresh = self.new_arc(1)
-            if x > 0:
-                over, u_in = cur[i], cur[i + 1]
-                crossings.append([over, u_in, fresh, pos])
-                cur[i], cur[i + 1] = fresh, over
-            else:
-                over, u_in = cur[i + 1], cur[i]
-                crossings.append([over, u_in, fresh, neg])
-                cur[i], cur[i + 1] = over, fresh
+        new_arc, crossings, ends, touched = self.new_arc, self.crossings, self.ends, self.touched
+
+        def cross(over, u_in, x):
+            fresh = new_arc(1)
+            crossings.append([over, u_in, fresh, pos if x > 0 else neg])
             touched[over] = touched[u_in] = touched[fresh] = True
-            # u_in's growing end terminates at the crossing
-            ends[u_in] -= 1
+            ends[u_in] -= 1  # u_in's growing end terminates at the crossing
+            return fresh
+
+        return _strand_action(letters, cur, cross)
 
     def glue(self, a, b):
         """Join one open end of arc a with one open end of arc b."""
@@ -471,21 +463,6 @@ def _build_planar(b, pairs):
     return corners
 
 
-def _build_sigma(b, n, level, sign):
-    corners = [None] * (2 * n)
-    for ell in range(1, n + 1):
-        if ell not in (level, level + 1):
-            corners[ell - 1] = corners[2 * n - ell] = b.new_arc(2)
-    over, u_in, u_out = b.new_arc(2), b.new_arc(1), b.new_arc(1)
-    # the over strand enters on the left at `top` and leaves on the right
-    # at the other level; a positive sign puts level i+1 on top
-    top, under = (level, level - 1) if sign > 0 else (level - 1, level)
-    corners[top] = corners[2 * n - 1 - under] = over
-    corners[under], corners[2 * n - 1 - top] = u_in, u_out
-    b.add_crossing(over, u_in, u_out)
-    return corners
-
-
 def _glue_compose(b, left, right):
     n = len(left) // 2
     for k in range(n):
@@ -507,18 +484,17 @@ def _build(b, expr):
         corners = _build(b, expr)
         k %= len(corners) or 1
         return corners[-k:] + corners[:-k]
-    if isinstance(expr, Integer):
-        # the braid sigma_1^k hung from the right corners of the 0-tangle
-        nw, sw, se, ne = _build_planar(b, ((1, 4), (2, 3)))
-        right = [se, ne]
-        b.braid(right, (1 if expr.k > 0 else -1,) * abs(expr.k), False)
-        return [nw, sw] + right
+    if isinstance(expr, Integer):  # Sigma(2, 1, sign k), |k| times
+        top, bottom = b.new_arc(2), b.new_arc(2)  # the 0-tangle
+        ne, se = b.braid([top, bottom], (-1 if expr.k > 0 else 1,) * abs(expr.k), False)
+        return [top, bottom, se, ne]
     if isinstance(expr, Planar):
         return _build_planar(b, expr.pairs)
     if isinstance(expr, Infinity):
         return _build_planar(b, ((1, 2), (3, 4)))
-    if isinstance(expr, Sigma):
-        return _build_sigma(b, expr.n, expr.i, expr.sign)
+    if isinstance(expr, Sigma):  # the letter -sign i hung from n straight strands
+        left = [b.new_arc(2) for _ in range(expr.n)]
+        return left + b.braid(left[:], (-expr.sign * expr.i,), False)[::-1]
     if isinstance(expr, Rational):  # corners turn as under `Rot`, k times
         return _fold_twists(expr.entries, lambda k: _build(b, Integer(k)),
                             lambda corners, k: corners[-k:] + corners[:-k],
@@ -659,6 +635,21 @@ def slope(expr):
 # Braids.
 
 
+def _strand_action(letters, state, cross):
+    """`state`, a list or dict of entries by position (from 0), after the
+    braid `letters` acts on it: at the letter i the entry o at position i
+    crosses over u at i+1, at -i the entry at i+1 over the one at i, and
+    cross(o, u, letter) takes o's position while o moves to u's."""
+    for x in letters:
+        if x > 0:  # o's position a, u's position b
+            a, b = x - 1, x
+        else:
+            a, b = -x, -x - 1
+        o = state[a]
+        state[a], state[b] = cross(o, state[b], x), o
+    return state
+
+
 class BraidWord(Value, namedtuple("BraidWord", "strands letters")):
     __slots__ = ()
 
@@ -673,12 +664,9 @@ class BraidWord(Value, namedtuple("BraidWord", "strands letters")):
 
     def permutation(self):
         """Bottom position of the strand starting at each top position."""
-        pos = list(range(self.strands))  # strand id at each position
-        for x in self.letters:
-            i = abs(x) - 1
-            pos[i], pos[i + 1] = pos[i + 1], pos[i]
-        final = {s: q for q, s in enumerate(pos)}
-        return tuple(final[s] for s in range(self.strands))
+        # the strand at each bottom position, then its inverse
+        pos = _strand_action(self.letters, list(range(self.strands)), lambda o, u, x: u)
+        return tuple(sorted(range(self.strands), key=pos.__getitem__))
 
 
 def parse_braid(text):
@@ -693,15 +681,12 @@ def parse_braid(text):
 
 
 def braid_closure(word):
-    """Diagram of the braid closure; letters are read top to bottom and
-    positive sigma_i puts the strand at position i over position i+1."""
-    n = word.strands
+    """Diagram of the braid closure, letters read as `_strand_action`
+    reads them."""
     b = _Builder()
-    top = [b.new_arc(2) for _ in range(n)]
-    cur = list(top)
-    b.braid(cur, word.letters, True)
-    for i in range(n):
-        b.glue(cur[i], top[i])
+    top = [b.new_arc(2) for _ in range(word.strands)]
+    for end, start in zip(b.braid(list(top), word.letters, True), top):
+        b.glue(end, start)
     return b.finish([])
 
 

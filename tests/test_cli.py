@@ -877,6 +877,43 @@ def test_slope_beyond_the_int_digit_limit_exits_3(int_digits_640):
     assert capture(["slope", "--conway", ones(3100)]) == want
 
 
+def _read_decimal(text):
+    """The value of a decimal digit string, read 500 digits at a time, so
+    no conversion meets the interpreter's int-to-str digit limit."""
+    assert text.isdigit() and (text == "0" or text[0] != "0"), text[:40]
+    value = 0
+    for i in range(0, len(text), 500):
+        value = value * 10 ** len(text[i : i + 500]) + int(text[i : i + 500])
+    return value
+
+
+_HUGE_COUNTS = (
+    (["tri", "--braid", "6000: 1"], "tri", 3**5999),
+    (["color", "--mod", "6", "--braid", "6000: 1"], "col_6", 6**5999),
+    (["color", "--mod", "4294967311", "--braid", "5000: 1"], "col_4294967311", 4294967311**4999),
+    (["color", "--abf-t", "2", "--p", "4294967311", "--braid", "5000: 1"],
+     "abf_col_4294967311(t=2)", 4294967311**4999),
+)
+
+
+def _counts_print_exactly():
+    for argv, key, want in _HUGE_COUNTS:
+        code, out = capture(argv)
+        assert code == 0, out[:80]
+        assert out.startswith(f"{key} = ") and out.endswith("\n"), out[:80]
+        assert _read_decimal(out[len(key) + 3 : -1]) == want, argv
+
+
+def test_counts_print_past_the_int_digit_limit():
+    # the parent exited 2 on the last three: "Exceeds the limit (4300
+    # digits) for integer string conversion"
+    _counts_print_exactly()
+
+
+def test_counts_print_under_the_least_int_digit_limit(int_digits_640):
+    _counts_print_exactly()
+
+
 def test_reduce_certificate_is_capped():
     # each step names the innermost site by a path as long as the twist
     # vector: mod 5, T(1 x 4082) names 9998448 characters, T(1 x 4083)

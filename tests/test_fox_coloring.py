@@ -476,11 +476,11 @@ def test_structural_image_of_twist_tangles():
 
 
 def test_structural_image_of_leaves_and_rational_tangles():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for i in range(1, n):
             for sign in (1, -1):
                 e = Sigma(n, i, sign)
-                for p in (2, 3, 5):
+                for p in (2, 3, 5, 7):
                     assert expr_boundary_image(e, p) == boundary_image(compile_expr(e), p)
     rng = random.Random(31)
     for _ in range(40):

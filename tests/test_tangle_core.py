@@ -320,16 +320,44 @@ def test_rational_compiles_like_its_expansion():
             assert loop.images == tree.images, (v, p)
 
 
+def _add_crossing(b, over, under_in, under_out, sign=None):
+    """One crossing on the roots of three builder arcs, marked as touched."""
+    x = [b.find(over), b.find(under_in), b.find(under_out), sign]
+    b.crossings.append(x)
+    b.touched[x[0]] = b.touched[x[1]] = b.touched[x[2]] = True
+
+
+def _build_sigma(b, n, level, sign):
+    """The corners of `Sigma(n, level, sign)` built arc by arc: the
+    reference for the compiler's braid route, which reads the leaf as the
+    letter -sign level hung from the right ends of n straight strands."""
+    corners = [None] * (2 * n)
+    for ell in range(1, n + 1):
+        if ell not in (level, level + 1):
+            corners[ell - 1] = corners[2 * n - ell] = b.new_arc(2)
+    over, u_in, u_out = b.new_arc(2), b.new_arc(1), b.new_arc(1)
+    # the over strand enters on the left at `top` and leaves on the right
+    # at the other level; a positive sign puts level i+1 on top
+    top, under = (level, level - 1) if sign > 0 else (level - 1, level)
+    corners[top] = corners[2 * n - 1 - under] = over
+    corners[under], corners[2 * n - 1 - top] = u_in, u_out
+    _add_crossing(b, over, u_in, u_out)
+    return corners
+
+
 def _sigma_composed_build(b, expr):
     """The compiler with every twist region built as a 0-tangle composed
-    with |k| one-crossing tangles `Sigma(2, 1, sign k)`: the oracle for
-    twist regions hung from the corners as a 2-strand braid."""
+    with |k| one-crossing tangles `Sigma(2, 1, sign k)`, and every `Sigma`
+    leaf by `_build_sigma`: the oracle for twist regions and `Sigma`
+    leaves hung from the corners as braids."""
     if isinstance(expr, Integer):
         corners = tangle_core._build_planar(b, ((1, 4), (2, 3)))
         s = 1 if expr.k > 0 else -1
         for _ in range(abs(expr.k)):
-            corners = tangle_core._glue_compose(b, corners, tangle_core._build_sigma(b, 2, 1, s))
+            corners = tangle_core._glue_compose(b, corners, _build_sigma(b, 2, 1, s))
         return corners
+    if isinstance(expr, Sigma):
+        return _build_sigma(b, expr.n, expr.i, expr.sign)
     if isinstance(expr, Rational):
         return tangle_core._fold_twists(
             expr.entries,
@@ -343,7 +371,7 @@ def _sigma_composed_build(b, expr):
     if isinstance(expr, Compose):
         left = _sigma_composed_build(b, expr.left)
         return tangle_core._glue_compose(b, left, _sigma_composed_build(b, expr.right))
-    return tangle_core._build(b, expr)  # crossingless leaves and Sigma
+    return tangle_core._build(b, expr)  # crossingless leaves
 
 
 def _sigma_composed(expr):
@@ -366,6 +394,46 @@ def test_twist_regions_compile_like_composed_crossings():
                 assert diagram_to_text(closure(got, kind)) == diagram_to_text(closure(want, kind))
                 closed += 1
     assert closed > 300
+
+
+def test_sigma_leaves_compile_like_their_arc_by_arc_build():
+    for n in range(2, 7):
+        for i in range(1, n):
+            for s in (1, -1):
+                assert compile_expr(Sigma(n, i, s)) == _sigma_composed(Sigma(n, i, s)), (n, i, s)
+
+
+def test_strand_action_pins_the_braid_convention():
+    def walk(text):
+        word = parse_braid(text)
+        calls = []
+
+        def cross(o, u, x):
+            calls.append((o, u, x))
+            return f"{o}/{u}"
+
+        return calls, tangle_core._strand_action(word.letters, list("abc"[: word.strands]), cross)
+
+    # sigma_i: position i crosses over i+1; sigma_i^-1: i+1 over i; the
+    # result takes the over entry's position, which moves to the other
+    assert walk("2: 1") == ([("a", "b", 1)], ["a/b", "a"])
+    assert walk("2: -1") == ([("b", "a", -1)], ["b", "b/a"])
+    assert walk("3: 1 -2 2") == (
+        [("a", "b", 1), ("c", "a", -2), ("c", "c/a", 2)],
+        ["a/b", "c/c/a", "c"],
+    )
+
+
+def test_permutation_swaps_the_two_positions_of_each_letter():
+    rng = random.Random(48)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+        pos = list(range(n))  # the strand at each position
+        for x in letters:
+            i = abs(x) - 1
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+        assert BraidWord(n, letters).permutation() == tuple(pos.index(s) for s in range(n))
 
 
 def test_a_twist_region_builds_one_arc_per_crossing(monkeypatch):
@@ -447,11 +515,11 @@ def test_validate_names_the_smallest_bad_arc():
 
 def _reference_load(b, diagram):
     """`_load_diagram` one arc and one crossing at a time, through
-    `_Builder.new_arc` and `_Builder.add_crossing`."""
+    `_Builder.new_arc` and `_add_crossing`."""
     ends = Counter(diagram.boundary)
     ids = {a: b.new_arc(ends[a]) for a in sorted(diagram.arcs)}
     for over, under_in, under_out, sign in diagram.crossings:
-        b.add_crossing(ids[over], ids[under_in], ids[under_out], sign)
+        _add_crossing(b, ids[over], ids[under_in], ids[under_out], sign)
     b.circles += diagram.closed_components
     return ids, [ids[a] for a in diagram.boundary]
 
